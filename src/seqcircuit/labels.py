@@ -134,17 +134,18 @@ def reconvergence_pairs(g: CircuitGraph) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def truth_table_distance(g: CircuitGraph, i: int, j: int) -> float:
+def truth_table_distance(g: CircuitGraph, i: int, j: int, sup=None) -> float:
     """Normalized Hamming distance of two combinational functions.
 
     Both cones are evaluated over an exhaustive assignment of their joint
     source support (FF outputs treated as free inputs); the support size is
-    capped at MAX_PAIR_SUPPORT.
+    capped at MAX_PAIR_SUPPORT.  ``sup`` takes precomputed support masks.
     """
     for v in (i, j):
         if g.kinds[v] not in (NodeKind.AND, NodeKind.NOT):
             raise LabelError(f"node {v} is not combinational")
-    sup = support_masks(g)
+    if sup is None:
+        sup = support_masks(g)
     joint = sup[i] | sup[j]
     sources = [v for v in range(g.n) if joint >> v & 1]
     if len(sources) > MAX_PAIR_SUPPORT:
@@ -186,8 +187,9 @@ def _eval_over_support(g: CircuitGraph, target: int, sources: list[int]):
     return memo[target]
 
 
-def eligible_f_pairs(g: CircuitGraph) -> list[tuple[int, int]]:
-    sup = support_masks(g)
+def eligible_f_pairs(g: CircuitGraph, sup=None) -> list[tuple[int, int]]:
+    if sup is None:
+        sup = support_masks(g)
     gates = g.gates
     out = []
     for ii, i in enumerate(gates):
@@ -202,7 +204,8 @@ def sample_f_pairs(g: CircuitGraph, target_count: int | None, seed: int
     """Uniformly sample eligible combinational pairs and label their distance."""
     if target_count is None:
         target_count = max(1, round(F_PAIRS_PER_CIRCUIT * g.n / REFERENCE_NODES))
-    elig = eligible_f_pairs(g)
+    sup = support_masks(g)
+    elig = eligible_f_pairs(g, sup)
     if not elig or target_count <= 0:
         return []
     rng = np.random.default_rng([int(seed), 0xF0])
@@ -211,7 +214,7 @@ def sample_f_pairs(g: CircuitGraph, target_count: int | None, seed: int
     out = []
     for c in sorted(chosen):
         i, j = elig[c]
-        out.append((i, j, truth_table_distance(g, i, j)))
+        out.append((i, j, truth_table_distance(g, i, j, sup)))
     return out
 
 

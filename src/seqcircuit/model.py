@@ -534,8 +534,10 @@ def evaluate(params: ParamStore, records: list[CircuitRecord],
     pooled_den = {t: 0 for t in TASKS}
     for i, rec in enumerate(records):
         rec.prepare(cfg, seed, i)
-        st, _ = forward_tensors(rec.graph, rec.plan, params, rec.emb0, cfg)
-        preds = predict_heads(rec.graph, st, params, rec.labels)
+        with tz.no_grad():
+            st, _ = forward_tensors(rec.graph, rec.plan, params, rec.emb0, cfg,
+                                    schedule=rec.schedule)
+            preds = predict_heads(rec.graph, st, params, rec.labels)
         pes = prediction_errors(rec.graph, preds, rec.labels)
         sizes = {
             "recon": len(rec.labels.rc_pairs),

@@ -187,10 +187,11 @@ def predicted_transitions(params: tz.ParamStore, g: CircuitGraph, w: Workload,
     workload values for PIs (inputs are given, not predicted)."""
     rec = mdl.CircuitRecord(graph=g, workload=w,
                             labels=_empty_labels(g)).prepare(cfg, seed, 0)
-    st, _ = mdl.forward_tensors(g, rec.plan, params, rec.emb0, cfg,
-                                schedule=rec.schedule)
     sup = mdl.supervised_nodes(g)
-    pred = tz.mlp3(tz.take_rows(st.hq, sup), params, "head.trans")
+    with tz.no_grad():
+        st, _ = mdl.forward_tensors(g, rec.plan, params, rec.emb0, cfg,
+                                    schedule=rec.schedule)
+        pred = tz.mlp3(tz.take_rows(st.hq, sup), params, "head.trans")
     tr = np.zeros(g.n)
     tr[sup] = pred.data.ravel()
     for pi in g.workload_pis():

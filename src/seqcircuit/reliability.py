@@ -14,11 +14,11 @@ import numpy as np
 
 from . import model as mdl
 from . import tensor as tz
-from .circuit import CircuitGraph, NodeKind
+from .circuit import CircuitGraph
 from .labels import LabelSet
-from .simulate import (FAULT_STREAM, PI_STREAM, SimConfig, Workload,
-                       advance_pis, compiled_order, eval_gates,
-                       pattern_chunks, pattern_uniforms, pi_rate_arrays)
+from .simulate import (FAULT_STREAM, WORD, WORD_BITS, SimConfig, Workload,
+                       compiled_order, count_ones, draw_words, pattern_mask,
+                       pattern_uniforms, pi_words, run_cycles, unpack_traces)
 
 
 @dataclass(frozen=True)
@@ -72,72 +72,6 @@ class FlipLabels:
         return "\n".join(rows) + "\n"
 
 
-def _paired_chunk(g, gates, ffs, wl_pis, a, b, p1_arr, fc: FaultConfig, lo, hi,
-                  want_traces):
-    n = g.n
-    P = hi - lo
-    T = fc.n_cycles
-    k = len(wl_pis)
-    U = (np.stack([pattern_uniforms(fc.seed, p, PI_STREAM, (T, k))
-                   for p in range(lo, hi)])
-         if k else np.zeros((P, T, 0)))
-    flips = None
-    if fc.flip_prob > 0.0:
-        flips = np.stack([pattern_uniforms(fc.seed, p, FAULT_STREAM, (T, n))
-                          for p in range(lo, hi)]) < fc.flip_prob
-
-    vals = np.zeros((n, P), dtype=bool)
-    fvals = np.zeros((n, P), dtype=bool)
-    state = np.zeros((len(ffs), P), dtype=bool)
-    for j, ff in enumerate(ffs):
-        if g.reset_value(ff):
-            state[j, :] = True
-    fstate = state.copy()
-
-    counts = np.zeros((4, n), dtype=np.int64)  # n0, n1, n01, n10
-    traces = {ff: np.zeros((P, T), dtype=bool) for ff in ffs} if want_traces else None
-    ftraces = {ff: np.zeros((P, T), dtype=bool) for ff in ffs} if want_traces else None
-
-    pi_state = np.zeros((k, P), dtype=bool)
-    for t in range(T):
-        pi_state = advance_pis(pi_state, U[:, t, :].T, a, b, p1_arr, t == 0)
-        fl = flips[:, t, :].T if flips is not None else None
-
-        for j, pi in enumerate(wl_pis):
-            vals[pi] = pi_state[j]
-            fvals[pi] = pi_state[j] if fl is None else pi_state[j] ^ fl[pi]
-        if g.const_id is not None:
-            vals[g.const_id] = False
-            fvals[g.const_id] = (False if fl is None
-                                 else fl[g.const_id].copy())
-        for j, ff in enumerate(ffs):
-            vals[ff] = state[j]
-            fvals[ff] = fstate[j] if fl is None else fstate[j] ^ fl[ff]
-            if want_traces:
-                traces[ff][:, t] = state[j]
-                ftraces[ff][:, t] = fstate[j]
-        eval_gates(g, gates, vals)
-        for v in gates:
-            fi = g.fanins[v]
-            if g.kinds[v] == NodeKind.AND:
-                np.logical_and(fvals[fi[0]], fvals[fi[1]], out=fvals[v])
-            else:
-                np.logical_not(fvals[fi[0]], out=fvals[v])
-            if fl is not None:
-                fvals[v] ^= fl[v]
-
-        counts[0] += (~vals).sum(axis=1)
-        counts[1] += vals.sum(axis=1)
-        counts[2] += (fvals & ~vals).sum(axis=1)
-        counts[3] += (~fvals & vals).sum(axis=1)
-
-        for j, ff in enumerate(ffs):
-            state[j] = vals[g.fanins[ff][0]]
-            fstate[j] = fvals[g.fanins[ff][0]]
-
-    return {"counts": counts, "traces": traces, "ftraces": ftraces, "lo": lo}
-
-
 def reliability_labels(g: CircuitGraph, w: Workload, fc: FaultConfig,
                        return_traces: bool = False):
     """Estimate per-node flip rates from paired fault-free/faulty runs.
@@ -147,28 +81,36 @@ def reliability_labels(g: CircuitGraph, w: Workload, fc: FaultConfig,
     """
     fc.check()
     w.check(g)
-    gates, ffs = compiled_order(g)
-    wl_pis, a, b, p1_arr = pi_rate_arrays(g, w)
+    P, T = fc.n_patterns, fc.n_cycles
+    levels = compiled_order(g)
+    words = pi_words(g, w, fc.sim_config())
+    flips = None
+    if fc.flip_prob > 0.0:
+        # One word of patterns per chunk: its thresholded draws are a
+        # (cycles, nodes, 64) bool block.
+        flips = draw_words(P, lambda lo, hi: np.stack(
+            [pattern_uniforms(fc.seed, p, FAULT_STREAM, (T, g.n)) < fc.flip_prob
+             for p in range(lo, hi)], axis=-1), WORD_BITS)
+    mask = pattern_mask(P)
 
-    counts = np.zeros((4, g.n), dtype=np.int64)
-    traces = {ff: np.zeros((fc.n_patterns, fc.n_cycles), dtype=bool) for ff in ffs}
-    ftraces = {ff: np.zeros((fc.n_patterns, fc.n_cycles), dtype=bool) for ff in ffs}
-    for lo, hi in pattern_chunks(fc.n_patterns):
-        res = _paired_chunk(g, gates, ffs, wl_pis, a, b, p1_arr, fc, lo, hi,
-                            return_traces)
-        counts += res["counts"]
-        if return_traces:
-            for ff in ffs:
-                traces[ff][lo:hi] = res["traces"][ff]
-                ftraces[ff][lo:hi] = res["ftraces"][ff]
+    n1, n01, n10 = (np.zeros(g.n, dtype=np.int64) for _ in range(3))
+    shape = (T, len(g.ffs), words.shape[-1])
+    ff_words, fff_words = np.empty(shape, dtype=WORD), np.empty(shape, dtype=WORD)
+    pairs = zip(run_cycles(g, levels, words), run_cycles(g, levels, words, flips))
+    for t, ((state, vals), (fstate, fvals)) in enumerate(pairs):
+        ff_words[t], fff_words[t] = state, fstate
+        n1 += count_ones(vals, mask)
+        n01 += count_ones(fvals & ~vals, mask)
+        n10 += count_ones(vals & ~fvals, mask)
 
-    n0, n1, n01, n10 = counts
+    n0 = P * T - n1
     labels = FlipLabels(
         p01=np.divide(n01, n0, out=np.zeros(g.n), where=n0 > 0),
         p10=np.divide(n10, n1, out=np.zeros(g.n), where=n1 > 0),
         n0=n0, n1=n1)
     if return_traces:
-        return labels, traces, ftraces
+        return (labels, unpack_traces(g.ffs, ff_words, P),
+                unpack_traces(g.ffs, fff_words, P))
     return labels
 
 

@@ -121,30 +121,128 @@ def pattern_uniforms(seed: int, pattern: int, stream: int, shape):
     return np.random.default_rng([seed, pattern, stream]).random(shape)
 
 
+# --- bit-parallel level kernel ----------------------------------------------
+#
+# Pattern p of a run is bit p % 64 of word p // 64, so one numpy operation
+# evaluates a whole level of gates for every pattern.  Bits past the last
+# pattern carry garbage (a NOT sets them) and are masked only when counting.
+
+WORD = np.dtype("<u8")
+WORD_BITS = 64
+# Patterns per stimulus draw: few enough that a chunk's (patterns, cycles,
+# inputs) uniforms stay small, many enough to amortise the per-cycle
+# Markov step over several words.
+PI_CHUNK = 4 * WORD_BITS
+
+
 def compiled_order(g: CircuitGraph):
-    """Gate evaluation order (levelized) plus the FF list."""
-    plan = levelize(g)
-    gates = [v for lvl in plan.levels[1:] for v in lvl
-             if g.kinds[v] in (NodeKind.AND, NodeKind.NOT)]
-    return gates, g.ffs
+    """Per-level gate index arrays (outputs, fanin a, fanin b, invert mask).
+
+    A NOT is an AND of its fanin with itself, inverted: its mask row is all
+    ones where an AND's is zero.  Every fanin of a level's gates is a source
+    (PI or FF output) or lies on an earlier level, so each level evaluates in
+    one step.
+    """
+    out = []
+    for lvl in levelize(g).levels[1:]:
+        gates = [v for v in lvl if g.kinds[v] in (NodeKind.AND, NodeKind.NOT)]
+        if gates:
+            inv = np.array([[g.kinds[v] == NodeKind.NOT] for v in gates])
+            out.append((np.array(gates, dtype=np.intp),
+                        np.array([g.fanins[v][0] for v in gates], dtype=np.intp),
+                        np.array([g.fanins[v][-1] for v in gates], dtype=np.intp),
+                        np.where(inv, np.iinfo(WORD).max, 0).astype(WORD)))
+    return out
 
 
-def eval_gates(g: CircuitGraph, gates, vals):
-    """Evaluate combinational nodes in place; ``vals`` is (n_nodes, width) bool."""
-    for v in gates:
-        fi = g.fanins[v]
-        if g.kinds[v] == NodeKind.AND:
-            np.logical_and(vals[fi[0]], vals[fi[1]], out=vals[v])
-        else:
-            np.logical_not(vals[fi[0]], out=vals[v])
+def eval_levels(levels, vals, flip=None):
+    """Evaluate every gate in place, one level per step.
+
+    ``vals`` is (n_nodes, W) packed pattern words.  ``flip`` (same shape) is
+    XORed into each gate output as it is computed.
+    """
+    for out, fa, fb, inv in levels:
+        x = vals[fa] & vals[fb]
+        x ^= inv
+        if flip is not None:
+            x ^= flip[out]
+        vals[out] = x
 
 
-def pi_rate_arrays(g: CircuitGraph, w: Workload):
-    wl_pis = g.workload_pis()
-    a = np.array([markov_params(*w.pi_probs[pi])[0] for pi in wl_pis])
-    b = np.array([markov_params(*w.pi_probs[pi])[1] for pi in wl_pis])
-    p1 = np.array([w.pi_probs[pi][0] for pi in wl_pis])
-    return wl_pis, a, b, p1
+def run_cycles(g: CircuitGraph, levels, inputs, flips=None):
+    """Yield (FF state, node values) words of every cycle, FFs from reset.
+
+    ``inputs`` is (T, k, W) packed workload-PI values.  ``flips`` holds the
+    optional (T, n_nodes, W) XOR masks of a faulty run: every node value is
+    flipped as it is evaluated, and the yielded state is the latched value
+    before its flip.  The value array is reused from cycle to cycle.
+    """
+    pis = np.array(g.workload_pis(), dtype=np.intp)
+    ffs = np.array(g.ffs, dtype=np.intp)
+    nxt = np.array([g.fanins[ff][0] for ff in g.ffs], dtype=np.intp)
+    sources = np.array([v for v in range(g.n)
+                        if g.kinds[v] in (NodeKind.PI, NodeKind.FF)], dtype=np.intp)
+    T, _, W = inputs.shape
+    vals = np.zeros((g.n, W), dtype=WORD)
+    state = np.zeros((len(ffs), W), dtype=WORD)
+    state[[bool(g.reset_value(ff)) for ff in g.ffs]] = np.iinfo(WORD).max
+    for t in range(T):
+        vals[pis] = inputs[t]
+        vals[ffs] = state
+        if g.const_id is not None:
+            vals[g.const_id] = 0
+        flip = None if flips is None else flips[t]
+        if flip is not None:
+            vals[sources] ^= flip[sources]
+        eval_levels(levels, vals, flip)
+        yield state, vals
+        state = vals[nxt]
+
+
+def pack_patterns(bits):
+    """bool (..., P) -> words (..., ceil(P / 64)); pattern p is bit p % 64 of
+    word p // 64, and padding bits are 0."""
+    n_bytes = 8 * -(-bits.shape[-1] // WORD_BITS)
+    packed = np.zeros(bits.shape[:-1] + (n_bytes,), dtype=np.uint8)
+    packed[..., :(bits.shape[-1] + 7) // 8] = np.packbits(bits, axis=-1,
+                                                          bitorder="little")
+    return packed.view(WORD)
+
+
+def unpack_patterns(words, n_patterns: int):
+    """Words (..., W) -> bool (..., n_patterns)."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n_patterns,
+                         bitorder="little").view(bool)
+
+
+def pattern_mask(n_patterns: int):
+    """Words with the bit of every real pattern set."""
+    return pack_patterns(np.ones(n_patterns, dtype=bool))
+
+
+def count_ones(words, mask):
+    """Per-row number of set pattern bits of (n, W) words."""
+    return np.bitwise_count(words & mask).sum(axis=1, dtype=np.int64)
+
+
+def draw_words(n_patterns: int, draw, chunk: int, workers: int = 1):
+    """Packed (..., W) words of per-pattern bits, drawn ``chunk`` patterns at
+    a time (a multiple of 64, so that chunks fill whole words).
+
+    ``draw(lo, hi)`` returns the bits (..., hi - lo) of patterns lo..hi-1;
+    ``workers`` threads share the chunks, which does not change the result.
+    """
+    parts = [(lo, min(lo + chunk, n_patterns)) for lo in range(0, n_patterns, chunk)]
+
+    def run(part):
+        return pack_patterns(draw(*part))
+
+    if workers > 1 and len(parts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            words = list(pool.map(run, parts))
+    else:
+        words = [run(p) for p in parts]
+    return np.concatenate(words, axis=-1)
 
 
 def advance_pis(pi_state, u, a, b, p1, first_cycle):
@@ -153,111 +251,67 @@ def advance_pis(pi_state, u, a, b, p1, first_cycle):
     return np.where(pi_state, u >= b[:, None], u < a[:, None])
 
 
-def pattern_chunks(n_patterns: int, chunk: int = 250):
-    return [(lo, min(lo + chunk, n_patterns)) for lo in range(0, n_patterns, chunk)]
+def pi_words(g: CircuitGraph, w: Workload, cfg: SimConfig, workers: int = 1):
+    """(T, k, W) packed values of the workload PIs in every pattern and cycle."""
+    wl_pis = g.workload_pis()
+    a, b = np.array([markov_params(*w.pi_probs[pi]) for pi in wl_pis]
+                    ).reshape(-1, 2).T
+    p1 = np.array([w.pi_probs[pi][0] for pi in wl_pis])
+    T, k = cfg.n_cycles, len(wl_pis)
+
+    def draw(lo, hi):
+        U = np.stack([pattern_uniforms(cfg.seed, p, PI_STREAM, (T, k))
+                      for p in range(lo, hi)])
+        bits = np.zeros((T, k, hi - lo), dtype=bool)
+        for t in range(T):
+            bits[t] = advance_pis(bits[t - 1], U[:, t, :].T, a, b, p1, t == 0)
+        return bits
+
+    return draw_words(cfg.n_patterns, draw, PI_CHUNK, workers)
 
 
-def _simulate_chunk(g, gates, ffs, wl_pis, a, b, p1_arr, cfg, lo, hi,
-                    keep_pattern_counts):
-    n = g.n
-    P = hi - lo
-    T = cfg.n_cycles
-    k = len(wl_pis)
-    U = (np.stack([pattern_uniforms(cfg.seed, p, PI_STREAM, (T, k))
-                   for p in range(lo, hi)])
-         if k else np.zeros((P, T, 0)))
-
-    vals = np.zeros((n, P), dtype=bool)
-    prev = np.zeros((n, P), dtype=bool)
-    state = np.zeros((len(ffs), P), dtype=bool)
-    for j, ff in enumerate(ffs):
-        if g.reset_value(ff):
-            state[j, :] = True
-
-    p1c = np.zeros(n, dtype=np.int64)
-    trc = np.zeros(n, dtype=np.int64)
-    pp1 = np.zeros((n, P), dtype=np.int32) if keep_pattern_counts else None
-    ptr_pp = np.zeros((n, P), dtype=np.int32) if keep_pattern_counts else None
-    traces = {ff: np.zeros((P, T), dtype=bool) for ff in ffs}
-
-    pi_state = np.zeros((k, P), dtype=bool)
-    for t in range(T):
-        pi_state = advance_pis(pi_state, U[:, t, :].T, a, b, p1_arr, t == 0)
-        for j, pi in enumerate(wl_pis):
-            vals[pi] = pi_state[j]
-        if g.const_id is not None:
-            vals[g.const_id] = False
-        for j, ff in enumerate(ffs):
-            vals[ff] = state[j]
-            traces[ff][:, t] = state[j]
-        eval_gates(g, gates, vals)
-
-        p1c += vals.sum(axis=1)
-        if keep_pattern_counts:
-            pp1 += vals
-        if t > 0:
-            changed = vals != prev
-            trc += changed.sum(axis=1)
-            if keep_pattern_counts:
-                ptr_pp += changed
-        prev, vals = vals, prev
-        for j, ff in enumerate(ffs):
-            state[j] = prev[g.fanins[ff][0]]
-
-    out = {"p1c": p1c, "trc": trc, "traces": traces, "lo": lo}
-    if keep_pattern_counts:
-        out["pp1"] = pp1
-        out["ptr_pp"] = ptr_pp
-    return out
+def unpack_traces(ffs, ff_words, n_patterns: int) -> dict[int, np.ndarray]:
+    """(T, n_ff, W) per-cycle FF state words -> {ff: (P, T) bool}."""
+    per_ff = unpack_patterns(ff_words, n_patterns).transpose(1, 2, 0)
+    return dict(zip(ffs, np.ascontiguousarray(per_ff)))
 
 
 def simulate(g: CircuitGraph, w: Workload, cfg: SimConfig = SimConfig(),
              workers: int = 1, keep_pattern_counts: bool = False) -> SimStats:
     """Monte Carlo statistics under the workload; bit-deterministic in the seed.
 
-    Chunk boundaries are fixed, counters are integers, and every pattern has
-    its own RNG stream, so results do not depend on ``workers``.
+    Counters are integers and every pattern has its own RNG stream, so
+    results do not depend on ``workers``, which share the stimulus draws.
     """
     cfg.check()
     w.check(g)
-    gates, ffs = compiled_order(g)
-    wl_pis, a, b, p1_arr = pi_rate_arrays(g, w)
-
-    parts = pattern_chunks(cfg.n_patterns)
-
-    def run(part):
-        return _simulate_chunk(g, gates, ffs, wl_pis, a, b, p1_arr, cfg,
-                               part[0], part[1], keep_pattern_counts)
-
-    if workers > 1 and len(parts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, parts))
-    else:
-        results = [run(p) for p in parts]
-
-    n = g.n
+    n, P, T = g.n, cfg.n_patterns, cfg.n_cycles
+    words = pi_words(g, w, cfg, workers)
+    mask = pattern_mask(P)
     p1c = np.zeros(n, dtype=np.int64)
     trc = np.zeros(n, dtype=np.int64)
-    traces = {ff: np.zeros((cfg.n_patterns, cfg.n_cycles), dtype=bool) for ff in ffs}
-    pp1 = (np.zeros((n, cfg.n_patterns), dtype=np.int32)
-           if keep_pattern_counts else None)
-    ptr_pp = (np.zeros((n, cfg.n_patterns), dtype=np.int32)
-              if keep_pattern_counts else None)
-    for res in results:
-        p1c += res["p1c"]
-        trc += res["trc"]
-        lo = res["lo"]
-        for ff, mat in res["traces"].items():
-            traces[ff][lo:lo + mat.shape[0]] = mat
+    pp1 = np.zeros((n, P), dtype=np.int32) if keep_pattern_counts else None
+    ptr_pp = np.zeros((n, P), dtype=np.int32) if keep_pattern_counts else None
+    ff_words = np.empty((T, len(g.ffs), words.shape[-1]), dtype=WORD)
+    prev = None
+    for t, (state, vals) in enumerate(run_cycles(g, compiled_order(g), words)):
+        ff_words[t] = state
+        p1c += count_ones(vals, mask)
         if keep_pattern_counts:
-            pp1[:, lo:lo + res["pp1"].shape[1]] = res["pp1"]
-            ptr_pp[:, lo:lo + res["ptr_pp"].shape[1]] = res["ptr_pp"]
+            pp1 += unpack_patterns(vals, P)
+        if t > 0:
+            changed = vals ^ prev
+            trc += count_ones(changed, mask)
+            if keep_pattern_counts:
+                ptr_pp += unpack_patterns(changed, P)
+        prev = vals.copy()
 
-    total = cfg.n_patterns * cfg.n_cycles
-    total_tr = cfg.n_patterns * (cfg.n_cycles - 1)
+    total = P * T
+    total_tr = P * (T - 1)
     return SimStats(p1=p1c / total, ptr=trc / total_tr,
-                    n_patterns=cfg.n_patterns, n_cycles=cfg.n_cycles,
-                    p1_counts=p1c, tr_counts=trc, traces=traces,
+                    n_patterns=P, n_cycles=T,
+                    p1_counts=p1c, tr_counts=trc,
+                    traces=unpack_traces(g.ffs, ff_words, P),
                     pattern_p1_counts=pp1, pattern_tr_counts=ptr_pp)
 
 
@@ -273,17 +327,13 @@ def _enumerate_truth(g: CircuitGraph, wl_pis, ffs):
     Assignment index layout: PI i contributes bit i, FF j contributes bit
     (n_pis + j); so flat index = x + X * s with X = 2**n_pis.
     """
-    gates, _ = compiled_order(g)
-    kx = len(wl_pis)
-    size = 1 << (kx + len(ffs))
-    idx = np.arange(size)
-    vals = np.zeros((g.n, size), dtype=bool)
-    for i, pi in enumerate(wl_pis):
-        vals[pi] = (idx >> i) & 1
-    for j, ff in enumerate(ffs):
-        vals[ff] = (idx >> (kx + j)) & 1
-    eval_gates(g, gates, vals)
-    return vals
+    src = list(wl_pis) + list(ffs)
+    size = 1 << len(src)
+    words = np.zeros((g.n, -(-size // WORD_BITS)), dtype=WORD)
+    bits = (np.arange(size) >> np.arange(len(src))[:, None]) & 1
+    words[src] = pack_patterns(bits.astype(bool))
+    eval_levels(compiled_order(g), words)
+    return unpack_patterns(words, size)
 
 
 def _apply_pi_kernels(arr_sx: np.ndarray, kernels) -> np.ndarray:
@@ -387,17 +437,11 @@ def write_trace_file(path, stats: SimStats):
     P, T = stats.n_patterns, stats.n_cycles
     bits = (np.concatenate([stats.traces[ff].reshape(-1) for ff in ffs])
             if ffs else np.zeros(0, dtype=bool))
-    nwords = (bits.size + 63) // 64
-    padded = np.zeros(nwords * 64, dtype=bool)
-    padded[:bits.size] = bits
-    words = np.zeros(nwords, dtype="<u8")
-    for k in range(64):
-        words |= padded[k::64].astype("<u8") << np.uint64(k)
     with open(path, "wb") as f:
         f.write(TRACE_MAGIC)
         f.write(struct.pack("<III", len(ffs), P, T))
         f.write(struct.pack(f"<{len(ffs)}I", *ffs))
-        f.write(words.tobytes())
+        f.write(pack_patterns(bits).tobytes())
 
 
 def read_trace_file(path):
@@ -407,12 +451,8 @@ def read_trace_file(path):
             raise SimulationError(f"bad trace magic {magic!r}")
         n_ff, P, T = struct.unpack("<III", f.read(12))
         ffs = struct.unpack(f"<{n_ff}I", f.read(4 * n_ff))
-        words = np.frombuffer(f.read(), dtype="<u8")
-    total = n_ff * P * T
-    bits = np.zeros(len(words) * 64, dtype=bool)
-    for k in range(64):
-        bits[k::64] = (words >> np.uint64(k)) & np.uint64(1)
-    bits = bits[:total]
+        words = np.frombuffer(f.read(), dtype=WORD)
+    bits = unpack_patterns(words, n_ff * P * T)
     traces = {}
     for j, ff in enumerate(ffs):
         traces[ff] = bits[j * P * T:(j + 1) * P * T].reshape(P, T).copy()

@@ -312,19 +312,6 @@ def concat_cols(parts) -> Tensor:
     return _out(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bwd)
 
 
-def vstack(parts) -> Tensor:
-    parts = list(parts)
-    cols = parts[0].shape[1]
-    if any(p.shape[1] != cols for p in parts):
-        raise ShapeError("vstack column mismatch")
-    splits = np.cumsum([p.shape[0] for p in parts])[:-1]
-
-    def bwd(g):
-        for p, piece in zip(parts, np.split(g, splits, axis=0)):
-            p.accumulate(piece)
-    return _out(np.concatenate([p.data for p in parts], axis=0), tuple(parts), bwd)
-
-
 def take_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
 

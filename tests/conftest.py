@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from seqcircuit import CircuitBuilder, NodeKind
+from seqcircuit.schedule import levelize
+from seqcircuit.simulate import (FAULT_STREAM, PI_STREAM, markov_params,
+                                 pattern_uniforms)
 
 
 def toggle_ff():
@@ -24,6 +27,74 @@ def and2():
     g = b.add_and(a, c)
     b.set_outputs([g])
     return b.build(), {"a": a, "b": c, "and": g}
+
+
+def mixed_circuit():
+    """Constant input, NOT chains, FFs that reset to 1 and an FF fed by an FF."""
+    b = CircuitBuilder()
+    x, y = b.add_pi(), b.add_pi()
+    c = b.const_false()
+    f1, f2, f3 = b.add_ff(reset=1), b.add_ff(reset=1), b.add_ff()
+    chain = b.add_not(b.add_not(b.add_not(x)))
+    a1 = b.add_and(chain, f1)
+    a2 = b.add_and(b.add_not(a1), b.add_not(f2))
+    stuck0 = b.add_and(a2, c)
+    a4 = b.add_and(b.add_not(stuck0), y)
+    a5 = b.add_and(b.add_not(b.add_not(a4)), b.add_not(f3))
+    b.set_ff_input(f1, b.add_not(a2))
+    b.set_ff_input(f2, a5)
+    b.set_ff_input(f3, f1)
+    b.set_outputs([a5, stuck0])
+    return b.build()
+
+
+def reference_run(g, w, n_patterns, n_cycles, seed, flip_prob=0.0):
+    """Plain per-gate boolean simulation, one numpy call per gate (test oracle).
+
+    Draws the simulator's per-pattern PI and fault streams and returns node
+    values (T, n_nodes, P) and latched FF states (T, n_ffs, P); with
+    ``flip_prob`` > 0 these are the faulty run's, every node value flipped
+    as it is evaluated.
+    """
+    P, T, n = n_patterns, n_cycles, g.n
+    wl = g.workload_pis()
+    p1 = np.array([w.pi_probs[pi][0] for pi in wl])
+    rates = np.array([markov_params(*w.pi_probs[pi]) for pi in wl]).reshape(-1, 2)
+    U = np.stack([pattern_uniforms(seed, p, PI_STREAM, (T, len(wl)))
+                  for p in range(P)])
+    flips = np.zeros((P, T, n), dtype=bool)
+    if flip_prob > 0.0:
+        flips = np.stack([pattern_uniforms(seed, p, FAULT_STREAM, (T, n))
+                          for p in range(P)]) < flip_prob
+    gates = [v for lvl in levelize(g).levels[1:] for v in lvl
+             if g.kinds[v] in (NodeKind.AND, NodeKind.NOT)]
+    sources = [v for v in range(n) if g.kinds[v] in (NodeKind.PI, NodeKind.FF)]
+    state = np.array([[bool(g.reset_value(ff))] * P for ff in g.ffs],
+                     dtype=bool).reshape(len(g.ffs), P)
+    pi = np.zeros((len(wl), P), dtype=bool)
+    values, states = [], []
+    for t in range(T):
+        u = U[:, t, :].T
+        if t == 0:
+            pi = u < p1[:, None]
+        else:
+            pi = np.where(pi, u >= rates[:, 1:], u < rates[:, :1])
+        vals = np.zeros((n, P), dtype=bool)
+        vals[wl] = pi
+        vals[g.ffs] = state
+        for v in sources:
+            vals[v] ^= flips[:, t, v]
+        for v in gates:
+            fi = g.fanins[v]
+            if g.kinds[v] == NodeKind.AND:
+                vals[v] = vals[fi[0]] & vals[fi[1]]
+            else:
+                vals[v] = ~vals[fi[0]]
+            vals[v] ^= flips[:, t, v]
+        values.append(vals)
+        states.append(state)
+        state = vals[[g.fanins[ff][0] for ff in g.ffs]]
+    return np.array(values), np.array(states).reshape(T, len(g.ffs), P)
 
 
 def eval_graph(g, source_vals, ff_vals=None):

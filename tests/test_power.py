@@ -179,3 +179,31 @@ class TestWorkloadFinetune:
                                           PowerConfig(), sim_cfg, seed=0)
         assert rep_again[0]["rel_error"] \
             == pytest.approx(rep_train[1]["rel_error"], abs=1e-12)
+
+
+class TestPredictedTransitions:
+    def test_equals_trans_head_on_taped_forward(self):
+        # The report runs without a tape; its values must be those of the
+        # taped forward that training differentiates.
+        from seqcircuit import model as mdl
+        from seqcircuit import power as pw
+        from seqcircuit import tensor as tz
+
+        g = generate(GenSpec(n_pi=4, n_and=20, n_not=8, n_ff=3, seed=31,
+                             feedback_prob=0.3))
+        w = Workload.random(g, 5)
+        mcfg = mdl.ModelConfig(dim=8)
+        params = mdl.init_params(8, seed=3)
+        tr = pw.predicted_transitions(params, g, w, mcfg, seed=2)
+
+        rec = mdl.CircuitRecord(graph=g, workload=w,
+                                labels=pw._empty_labels(g)).prepare(mcfg, 2, 0)
+        st, _ = mdl.forward_tensors(g, rec.plan, params, rec.emb0, mcfg,
+                                    schedule=rec.schedule)
+        sup = mdl.supervised_nodes(g)
+        taped = tz.mlp3(tz.take_rows(st.hq, sup), params, "head.trans")
+        assert taped.parents and taped.requires
+        assert np.unique(taped.data).size > 1
+        assert np.array_equal(tr[sup], taped.data.ravel())
+        for pi in g.workload_pis():
+            assert tr[pi] == w.pi_probs[pi][1]

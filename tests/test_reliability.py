@@ -6,7 +6,7 @@ from seqcircuit import (CircuitBuilder, FaultConfig, GenSpec, SimConfig,
                         reliability_labels, simulate)
 from seqcircuit import model as mdl
 from seqcircuit import reliability as rel
-from tests.conftest import toggle_ff
+from tests.conftest import mixed_circuit, reference_run, toggle_ff
 
 
 def test_flip_zero_is_observationally_absent():
@@ -21,6 +21,35 @@ def test_flip_zero_is_observationally_absent():
         assert np.array_equal(ftraces[ff], sim.traces[ff])
     assert labels.p01.max() == 0.0
     assert labels.p10.max() == 0.0
+
+
+@pytest.mark.parametrize("circuit", ["mixed", "generated"])
+def test_faulty_kernel_matches_per_gate_reference(circuit):
+    if circuit == "mixed":
+        g = mixed_circuit()
+        w = Workload({pi: (0.6, 0.4) for pi in g.workload_pis()})
+    else:
+        g = generate(GenSpec(n_pi=3, n_and=12, n_not=6, n_ff=3, seed=2,
+                             feedback_prob=0.6))
+        w = Workload.random(g, 5)
+    P, T, seed = 70, 9, 4
+    fc = FaultConfig(flip_prob=0.05, n_patterns=P, n_cycles=T, seed=seed)
+    labels, traces, ftraces = reliability_labels(g, w, fc, return_traces=True)
+    vals, states = reference_run(g, w, P, T, seed)
+    fvals, fstates = reference_run(g, w, P, T, seed, flip_prob=0.05)
+    n0, n1 = (~vals).sum(axis=(0, 2)), vals.sum(axis=(0, 2))
+    n01 = (fvals & ~vals).sum(axis=(0, 2))
+    n10 = (vals & ~fvals).sum(axis=(0, 2))
+    assert n01.sum() > 0 and n10.sum() > 0
+    assert np.array_equal(labels.n0, n0)
+    assert np.array_equal(labels.n1, n1)
+    assert np.array_equal(labels.p01, np.divide(n01, n0, out=np.zeros(g.n),
+                                                where=n0 > 0))
+    assert np.array_equal(labels.p10, np.divide(n10, n1, out=np.zeros(g.n),
+                                                where=n1 > 0))
+    for j, ff in enumerate(g.ffs):
+        assert np.array_equal(traces[ff], states[:, j, :].T)
+        assert np.array_equal(ftraces[ff], fstates[:, j, :].T)
 
 
 def test_isolated_pi_bernoulli():

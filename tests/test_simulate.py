@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from seqcircuit import (CircuitBuilder, GenSpec, SimConfig, Workload,
                         exhaustive_stats, generate, markov_params, simulate)
-from seqcircuit.simulate import (SimulationError, read_trace_file,
-                                 write_trace_file)
-from tests.conftest import and2, toggle_ff
+from seqcircuit.simulate import (SimulationError, _enumerate_truth,
+                                 read_trace_file, write_trace_file)
+from tests.conftest import (and2, eval_graph, mixed_circuit, reference_run,
+                            toggle_ff)
 
 
 class TestMarkovParams:
@@ -132,6 +133,57 @@ class TestSimulate:
                               stats.p1_counts)
         assert np.array_equal(stats.pattern_tr_counts.sum(axis=1),
                               stats.tr_counts)
+
+
+def kernel_circuits():
+    g = mixed_circuit()
+    yield g, Workload({pi: (0.4, 0.3) for pi in g.workload_pis()})
+    g = generate(GenSpec(n_pi=4, n_and=18, n_not=9, n_ff=4, seed=8,
+                         feedback_prob=0.6))
+    yield g, Workload.random(g, 2)
+
+
+class TestKernel:
+    """The packed level kernel against a per-gate boolean reference."""
+
+    @pytest.mark.parametrize("n_patterns", [1, 63, 64, 65, 250, 1000])
+    def test_matches_per_gate_reference(self, n_patterns):
+        for g, w in kernel_circuits():
+            stats = simulate(g, w, SimConfig(n_patterns, 6, 3),
+                             keep_pattern_counts=True)
+            vals, states = reference_run(g, w, n_patterns, 6, 3)
+            changed = vals[1:] != vals[:-1]
+            assert np.array_equal(stats.p1_counts, vals.sum(axis=(0, 2)))
+            assert np.array_equal(stats.tr_counts, changed.sum(axis=(0, 2)))
+            assert np.array_equal(stats.pattern_p1_counts, vals.sum(axis=0))
+            assert np.array_equal(stats.pattern_tr_counts, changed.sum(axis=0))
+            assert list(stats.traces) == g.ffs
+            for j, ff in enumerate(g.ffs):
+                assert np.array_equal(stats.traces[ff], states[:, j, :].T)
+
+    def test_constant_and_reset_values(self):
+        g = mixed_circuit()
+        stats = simulate(g, Workload({pi: (0.5, 0.5) for pi in g.workload_pis()}),
+                         SimConfig(65, 4, 1))
+        assert stats.p1_counts[g.const_id] == 0
+        assert stats.p1_counts[g.pos[1]] == 0
+        f1, f2, f3 = g.ffs
+        assert stats.traces[f1][:, 0].all() and stats.traces[f2][:, 0].all()
+        assert not stats.traces[f3][:, 0].any()
+
+    def test_truth_table_matches_recursive_evaluator(self):
+        # 32 assignments fill part of one word; 128 span two.
+        small = mixed_circuit()
+        big = generate(GenSpec(n_pi=4, n_and=14, n_not=6, n_ff=3, seed=4,
+                               feedback_prob=0.5))
+        for g in (small, big):
+            src = g.workload_pis() + g.ffs
+            vals = _enumerate_truth(g, g.workload_pis(), g.ffs)
+            assert vals.shape == (g.n, 1 << len(src))
+            for idx in range(1 << len(src)):
+                bits = {v: bool(idx >> i & 1) for i, v in enumerate(src)}
+                ev = eval_graph(g, bits)
+                assert all(vals[v, idx] == ev(v) for v in g.gates)
 
 
 class TestExhaustive:
