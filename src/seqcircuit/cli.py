@@ -6,7 +6,8 @@ and re-running a command from its manifest reproduces the outputs.
 
 Config files are INI documents with one section per subcommand; flags
 override file values.  The default config path comes from the
-SEQCIRCUIT_CONFIG environment variable.
+SEQCIRCUIT_CONFIG environment variable.  Boolean values are spelled
+1/true/yes/on or 0/false/no/off.
 
 Exit codes: 0 success, 1 usage error, 2 data/processing error.
 """
@@ -18,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -38,27 +39,6 @@ from .tensor import (CHECKPOINT_VERSION, NumericsError, load_checkpoint,
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
-
-KNOWN_KEYS = {
-    "gen": {"n", "seed", "out", "mean-nodes", "std-nodes", "feedback-prob"},
-    "sim": {"aig", "bench", "workload", "workload-seed", "patterns", "cycles",
-            "seed", "out", "saif", "trace", "workers", "exact"},
-    "label": {"corpus", "out", "seed", "patterns", "cycles", "f-pairs",
-              "ffsim-pairs", "workload-seed", "workers"},
-    "train": {"dataset", "out-dir", "seed", "dim", "batch-size", "lr",
-              "epochs-phase1", "epochs-phase2", "reverse-layer", "cycle-tol",
-              "cycle-max-iters", "w-recon", "w-logic", "w-trans", "w-func",
-              "w-ff-sim"},
-    "eval": {"dataset", "checkpoint", "out"},
-    "power": {"aig", "bench", "workload", "workload-seed", "checkpoint",
-              "patterns", "cycles", "seed", "capacitance", "vdd",
-              "freq-scale", "out", "saif"},
-    "reliab": {"aig", "bench", "workload", "workload-seed", "flip-prob",
-               "patterns", "cycles", "seed", "out", "checkpoint", "finetune",
-               "epochs", "lr", "finetune-out"},
-    "inspect": {"aig", "bench", "plan", "graph", "out"},
-}
-
 
 class CliParser(argparse.ArgumentParser):
     def error(self, message):
@@ -100,7 +80,21 @@ def write_manifest(out_dir: str, command: str, cfg: dict):
     return path
 
 
-def load_config_file(path: str | None, section: str) -> dict:
+def boolean(text: str) -> bool:
+    """Parse 1/true/yes/on or 0/false/no/off, in any case."""
+    low = text.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_fn(kind):
+    return boolean if kind is bool else kind
+
+
+def load_config_file(path: str | None, section: str, options) -> dict:
     if path is None:
         path = os.environ.get("SEQCIRCUIT_CONFIG")
     if path is None:
@@ -111,30 +105,27 @@ def load_config_file(path: str | None, section: str) -> dict:
     parser.read(path)
     if section not in parser:
         return {}
+    kinds = {name: kind for name, kind, _ in options}
     out = {}
-    for key, val in parser[section].items():
-        if key not in KNOWN_KEYS[section]:
+    for key, text in parser[section].items():
+        if key not in kinds:
             raise CircuitError(f"unknown config key [{section}] {key}")
-        out[key.replace("-", "_")] = val
+        try:
+            out[key.replace("-", "_")] = _parse_fn(kinds[key])(text)
+        except ValueError:
+            raise CircuitError(
+                f"bad value for [{section}] {key}: {text!r}") from None
     return out
 
 
-def _merge_config(args: argparse.Namespace, file_vals: dict, defaults: dict):
+def resolve_config(args: argparse.Namespace, file_vals: dict, options) -> dict:
     """Flags beat config file values beat defaults."""
-    merged = dict(defaults)
-    merged.update(file_vals)
-    for key, val in vars(args).items():
-        if val is not None and key in merged:
-            merged[key] = val
-    for key, val in merged.items():
-        if isinstance(defaults.get(key), bool) and isinstance(val, str):
-            merged[key] = val.lower() in ("1", "true", "yes", "on")
-        elif isinstance(defaults.get(key), int) and not isinstance(val, bool) \
-                and val is not None:
-            merged[key] = int(val)
-        elif isinstance(defaults.get(key), float) and val is not None:
-            merged[key] = float(val)
-    return merged
+    cfg = {}
+    for name, _, default in options:
+        key = name.replace("-", "_")
+        flag = getattr(args, key)
+        cfg[key] = flag if flag is not None else file_vals.get(key, default)
+    return cfg
 
 
 def _load_graph(cfg):
@@ -153,7 +144,7 @@ def _load_workload(g, cfg):
             w = Workload.from_json_dict(json.load(f))
         w.check(g)
         return w
-    return Workload.random(g, int(cfg.get("workload_seed", 0)))
+    return Workload.random(g, cfg["workload_seed"])
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -182,7 +173,7 @@ def cmd_gen(cfg, log):
     return 0
 
 
-def cmd_sim(cfg, log, workers):
+def cmd_sim(cfg, log):
     g, _ = _load_graph(cfg)
     w = _load_workload(g, cfg)
     sim_cfg = SimConfig(n_patterns=cfg["patterns"], n_cycles=cfg["cycles"],
@@ -190,7 +181,7 @@ def cmd_sim(cfg, log, workers):
     if cfg.get("exact"):
         stats = exhaustive_stats(g, w, sim_cfg)
     else:
-        stats = simulate(g, w, sim_cfg, workers=workers)
+        stats = simulate(g, w, sim_cfg)
     doc = stats.to_json_dict(g)
     doc["workload"] = w.to_json_dict()
     out = cfg.get("out")
@@ -214,7 +205,7 @@ def cmd_sim(cfg, log, workers):
     return 0
 
 
-def cmd_label(cfg, log, workers):
+def cmd_label(cfg, log):
     corpus = cfg["corpus"]
     files = sorted(f for f in os.listdir(corpus)
                    if f.endswith(".aag") or f.endswith(".bench"))
@@ -229,7 +220,7 @@ def cmd_label(cfg, log, workers):
             with open(path) as cf:
                 g = (parse_bench(cf) if name.endswith(".bench")
                      else parse_aiger(cf))
-            w = Workload.random(g, int(cfg.get("workload_seed", 0)) + i)
+            w = Workload.random(g, cfg["workload_seed"] + i)
             labels = build_labelset(
                 g, w, replace(sim_cfg, seed=sim_cfg.seed + i),
                 f_target=cfg["f_pairs"] if cfg["f_pairs"] >= 0 else None,
@@ -247,33 +238,29 @@ def cmd_label(cfg, log, workers):
 
 def cmd_train(cfg, log):
     records = mdl.load_dataset(cfg["dataset"])
-    tcfg = mdl.TrainConfig(
-        batch_size=cfg["batch_size"], epochs_phase1=cfg["epochs_phase1"],
-        epochs_phase2=cfg["epochs_phase2"], lr=cfg["lr"],
-        w_recon=cfg["w_recon"], w_logic=cfg["w_logic"],
-        w_trans=cfg["w_trans"], w_func=cfg["w_func"],
-        w_ff_sim=cfg["w_ff_sim"], seed=cfg["seed"], dim=cfg["dim"],
-        reverse_layer=cfg["reverse_layer"], cycle_tol=cfg["cycle_tol"],
-        cycle_max_iters=cfg["cycle_max_iters"])
+    tcfg = mdl.TrainConfig(**{f.name: cfg[f.name]
+                              for f in fields(mdl.TrainConfig)})
     params, history = mdl.train(records, tcfg,
                                 log_fn=lambda row: log("epoch", **row))
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), params,
-                    extra={"dim": tcfg.dim, "seed": tcfg.seed,
-                           "reverse_layer": tcfg.reverse_layer,
-                           "cycle_tol": tcfg.cycle_tol,
-                           "cycle_max_iters": tcfg.cycle_max_iters})
+    _save_model(os.path.join(out_dir, "checkpoint.bin"), params,
+                tcfg.model_config(), tcfg.seed)
     mdl.write_history(os.path.join(out_dir, "history.jsonl"), history)
     write_manifest(out_dir, "train", cfg)
     return 0
 
 
+def _save_model(path, params, mcfg: mdl.ModelConfig, seed: int):
+    # The checkpoint index is not key-sorted: keep "seed" second.
+    extra = asdict(mcfg)
+    save_checkpoint(path, params,
+                    extra={"dim": extra.pop("dim"), "seed": seed, **extra})
+
+
 def _model_config_from_extra(extra) -> tuple[mdl.ModelConfig, int]:
-    cfg = mdl.ModelConfig(dim=int(extra.get("dim", 128)),
-                          reverse_layer=bool(extra.get("reverse_layer", True)),
-                          cycle_tol=float(extra.get("cycle_tol", 1e-3)),
-                          cycle_max_iters=int(extra.get("cycle_max_iters", 3)))
+    known = {f.name for f in fields(mdl.ModelConfig)}
+    cfg = mdl.ModelConfig(**{k: v for k, v in extra.items() if k in known})
     return cfg, int(extra.get("seed", 0))
 
 
@@ -295,7 +282,7 @@ def cmd_eval(cfg, log):
     return 0
 
 
-def cmd_power(cfg, log, workers):
+def cmd_power(cfg, log):
     g, _ = _load_graph(cfg)
     w = _load_workload(g, cfg)
     sim_cfg = SimConfig(n_patterns=cfg["patterns"], n_cycles=cfg["cycles"],
@@ -303,7 +290,7 @@ def cmd_power(cfg, log, workers):
     pc = pw.PowerConfig(capacitance=cfg["capacitance"], vdd=cfg["vdd"],
                         freq_scale=cfg["freq_scale"])
     mask = pw.gate_output_mask(g)
-    stats = simulate(g, w, sim_cfg, workers=workers)
+    stats = simulate(g, w, sim_cfg)
     report = {"simulated_power": pw.power_estimate(stats.ptr, pc, mask),
               "masked_nodes": int(mask.sum())}
     if cfg.get("checkpoint"):
@@ -351,19 +338,12 @@ def cmd_reliab(cfg, log):
             raise CircuitError("--finetune needs --checkpoint")
         params, extra = load_checkpoint(cfg["checkpoint"])
         mcfg, seed = _model_config_from_extra(extra)
-        tcfg = mdl.TrainConfig(dim=mcfg.dim, reverse_layer=mcfg.reverse_layer,
-                               cycle_tol=mcfg.cycle_tol,
-                               cycle_max_iters=mcfg.cycle_max_iters,
-                               lr=cfg["lr"], seed=seed)
+        tcfg = mdl.TrainConfig(**asdict(mcfg), lr=cfg["lr"], seed=seed)
         tuned, history = rel.finetune_reliability(params, g, w, labels, tcfg,
                                                   epochs=cfg["epochs"])
         log("reliab_finetune", final_pe=history[-1]["pe_flip"])
         if cfg.get("finetune_out"):
-            save_checkpoint(cfg["finetune_out"], tuned,
-                            extra={"dim": mcfg.dim, "seed": seed,
-                                   "reverse_layer": mcfg.reverse_layer,
-                                   "cycle_tol": mcfg.cycle_tol,
-                                   "cycle_max_iters": mcfg.cycle_max_iters})
+            _save_model(cfg["finetune_out"], tuned, mcfg, seed)
     return 0
 
 
@@ -389,6 +369,53 @@ def cmd_inspect(cfg, log):
 
 # --- argument plumbing -----------------------------------------------------------
 
+# Every option of every subcommand is one (name, type, default) entry.  It
+# yields the flag --name and the config-file key name; the resolved config
+# key is name with "_" for "-".  A bool that defaults to False is a switch.
+
+GRAPH = [("aig", str, ""), ("bench", str, "")]
+WORKLOAD_SEED = ("workload-seed", int, 0)
+SIM = [("patterns", int, 1000), ("cycles", int, 100), ("seed", int, 0)]
+STIMULUS = GRAPH + [("workload", str, ""), WORKLOAD_SEED] + SIM
+
+COMMANDS = {
+    "gen": (cmd_gen, "generate a random circuit corpus", [
+        ("n", int, 10), ("seed", int, 0), ("out", str, "corpus"),
+        ("mean-nodes", float, 214.35), ("std-nodes", float, 92.63),
+        ("feedback-prob", float, 0.5)]),
+    "sim": (cmd_sim, "simulate a circuit under a workload", STIMULUS + [
+        ("out", str, ""), ("saif", str, ""), ("trace", str, ""),
+        ("exact", bool, False)]),
+    "label": (cmd_label, "build a labeled dataset from a corpus", [
+        ("corpus", str, "corpus"), ("out", str, "dataset.jsonl"), *SIM,
+        ("f-pairs", int, -1), ("ffsim-pairs", int, -1), WORKLOAD_SEED]),
+    "train": (cmd_train, "train the model on a dataset", [
+        ("dataset", str, "dataset.jsonl"), ("out-dir", str, "run"),
+        ("seed", int, 0), ("dim", int, 128), ("batch-size", int, 16),
+        ("lr", float, 1e-4), ("epochs-phase1", int, 40),
+        ("epochs-phase2", int, 40), ("reverse-layer", bool, True),
+        ("cycle-tol", float, 1e-3), ("cycle-max-iters", int, 3),
+        ("w-recon", float, 1.0), ("w-logic", float, 1.0),
+        ("w-trans", float, 1.0), ("w-func", float, 1.0),
+        ("w-ff-sim", float, 1.0)]),
+    "eval": (cmd_eval, "evaluate a checkpoint on a dataset", [
+        ("dataset", str, "dataset.jsonl"),
+        ("checkpoint", str, "run/checkpoint.bin"), ("out", str, "")]),
+    "power": (cmd_power, "estimate dynamic power", STIMULUS + [
+        ("checkpoint", str, ""), ("capacitance", float, 1.0),
+        ("vdd", float, 1.0), ("freq-scale", float, 1.0), ("out", str, ""),
+        ("saif", str, "")]),
+    "reliab": (cmd_reliab, "fault-injection labels and fine-tuning",
+               STIMULUS + [("flip-prob", float, 0.0005), ("out", str, ""),
+                           ("checkpoint", str, ""), ("finetune", bool, False),
+                           ("epochs", int, 50), ("lr", float, 1e-4),
+                           ("finetune-out", str, "")]),
+    "inspect": (cmd_inspect, "dump graph facts or the propagation plan",
+                GRAPH + [("plan", bool, False), ("graph", bool, False),
+                         ("out", str, "")]),
+}
+
+
 def build_parser() -> CliParser:
     p = CliParser(prog="seqcircuit",
                   description="Sequential netlist learning toolkit")
@@ -398,125 +425,15 @@ def build_parser() -> CliParser:
     p.add_argument("--config", help="INI config file (or $SEQCIRCUIT_CONFIG)")
     p.add_argument("--json-logs", action="store_true",
                    help="stream progress as JSON lines on stderr")
-    p.add_argument("--workers", type=int, default=None,
-                   help="pattern sharding width (default: CPU count)")
     sub = p.add_subparsers(dest="command")
-
-    sp = sub.add_parser("gen", help="generate a random circuit corpus")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out")
-    sp.add_argument("--mean-nodes", type=float, dest="mean_nodes")
-    sp.add_argument("--std-nodes", type=float, dest="std_nodes")
-    sp.add_argument("--feedback-prob", type=float, dest="feedback_prob")
-
-    sp = sub.add_parser("sim", help="simulate a circuit under a workload")
-    _circuit_args(sp)
-    sp.add_argument("--patterns", type=int)
-    sp.add_argument("--cycles", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out")
-    sp.add_argument("--saif")
-    sp.add_argument("--trace")
-    sp.add_argument("--exact", action="store_const", const=True)
-
-    sp = sub.add_parser("label", help="build a labeled dataset from a corpus")
-    sp.add_argument("--corpus")
-    sp.add_argument("--out")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--patterns", type=int)
-    sp.add_argument("--cycles", type=int)
-    sp.add_argument("--f-pairs", type=int, dest="f_pairs")
-    sp.add_argument("--ffsim-pairs", type=int, dest="ffsim_pairs")
-    sp.add_argument("--workload-seed", type=int, dest="workload_seed")
-
-    sp = sub.add_parser("train", help="train the model on a dataset")
-    sp.add_argument("--dataset")
-    sp.add_argument("--out-dir", dest="out_dir")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--epochs-phase1", type=int, dest="epochs_phase1")
-    sp.add_argument("--epochs-phase2", type=int, dest="epochs_phase2")
-    sp.add_argument("--reverse-layer", dest="reverse_layer")
-    sp.add_argument("--cycle-tol", type=float, dest="cycle_tol")
-    sp.add_argument("--cycle-max-iters", type=int, dest="cycle_max_iters")
-    for w in ("recon", "logic", "trans", "func", "ff-sim"):
-        sp.add_argument(f"--w-{w}", type=float, dest=f"w_{w.replace('-', '_')}")
-
-    sp = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    sp.add_argument("--dataset")
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("power", help="estimate dynamic power")
-    _circuit_args(sp)
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--patterns", type=int)
-    sp.add_argument("--cycles", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--capacitance", type=float)
-    sp.add_argument("--vdd", type=float)
-    sp.add_argument("--freq-scale", type=float, dest="freq_scale")
-    sp.add_argument("--out")
-    sp.add_argument("--saif")
-
-    sp = sub.add_parser("reliab", help="fault-injection labels and fine-tuning")
-    _circuit_args(sp)
-    sp.add_argument("--flip-prob", type=float, dest="flip_prob")
-    sp.add_argument("--patterns", type=int)
-    sp.add_argument("--cycles", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out")
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--finetune", action="store_const", const=True)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--finetune-out", dest="finetune_out")
-
-    sp = sub.add_parser("inspect", help="dump graph facts or the propagation plan")
-    _circuit_args(sp)
-    sp.add_argument("--plan", action="store_const", const=True)
-    sp.add_argument("--graph", action="store_const", const=True)
-    sp.add_argument("--out")
+    for command, (_, help_text, options) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name, kind, default in options:
+            if kind is bool and not default:
+                sp.add_argument(f"--{name}", action="store_const", const=True)
+            else:
+                sp.add_argument(f"--{name}", type=_parse_fn(kind))
     return p
-
-
-def _circuit_args(sp):
-    sp.add_argument("--aig")
-    sp.add_argument("--bench")
-    sp.add_argument("--workload")
-    sp.add_argument("--workload-seed", type=int, dest="workload_seed")
-
-
-DEFAULTS = {
-    "gen": {"n": 10, "seed": 0, "out": "corpus", "mean_nodes": 214.35,
-            "std_nodes": 92.63, "feedback_prob": 0.5},
-    "sim": {"aig": "", "bench": "", "workload": "", "workload_seed": 0,
-            "patterns": 1000, "cycles": 100, "seed": 0, "out": "",
-            "saif": "", "trace": "", "exact": False},
-    "label": {"corpus": "corpus", "out": "dataset.jsonl", "seed": 0,
-              "patterns": 1000, "cycles": 100, "f_pairs": -1,
-              "ffsim_pairs": -1, "workload_seed": 0},
-    "train": {"dataset": "dataset.jsonl", "out_dir": "run", "seed": 0,
-              "dim": 128, "batch_size": 16, "lr": 1e-4, "epochs_phase1": 40,
-              "epochs_phase2": 40, "reverse_layer": True, "cycle_tol": 1e-3,
-              "cycle_max_iters": 3, "w_recon": 1.0, "w_logic": 1.0,
-              "w_trans": 1.0, "w_func": 1.0, "w_ff_sim": 1.0},
-    "eval": {"dataset": "dataset.jsonl", "checkpoint": "run/checkpoint.bin",
-             "out": ""},
-    "power": {"aig": "", "bench": "", "workload": "", "workload_seed": 0,
-              "checkpoint": "", "patterns": 1000, "cycles": 100, "seed": 0,
-              "capacitance": 1.0, "vdd": 1.0, "freq_scale": 1.0, "out": "",
-              "saif": ""},
-    "reliab": {"aig": "", "bench": "", "workload": "", "workload_seed": 0,
-               "flip_prob": 0.0005, "patterns": 1000, "cycles": 100,
-               "seed": 0, "out": "", "checkpoint": "", "finetune": False,
-               "epochs": 50, "lr": 1e-4, "finetune_out": ""},
-    "inspect": {"aig": "", "bench": "", "workload": "", "workload_seed": 0,
-                "plan": False, "graph": False, "out": ""},
-}
 
 
 def main(argv=None) -> int:
@@ -525,33 +442,15 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
-    log = Logger(args.json_logs)
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
+    run, _, options = COMMANDS[args.command]
     try:
-        file_vals = load_config_file(args.config, args.command)
-        cfg = _merge_config(args, file_vals, DEFAULTS[args.command])
-        if args.command == "gen":
-            return cmd_gen(cfg, log)
-        if args.command == "sim":
-            return cmd_sim(cfg, log, workers)
-        if args.command == "label":
-            return cmd_label(cfg, log, workers)
-        if args.command == "train":
-            return cmd_train(cfg, log)
-        if args.command == "eval":
-            return cmd_eval(cfg, log)
-        if args.command == "power":
-            return cmd_power(cfg, log, workers)
-        if args.command == "reliab":
-            return cmd_reliab(cfg, log)
-        if args.command == "inspect":
-            return cmd_inspect(cfg, log)
-        parser.error(f"unknown command {args.command}")
+        file_vals = load_config_file(args.config, args.command, options)
+        return run(resolve_config(args, file_vals, options),
+                   Logger(args.json_logs))
     except (CircuitError, SimulationError, NumericsError, pw.PowerError,
             OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return DATA_EXIT
-    return 0
 
 
 if __name__ == "__main__":

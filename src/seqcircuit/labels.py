@@ -40,6 +40,12 @@ class LabelSet:
     ffsim_pairs: list[tuple[int, int, float]]          # (ff_i, ff_j, similarity)
     skipped_ff_pairs: int = 0
 
+    @classmethod
+    def empty(cls, n: int) -> "LabelSet":
+        """Zero targets and no pairs, for inference and flip-rate tuning."""
+        return cls(p1=np.zeros(n), ptr=np.zeros(n), rc_pairs=[], f_pairs=[],
+                   ffsim_pairs=[])
+
     def to_json_record(self, circuit_path: str, workload: Workload,
                        cfg: SimConfig) -> str:
         doc = {

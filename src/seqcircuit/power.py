@@ -15,6 +15,7 @@ import numpy as np
 from . import model as mdl
 from . import tensor as tz
 from .circuit import CircuitGraph, NodeKind, SYNTH_PREFIX
+from .labels import LabelSet
 from .simulate import SimConfig, SimStats, Workload, simulate
 
 
@@ -186,7 +187,7 @@ def predicted_transitions(params: tz.ParamStore, g: CircuitGraph, w: Workload,
     """Per-node transition probabilities: model output for gates and FFs,
     workload values for PIs (inputs are given, not predicted)."""
     rec = mdl.CircuitRecord(graph=g, workload=w,
-                            labels=_empty_labels(g)).prepare(cfg, seed, 0)
+                            labels=LabelSet.empty(g.n)).prepare(cfg, seed, 0)
     sup = mdl.supervised_nodes(g)
     with tz.no_grad():
         st, _ = mdl.forward_tensors(g, rec.plan, params, rec.emb0, cfg,
@@ -197,13 +198,6 @@ def predicted_transitions(params: tz.ParamStore, g: CircuitGraph, w: Workload,
     for pi in g.workload_pis():
         tr[pi] = w.pi_probs[pi][1]
     return tr
-
-
-def _empty_labels(g: CircuitGraph):
-    from .labels import LabelSet
-
-    return LabelSet(p1=np.zeros(g.n), ptr=np.zeros(g.n), rc_pairs=[],
-                    f_pairs=[], ffsim_pairs=[])
 
 
 def power_error_report(params: tz.ParamStore, g: CircuitGraph,

@@ -133,8 +133,8 @@ def finetune_reliability(params: tz.ParamStore, g: CircuitGraph, w: Workload,
     if "head.flip.w1" not in tuned:
         mdl.add_reliability_head(tuned, cfg.dim, seed=cfg.seed)
     mcfg = cfg.model_config()
-    record = mdl.CircuitRecord(graph=g, workload=w,
-                               labels=_prob_labels(g)).prepare(mcfg, cfg.seed, 0)
+    record = mdl.CircuitRecord(graph=g, workload=w, labels=LabelSet.empty(g.n)
+                               ).prepare(mcfg, cfg.seed, 0)
     target = tz.constant(np.stack([flip.p01, flip.p10], axis=1))
     history = []
     for epoch in range(1, epochs + 1):
@@ -146,8 +146,3 @@ def finetune_reliability(params: tz.ParamStore, g: CircuitGraph, w: Workload,
         pe = float(np.mean(np.abs(pred.data - target.data)))
         history.append({"epoch": epoch, "loss_flip": loss.item(), "pe_flip": pe})
     return tuned, history
-
-
-def _prob_labels(g: CircuitGraph) -> LabelSet:
-    return LabelSet(p1=np.zeros(g.n), ptr=np.zeros(g.n), rc_pairs=[],
-                    f_pairs=[], ffsim_pairs=[])

@@ -9,7 +9,6 @@ aggregated over all (pattern, cycle) evaluations.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,24 +224,14 @@ def count_ones(words, mask):
     return np.bitwise_count(words & mask).sum(axis=1, dtype=np.int64)
 
 
-def draw_words(n_patterns: int, draw, chunk: int, workers: int = 1):
+def draw_words(n_patterns: int, draw, chunk: int):
     """Packed (..., W) words of per-pattern bits, drawn ``chunk`` patterns at
     a time (a multiple of 64, so that chunks fill whole words).
 
-    ``draw(lo, hi)`` returns the bits (..., hi - lo) of patterns lo..hi-1;
-    ``workers`` threads share the chunks, which does not change the result.
+    ``draw(lo, hi)`` returns the bits (..., hi - lo) of patterns lo..hi-1.
     """
-    parts = [(lo, min(lo + chunk, n_patterns)) for lo in range(0, n_patterns, chunk)]
-
-    def run(part):
-        return pack_patterns(draw(*part))
-
-    if workers > 1 and len(parts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            words = list(pool.map(run, parts))
-    else:
-        words = [run(p) for p in parts]
-    return np.concatenate(words, axis=-1)
+    return np.concatenate([pack_patterns(draw(lo, min(lo + chunk, n_patterns)))
+                           for lo in range(0, n_patterns, chunk)], axis=-1)
 
 
 def advance_pis(pi_state, u, a, b, p1, first_cycle):
@@ -251,7 +240,7 @@ def advance_pis(pi_state, u, a, b, p1, first_cycle):
     return np.where(pi_state, u >= b[:, None], u < a[:, None])
 
 
-def pi_words(g: CircuitGraph, w: Workload, cfg: SimConfig, workers: int = 1):
+def pi_words(g: CircuitGraph, w: Workload, cfg: SimConfig):
     """(T, k, W) packed values of the workload PIs in every pattern and cycle."""
     wl_pis = g.workload_pis()
     a, b = np.array([markov_params(*w.pi_probs[pi]) for pi in wl_pis]
@@ -267,7 +256,7 @@ def pi_words(g: CircuitGraph, w: Workload, cfg: SimConfig, workers: int = 1):
             bits[t] = advance_pis(bits[t - 1], U[:, t, :].T, a, b, p1, t == 0)
         return bits
 
-    return draw_words(cfg.n_patterns, draw, PI_CHUNK, workers)
+    return draw_words(cfg.n_patterns, draw, PI_CHUNK)
 
 
 def unpack_traces(ffs, ff_words, n_patterns: int) -> dict[int, np.ndarray]:
@@ -277,16 +266,14 @@ def unpack_traces(ffs, ff_words, n_patterns: int) -> dict[int, np.ndarray]:
 
 
 def simulate(g: CircuitGraph, w: Workload, cfg: SimConfig = SimConfig(),
-             workers: int = 1, keep_pattern_counts: bool = False) -> SimStats:
-    """Monte Carlo statistics under the workload; bit-deterministic in the seed.
-
-    Counters are integers and every pattern has its own RNG stream, so
-    results do not depend on ``workers``, which share the stimulus draws.
+             keep_pattern_counts: bool = False) -> SimStats:
+    """Monte Carlo statistics under the workload; bit-deterministic in the seed:
+    counters are integers and every pattern has its own RNG stream.
     """
     cfg.check()
     w.check(g)
     n, P, T = g.n, cfg.n_patterns, cfg.n_cycles
-    words = pi_words(g, w, cfg, workers)
+    words = pi_words(g, w, cfg)
     mask = pattern_mask(P)
     p1c = np.zeros(n, dtype=np.int64)
     trc = np.zeros(n, dtype=np.int64)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from seqcircuit.cli import main
+from seqcircuit.cli import (COMMANDS, boolean, build_parser, load_config_file,
+                            main, resolve_config)
 from seqcircuit.power import read_saif
 
 
@@ -255,14 +257,76 @@ def test_json_logs(tmp_path, capsys):
     assert any(r.get("event") == "gen" for r in rows)
 
 
-def test_workers_flag_same_results(tmp_path, corpus):
-    aag = os.path.join(corpus, sorted(os.listdir(corpus))[0])
-    outs = []
-    for workers, tag in ((1, "w1"), (3, "w3")):
-        out = str(tmp_path / f"{tag}.json")
-        assert main(["--workers", str(workers), "sim", "--aig", aag,
-                     "--workload-seed", "2", "--patterns", "400",
-                     "--cycles", "20", "--out", out]) == 0
-        with open(out) as f:
-            outs.append(json.load(f)["nodes"])
-    assert outs[0] == outs[1]
+def test_bad_bool_flag_is_usage_error(capsys):
+    # An unrecognised spelling used to turn the reverse layer off silently.
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--reverse-layer", "ture"])
+    assert exc.value.code == 1
+    assert "--reverse-layer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, line, message", [
+    ("train", "reverse-layer = yess",
+     "error: bad value for [train] reverse-layer: 'yess'"),
+    ("gen", "n = abc", "error: bad value for [gen] n: 'abc'"),
+])
+def test_bad_config_value_names_section_and_key(tmp_path, capsys, section,
+                                                line, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{line}\n")
+    assert main(["--config", str(cfg), section]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("TRUE", True), ("yes", True), ("On", True),
+    ("0", False), ("false", False), ("No", False), ("off", False)])
+def test_bool_spellings(text, value):
+    assert boolean(text) is value
+
+
+@pytest.mark.parametrize("argv", [
+    ["--workers", "2", "sim"], ["inspect", "--workload-seed", "3"],
+    ["inspect", "--workload", "w.json"]])
+def test_removed_flags_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("section", ["sim", "label"])
+def test_workers_config_key_rejected(tmp_path, section):
+    cfg = tmp_path / "w.ini"
+    cfg.write_text(f"[{section}]\nworkers = 2\n")
+    assert main(["--config", str(cfg), section]) == 2
+
+
+SAMPLE = {int: "7", float: "0.25", str: "x.txt"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_flag_and_config_key_agree(tmp_path, command):
+    parser = build_parser()
+    _, _, options = COMMANDS[command]
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = set(subparsers.choices[command]._option_string_actions)
+    assert flags - {"-h", "--help"} == {f"--{name}" for name, _, _ in options}
+    defaults = resolve_config(parser.parse_args([command]), {}, options)
+    for name, kind, default in options:
+        key = name.replace("-", "_")
+        text = ("off" if default else "on") if kind is bool else SAMPLE[kind]
+        switch = kind is bool and not default
+        argv = [f"--{name}"] if switch else [f"--{name}", text]
+        ini = tmp_path / f"{key}.ini"
+        ini.write_text(f"[{command}]\n{name} = {text}\n")
+        by_flag = resolve_config(parser.parse_args([command, *argv]), {},
+                                 options)
+        by_file = resolve_config(parser.parse_args([command]),
+                                 load_config_file(str(ini), command, options),
+                                 options)
+        assert by_flag == by_file, name
+        assert type(by_flag[key]) is kind, name
+        assert by_flag[key] != default, name
+        assert {k: v for k, v in by_flag.items() if k != key} == \
+            {k: v for k, v in defaults.items() if k != key}, name

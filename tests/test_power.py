@@ -188,6 +188,7 @@ class TestPredictedTransitions:
         from seqcircuit import model as mdl
         from seqcircuit import power as pw
         from seqcircuit import tensor as tz
+        from seqcircuit.labels import LabelSet
 
         g = generate(GenSpec(n_pi=4, n_and=20, n_not=8, n_ff=3, seed=31,
                              feedback_prob=0.3))
@@ -197,7 +198,7 @@ class TestPredictedTransitions:
         tr = pw.predicted_transitions(params, g, w, mcfg, seed=2)
 
         rec = mdl.CircuitRecord(graph=g, workload=w,
-                                labels=pw._empty_labels(g)).prepare(mcfg, 2, 0)
+                                labels=LabelSet.empty(g.n)).prepare(mcfg, 2, 0)
         st, _ = mdl.forward_tensors(g, rec.plan, params, rec.emb0, mcfg,
                                     schedule=rec.schedule)
         sup = mdl.supervised_nodes(g)

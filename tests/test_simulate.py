@@ -88,16 +88,6 @@ class TestSimulate:
         for ff in g.ffs:
             assert np.array_equal(s1.traces[ff], s2.traces[ff])
 
-    def test_worker_count_invariance(self):
-        g = generate(GenSpec(n_pi=4, n_and=15, n_not=6, n_ff=3, seed=6,
-                             feedback_prob=0.6))
-        w = Workload.random(g, 10)
-        cfg = SimConfig(600, 30, 13)
-        s1 = simulate(g, w, cfg, workers=1)
-        s4 = simulate(g, w, cfg, workers=4)
-        assert np.array_equal(s1.p1_counts, s4.p1_counts)
-        assert np.array_equal(s1.tr_counts, s4.tr_counts)
-
     def test_missing_pi_rejected(self):
         g, ids = and2()
         with pytest.raises(SimulationError):
