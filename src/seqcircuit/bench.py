@@ -49,6 +49,9 @@ def parse_bench(text) -> CircuitGraph:
         if name in defs or name in inputs:
             raise BenchError(f"line {ln}: net {name!r} redefined")
         defs[name] = (gate, ops)
+    if not inputs and not defs:
+        raise BenchError("no nets defined: the file has no INPUT or gate "
+                         "statements")
 
     b = CircuitBuilder()
     node: dict[str, int] = {}

@@ -6,6 +6,8 @@ of PIs and FFs never change (they act as pseudo primary inputs), and PI
 function/sequential vectors stay at their workload initialization.  A single
 forward sweep walks the level plan; feedback regions are re-swept a bounded
 number of times; an optional mirrored sweep over reversed edges follows.
+The sweep updates in-place row tables, and training runs each mini-batch
+as one sweep over the disjoint union of its circuits.
 """
 from __future__ import annotations
 
@@ -165,16 +167,18 @@ def add_reliability_head(store: ParamStore, dim: int, seed: int = 0):
 # --- forward pass -------------------------------------------------------------
 
 class _TensorState:
-    """Whole-graph embedding matrices during a differentiable sweep."""
+    """Whole-graph embedding tables during a differentiable sweep."""
 
     def __init__(self, emb: EmbeddingState):
-        self.hs = tz.constant(emb.structure)
-        self.hf = tz.constant(emb.function)
-        self.hq = tz.constant(emb.sequential)
+        self.tables = (tz.RowTable(emb.structure), tz.RowTable(emb.function),
+                       tz.RowTable(emb.sequential))
+
+    hs = property(lambda self: self.tables[0].current)
+    hf = property(lambda self: self.tables[1].current)
+    hq = property(lambda self: self.tables[2].current)
 
     def to_embedding(self) -> EmbeddingState:
-        return EmbeddingState(self.hs.data.copy(), self.hf.data.copy(),
-                              self.hq.data.copy())
+        return EmbeddingState(*(t.data.copy() for t in self.tables))
 
 
 def _level_groups(g: CircuitGraph, nodes, neighbors) -> list[tuple]:
@@ -198,7 +202,12 @@ def _level_groups(g: CircuitGraph, nodes, neighbors) -> list[tuple]:
 
 
 def compile_schedule(g: CircuitGraph, plan: PropagationPlan, reverse: bool):
-    """Precompute batched update groups for every sweep the forward pass runs."""
+    """Precompute batched update groups for every sweep the forward pass runs.
+
+    ``fwd`` and ``rev`` hold one group list per level and ``regions`` one
+    list of internal levels per feedback region.  ``region_rows`` are each
+    region's nodes and ``waves`` the regions that run together, in order.
+    """
     fwd = [_level_groups(g, level, g.fanins) for level in plan.levels[1:]]
     regions = [
         [_level_groups(g, level, g.fanins) for level in region.internal_levels]
@@ -206,48 +215,107 @@ def compile_schedule(g: CircuitGraph, plan: PropagationPlan, reverse: bool):
     ]
     rev = ([_level_groups(g, level, g.fanouts)
             for level in reversed(plan.levels[1:])] if reverse else [])
-    return {"fwd": fwd, "regions": regions, "rev": rev}
+    rows = [np.array(sorted(r.nodes), dtype=np.int64)
+            for r in plan.cyclic_regions]
+    return {"fwd": fwd, "regions": regions, "rev": rev, "n": g.n,
+            "region_rows": rows, "waves": [[k] for k in range(len(regions))]}
+
+
+def _merge_levels(parts) -> list[list[tuple]]:
+    """Align level lists by index and regroup each level by (kind, arity)."""
+    if len(parts) == 1:
+        return parts[0]
+    merged = []
+    for i in range(max(map(len, parts))):
+        buckets: dict[tuple[NodeKind, int], list] = {}
+        for levels in parts:
+            for kind, vids, cols in levels[i] if i < len(levels) else ():
+                buckets.setdefault((kind, len(cols)), []).append((vids, cols))
+        merged.append([
+            (kind, np.concatenate([v for v, _ in items]),
+             [np.concatenate(c) for c in zip(*(cols for _, cols in items))])
+            for (kind, _), items in sorted(buckets.items())])
+    return merged
+
+
+def _shift(levels, off: int) -> list[list[tuple]]:
+    return [[(kind, vids + off, [c + off for c in cols])
+             for kind, vids, cols in groups] for groups in levels]
+
+
+def merge_schedules(schedules) -> dict:
+    """One schedule for the disjoint union of several circuits.
+
+    Node ids of each circuit are shifted by the node counts before it.
+    Forward and reverse levels are aligned by level index; the k-th
+    feedback region of every circuit runs in wave k, in lockstep, and each
+    keeps its own convergence test.  The regions are listed circuit by
+    circuit, and so are the forward report's ``region_iters``.
+    """
+    offsets = np.cumsum([0] + [s["n"] for s in schedules])
+    regions, rows, waves = [], [], []
+    for s, off in zip(schedules, offsets):
+        for k, (levels, r) in enumerate(zip(s["regions"], s["region_rows"])):
+            if k == len(waves):
+                waves.append([])
+            waves[k].append(len(regions))
+            regions.append(_shift(levels, off))
+            rows.append(r + off)
+    fwd = _merge_levels([_shift(s["fwd"], off)
+                         for s, off in zip(schedules, offsets)])
+    rev = _merge_levels([_shift(s["rev"][::-1], off)
+                         for s, off in zip(schedules, offsets)])[::-1]
+    return {"fwd": fwd, "regions": regions, "rev": rev,
+            "n": int(offsets[-1]), "region_rows": rows, "waves": waves}
 
 
 def _update_group(st: _TensorState, params, kind: NodeKind, vids, cols, side: str):
     """Batched refresh of one (kind, arity) node group from its neighbor rows."""
     tag = _kind_tag(kind)
-    hs_v = tz.take_rows(st.hs, vids)
-    hs_n = [tz.take_rows(st.hs, c) for c in cols]
+    ts, tf, tq = st.tables
+    hs_v = tz.take_rows(ts.current, vids)
+    hs_n = [tz.take_rows(ts.current, c) for c in cols]
     if kind in STRUCT_KINDS:
         base = f"{side}.struct.{tag}"
         msg = tz.attn_aggregate_groups(hs_v, hs_n, params[f"{base}.attn.w1"],
                                        params[f"{base}.attn.w2"])
         new_hs = tz.gru_cell(msg, hs_v, params, f"{base}.gru")
-        st.hs = tz.set_rows(st.hs, vids, new_hs)
+        ts.scatter(vids, new_hs)
         hs_v = new_hs
 
-    hf_v = tz.take_rows(st.hf, vids)
-    preds_f = [tz.concat_cols([h, tz.take_rows(st.hf, c)])
+    hf_v = tz.take_rows(tf.current, vids)
+    preds_f = [tz.concat_cols([h, tz.take_rows(tf.current, c)])
                for h, c in zip(hs_n, cols)]
     base = f"{side}.func.{tag}"
     msg_f = tz.attn_aggregate_groups(tz.concat_cols([hs_v, hf_v]), preds_f,
                                      params[f"{base}.attn.w1"],
                                      params[f"{base}.attn.w2"])
     new_hf = tz.gru_cell(msg_f, hf_v, params, f"{base}.gru")
-    st.hf = tz.set_rows(st.hf, vids, new_hf)
+    tf.scatter(vids, new_hf)
 
-    hq_v = tz.take_rows(st.hq, vids)
-    preds_q = [tz.concat_cols([pf, tz.take_rows(st.hq, c)])
+    hq_v = tz.take_rows(tq.current, vids)
+    preds_q = [tz.concat_cols([pf, tz.take_rows(tq.current, c)])
                for pf, c in zip(preds_f, cols)]
     base = f"{side}.seq.{tag}"
     msg_q = tz.attn_aggregate_groups(tz.concat_cols([hs_v, new_hf, hq_v]), preds_q,
                                      params[f"{base}.attn.w1"],
                                      params[f"{base}.attn.w2"])
     new_hq = tz.gru_cell(msg_q, hq_v, params, f"{base}.gru")
-    st.hq = tz.set_rows(st.hq, vids, new_hq)
+    tq.scatter(vids, new_hq)
+
+
+def _sweep_level(st, params, groups, side: str, updates: np.ndarray):
+    for kind, vids, cols in groups:
+        _update_group(st, params, kind, vids, cols, side)
+        updates[vids] += 1
 
 
 def _region_residual(st, old, rows) -> float:
+    """Worst relative row change of a region against its snapshot ``old``."""
     res = 0.0
-    for new_m, old_m in ((st.hs, old[0]), (st.hf, old[1]), (st.hq, old[2])):
-        num = np.linalg.norm(new_m.data[rows] - old_m.data[rows], axis=1)
-        den = np.linalg.norm(old_m.data[rows], axis=1) + 1e-12
+    for table, before in zip(st.tables, old):
+        num = np.linalg.norm(table.data[rows] - before, axis=1)
+        den = np.linalg.norm(before, axis=1) + 1e-12
         res = max(res, float((num / den).max()))
     return res
 
@@ -255,40 +323,42 @@ def _region_residual(st, old, rows) -> float:
 def forward_tensors(g: CircuitGraph, plan: PropagationPlan, params: ParamStore,
                     emb: EmbeddingState, cfg: ModelConfig,
                     schedule=None) -> tuple[_TensorState, ForwardReport]:
-    """Differentiable propagation; returns embedding tensors and diagnostics."""
+    """Differentiable propagation; returns embedding tensors and diagnostics.
+
+    ``g`` and ``plan`` are read only to compile a schedule when none is
+    given; a merged schedule (``merge_schedules``) sweeps several circuits
+    at once.  ``emb`` is copied, never written.
+    """
     if schedule is None:
         schedule = compile_schedule(g, plan, cfg.reverse_layer)
+    n = schedule["n"]
     st = _TensorState(emb)
-    report = ForwardReport(forward_updates=np.zeros(g.n, dtype=np.int64),
-                           reverse_updates=np.zeros(g.n, dtype=np.int64))
+    report = ForwardReport(forward_updates=np.zeros(n, dtype=np.int64),
+                           reverse_updates=np.zeros(n, dtype=np.int64))
 
     for groups in schedule["fwd"]:
-        for kind, vids, cols in groups:
-            _update_group(st, params, kind, vids, cols, "fwd")
-            report.forward_updates[vids] += 1
+        _sweep_level(st, params, groups, "fwd", report.forward_updates)
 
-    for region, levels in zip(plan.cyclic_regions, schedule["regions"]):
-        rows = np.array(sorted(region.nodes), dtype=np.int64)
-        residuals = []
-        iters = 0
-        for _ in range(cfg.cycle_max_iters):
-            old = (st.hs, st.hf, st.hq)
-            for groups in levels:
-                for kind, vids, cols in groups:
-                    _update_group(st, params, kind, vids, cols, "fwd")
-                    report.forward_updates[vids] += 1
-            iters += 1
-            res = _region_residual(st, old, rows)
-            residuals.append(res)
-            if res < cfg.cycle_tol:
-                break
-        report.region_iters.append(iters)
-        report.region_residuals.append(residuals)
+    regions, region_rows = schedule["regions"], schedule["region_rows"]
+    report.region_iters = [0] * len(regions)
+    report.region_residuals = [[] for _ in regions]
+    for wave in schedule["waves"]:
+        active = list(wave) if cfg.cycle_max_iters > 0 else []
+        while active:
+            # Snapshot first: the tables are overwritten in place.
+            old = {r: [t.data[region_rows[r]] for t in st.tables] for r in active}
+            for groups in _merge_levels([regions[r] for r in active]):
+                _sweep_level(st, params, groups, "fwd", report.forward_updates)
+            for r in active:
+                report.region_iters[r] += 1
+                report.region_residuals[r].append(
+                    _region_residual(st, old[r], region_rows[r]))
+            active = [r for r in active
+                      if report.region_residuals[r][-1] >= cfg.cycle_tol
+                      and report.region_iters[r] < cfg.cycle_max_iters]
 
     for groups in schedule["rev"]:
-        for kind, vids, cols in groups:
-            _update_group(st, params, kind, vids, cols, "rev")
-            report.reverse_updates[vids] += 1
+        _sweep_level(st, params, groups, "rev", report.reverse_updates)
     return st, report
 
 
@@ -310,26 +380,32 @@ def _cosine_rows(a: Tensor, b: Tensor) -> Tensor:
 
 
 def predict_heads(g: CircuitGraph, st: _TensorState, params: ParamStore,
-                  labels: LabelSet) -> dict[str, Tensor]:
-    """Task predictions aligned with the label arrays."""
+                  labels: LabelSet, offset: int = 0) -> dict[str, Tensor]:
+    """Task predictions aligned with the label arrays.
+
+    The circuit's node ``v`` is row ``offset + v`` of the embedding tables.
+    """
+    def take(table, ids):
+        return tz.take_rows(table, np.asarray(ids, dtype=np.int64) + offset)
+
     out: dict[str, Tensor] = {}
     if labels.rc_pairs:
         lo = [min(a, b) for a, b, _, _ in labels.rc_pairs]
         hi = [max(a, b) for a, b, _, _ in labels.rc_pairs]
-        rows = tz.concat_cols([tz.take_rows(st.hs, lo), tz.take_rows(st.hs, hi)])
+        rows = tz.concat_cols([take(st.hs, lo), take(st.hs, hi)])
         out["recon"] = tz.mlp3(rows, params, "head.recon")
     sup = supervised_nodes(g)
     if sup:
-        out["logic"] = tz.mlp3(tz.take_rows(st.hf, sup), params, "head.logic")
-        out["trans"] = tz.mlp3(tz.take_rows(st.hq, sup), params, "head.trans")
+        out["logic"] = tz.mlp3(take(st.hf, sup), params, "head.logic")
+        out["trans"] = tz.mlp3(take(st.hq, sup), params, "head.trans")
     if labels.f_pairs:
-        hi = tz.take_rows(st.hf, [i for i, _, _ in labels.f_pairs])
-        hj = tz.take_rows(st.hf, [j for _, j, _ in labels.f_pairs])
+        hi = take(st.hf, [i for i, _, _ in labels.f_pairs])
+        hj = take(st.hf, [j for _, j, _ in labels.f_pairs])
         cos = _cosine_rows(hi, hj)
         out["func"] = tz.scale(tz.add_const(tz.scale(cos, -1.0), 1.0), 0.5)
     if labels.ffsim_pairs:
-        qi = tz.take_rows(st.hq, [i for i, _, _ in labels.ffsim_pairs])
-        qj = tz.take_rows(st.hq, [j for _, j, _ in labels.ffsim_pairs])
+        qi = take(st.hq, [i for i, _, _ in labels.ffsim_pairs])
+        qj = take(st.hq, [j for _, j, _ in labels.ffsim_pairs])
         cos = tz.add_const(_cosine_rows(qi, qj), 1.0)
         out["ff_sim"] = tz.scale(cos, 0.5)
     return out
@@ -458,7 +534,7 @@ def load_dataset(path) -> list[CircuitRecord]:
             if not line:
                 continue
             cpath, wl, _cfg, labels = LabelSet.from_json_record(line)
-            full = cpath if os.path.isabs(cpath) else os.path.join(base, cpath)
+            full = os.path.normpath(os.path.join(base, cpath))
             with open(full) as cf:
                 text = cf.read()
             g = parse_bench(text) if full.endswith(".bench") else parse_aiger(text)
@@ -467,55 +543,94 @@ def load_dataset(path) -> list[CircuitRecord]:
     return records
 
 
+def forward_records(records: list[CircuitRecord], params: ParamStore,
+                    cfg: ModelConfig):
+    """One sweep over the disjoint union of prepared records.
+
+    Returns the embedding tensors, each record's row offset in them, and
+    the diagnostics of the merged sweep.
+    """
+    if len(records) == 1:
+        schedule, emb = records[0].schedule, records[0].emb0
+    else:
+        schedule = merge_schedules([r.schedule for r in records])
+        emb = EmbeddingState(*(
+            np.concatenate([getattr(r.emb0, f) for r in records])
+            for f in ("structure", "function", "sequential")))
+    offsets = np.cumsum([0] + [r.graph.n for r in records[:-1]])
+    st, report = forward_tensors(None, None, params, emb, cfg, schedule=schedule)
+    return st, [int(o) for o in offsets], report
+
+
+def run_batch(records: list[CircuitRecord], params: ParamStore,
+              cfg: ModelConfig) -> tuple[list[tuple[dict, dict]], ForwardReport]:
+    """Per-record (predictions, losses) from one merged sweep."""
+    st, offsets, report = forward_records(records, params, cfg)
+    out = []
+    for rec, off in zip(records, offsets):
+        preds = predict_heads(rec.graph, st, params, rec.labels, offset=off)
+        out.append((preds, task_losses(rec.graph, preds, rec.labels)))
+    return out, report
+
+
 def run_record(record: CircuitRecord, params: ParamStore, cfg: ModelConfig
                ) -> tuple[dict[str, Tensor], dict[str, Tensor], ForwardReport]:
-    st, report = forward_tensors(record.graph, record.plan, params,
-                                 record.emb0, cfg, schedule=record.schedule)
-    preds = predict_heads(record.graph, st, params, record.labels)
-    losses = task_losses(record.graph, preds, record.labels)
+    [(preds, losses)], report = run_batch([record], params, cfg)
     return preds, losses, report
 
 
-def train(records: list[CircuitRecord], cfg: TrainConfig,
-          log_fn=None) -> tuple[ParamStore, list[dict]]:
-    """Two-phase curriculum training with gradient accumulation per batch.
+def train(records: list[CircuitRecord], cfg: TrainConfig, log_fn=None,
+          params: ParamStore | None = None, weights: dict | None = None
+          ) -> tuple[ParamStore, list[dict]]:
+    """Mini-batch training: one merged sweep and one backward per batch.
 
-    Phase 1 keeps the FF-similarity weight at zero; phase 2 enables all
-    weights.  History rows carry per-task mean losses and prediction errors.
+    By default it trains fresh parameters on the two-phase curriculum:
+    phase 1 keeps the FF-similarity weight at zero; phase 2 enables all
+    weights, and history rows name the phase.  ``params`` continues from a
+    copy of existing parameters and ``weights`` fixes the task weights of
+    every epoch.  Either way it runs both phases' epochs.  History rows
+    carry per-task mean losses and prediction errors.
     """
     if not records:
         raise ValueError("empty dataset")
     mcfg = cfg.model_config()
     for i, rec in enumerate(records):
         rec.prepare(mcfg, cfg.seed, i)
-    params = init_params(cfg.dim, seed=cfg.seed, reverse_layer=cfg.reverse_layer)
+    if params is None:
+        params = init_params(cfg.dim, seed=cfg.seed,
+                             reverse_layer=cfg.reverse_layer)
+    else:
+        params = params.clone()
+    epochs = cfg.epochs_phase1 + cfg.epochs_phase2
     order_rng = np.random.default_rng([cfg.seed, 0x0E70])
     history = []
-    total_epochs = cfg.epochs_phase1 + cfg.epochs_phase2
-    for epoch in range(1, total_epochs + 1):
+    for epoch in range(1, epochs + 1):
         phase = 1 if epoch <= cfg.epochs_phase1 else 2
-        weights = cfg.weights(phase)
+        w = cfg.weights(phase) if weights is None else weights
         order = order_rng.permutation(len(records))
         sums = {t: 0.0 for t in TASKS}
         counts = {t: 0 for t in TASKS}
         pe_sums = {t: 0.0 for t in TASKS}
         for lo in range(0, len(order), cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
+            batch = [records[i] for i in order[lo:lo + cfg.batch_size]]
             params.zero_grads()
-            for idx in batch:
-                rec = records[idx]
-                preds, losses, _ = run_record(rec, params, mcfg)
-                total = weighted_loss(losses, weights)
-                total.backward()
+            results, _ = run_batch(batch, params, mcfg)
+            total = None
+            for rec, (preds, losses) in zip(batch, results):
+                term = weighted_loss(losses, w)
+                total = term if total is None else tz.add(total, term)
                 pes = prediction_errors(rec.graph, preds, rec.labels)
                 for t, l in losses.items():
-                    if weights.get(t, 0.0) != 0.0:
+                    if w.get(t, 0.0) != 0.0:
                         sums[t] += l.item()
                         pe_sums[t] += pes[t]
                         counts[t] += 1
+            total.backward()
             params.scale_grads(1.0 / len(batch))
             tz.adam_step(params, cfg.lr)
-        row = {"epoch": epoch, "phase": phase}
+        row = {"epoch": epoch}
+        if weights is None:
+            row["phase"] = phase
         for t in TASKS:
             if counts[t]:
                 row[f"loss_{t}"] = sums[t] / counts[t]
@@ -526,6 +641,23 @@ def train(records: list[CircuitRecord], cfg: TrainConfig,
     return params, history
 
 
+# Evaluation sweeps records in disjoint unions of at most this many nodes
+# (a single larger record runs alone).
+EVAL_UNION_NODES = 20000
+
+
+def _unions(records: list[CircuitRecord], cap: int):
+    chunk, size = [], 0
+    for rec in records:
+        if chunk and size + rec.graph.n > cap:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(rec)
+        size += rec.graph.n
+    if chunk:
+        yield chunk
+
+
 def evaluate(params: ParamStore, records: list[CircuitRecord],
              cfg: ModelConfig, seed: int = 0) -> dict:
     """Per-task average prediction error, per circuit and pooled."""
@@ -534,22 +666,26 @@ def evaluate(params: ParamStore, records: list[CircuitRecord],
     pooled_den = {t: 0 for t in TASKS}
     for i, rec in enumerate(records):
         rec.prepare(cfg, seed, i)
+    for chunk in _unions(records, EVAL_UNION_NODES):
         with tz.no_grad():
-            st, _ = forward_tensors(rec.graph, rec.plan, params, rec.emb0, cfg,
-                                    schedule=rec.schedule)
-            preds = predict_heads(rec.graph, st, params, rec.labels)
-        pes = prediction_errors(rec.graph, preds, rec.labels)
-        sizes = {
-            "recon": len(rec.labels.rc_pairs),
-            "logic": len(supervised_nodes(rec.graph)),
-            "trans": len(supervised_nodes(rec.graph)),
-            "func": len(rec.labels.f_pairs),
-            "ff_sim": len(rec.labels.ffsim_pairs),
-        }
-        per_circuit.append({"path": rec.path, **{f"pe_{t}": v for t, v in pes.items()}})
-        for t, v in pes.items():
-            pooled_num[t] += v * sizes[t]
-            pooled_den[t] += sizes[t]
+            st, offsets, _ = forward_records(chunk, params, cfg)
+            preds = [predict_heads(rec.graph, st, params, rec.labels, offset=off)
+                     for rec, off in zip(chunk, offsets)]
+        for rec, p in zip(chunk, preds):
+            pes = prediction_errors(rec.graph, p, rec.labels)
+            n_sup = len(supervised_nodes(rec.graph))
+            sizes = {
+                "recon": len(rec.labels.rc_pairs),
+                "logic": n_sup,
+                "trans": n_sup,
+                "func": len(rec.labels.f_pairs),
+                "ff_sim": len(rec.labels.ffsim_pairs),
+            }
+            per_circuit.append({"path": rec.path,
+                                **{f"pe_{t}": v for t, v in pes.items()}})
+            for t, v in pes.items():
+                pooled_num[t] += v * sizes[t]
+                pooled_den[t] += sizes[t]
     pooled = {f"pe_{t}": pooled_num[t] / pooled_den[t]
               for t in TASKS if pooled_den[t]}
     return {"per_circuit": per_circuit, "pooled": pooled}

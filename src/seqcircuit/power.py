@@ -143,43 +143,8 @@ def finetune_workloads(params: tz.ParamStore, g: CircuitGraph,
     information across workloads of a fixed netlist).
     """
     records = workload_records(g, train_workloads, sim_cfg)
-    tuned, history = _continue_training(params, records, cfg)
-    return tuned, history
-
-
-def _continue_training(params: tz.ParamStore, records, cfg: mdl.TrainConfig):
-    mcfg = cfg.model_config()
-    for i, rec in enumerate(records):
-        rec.prepare(mcfg, cfg.seed, i)
-    tuned = params.clone()
-    rng = np.random.default_rng([cfg.seed, 0x0F7E])
-    history = []
-    weights = {"recon": 0.0, "logic": cfg.w_logic, "trans": cfg.w_trans,
-               "func": 0.0, "ff_sim": 0.0}
-    epochs = cfg.epochs_phase1 + cfg.epochs_phase2
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(records))
-        sums, pes, cnt = {}, {}, 0
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
-            tuned.zero_grads()
-            for idx in batch:
-                rec = records[idx]
-                preds, losses, _ = mdl.run_record(rec, tuned, mcfg)
-                total = mdl.weighted_loss(losses, weights)
-                total.backward()
-                err = mdl.prediction_errors(rec.graph, preds, rec.labels)
-                for t in ("logic", "trans"):
-                    sums[t] = sums.get(t, 0.0) + losses[t].item()
-                    pes[t] = pes.get(t, 0.0) + err[t]
-                cnt += 1
-            tuned.scale_grads(1.0 / len(batch))
-            tz.adam_step(tuned, cfg.lr)
-        row = {"epoch": epoch}
-        row.update({f"loss_{t}": v / cnt for t, v in sums.items()})
-        row.update({f"pe_{t}": v / cnt for t, v in pes.items()})
-        history.append(row)
-    return tuned, history
+    weights = {"logic": cfg.w_logic, "trans": cfg.w_trans}
+    return mdl.train(records, cfg, params=params, weights=weights)
 
 
 def predicted_transitions(params: tz.ParamStore, g: CircuitGraph, w: Workload,

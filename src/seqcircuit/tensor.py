@@ -1,12 +1,13 @@
 """Minimal dense reverse-mode autodiff core.
 
 Eager 2-D float tensors with a taped backward pass: enough machinery for
-MLPs, GRU cells, attention aggregation over predecessor sets, and an Adam
-optimizer.  Training runs in float32; a float64 mode exists for tight
-gradient verification.
+MLPs, GRU cells, attention aggregation over predecessor sets, in-place row
+tables for message passing, and an Adam optimizer.  Training runs in
+float32; a float64 mode exists for tight gradient verification.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from contextlib import contextmanager
@@ -28,6 +29,7 @@ class ShapeError(ValueError):
 
 
 _grad_enabled = True
+_creation = itertools.count()
 
 
 @contextmanager
@@ -65,9 +67,13 @@ def precision(name: str):
 
 
 class Tensor:
-    """A (rows, cols) array plus the tape hooks for reverse-mode gradients."""
+    """A (rows, cols) array plus the tape hooks for reverse-mode gradients.
 
-    __slots__ = ("data", "grad", "parents", "backward_fn", "requires")
+    ``seq`` numbers tensors in creation order; the backward pass runs in
+    reverse of it.
+    """
+
+    __slots__ = ("data", "grad", "parents", "backward_fn", "requires", "seq")
 
     def __init__(self, data, parents=(), backward_fn=None, requires=False):
         arr = np.asarray(data, dtype=_dtype)
@@ -82,6 +88,7 @@ class Tensor:
         self.parents = parents
         self.backward_fn = backward_fn
         self.requires = requires or any(p.requires for p in parents)
+        self.seq = next(_creation)
 
     @property
     def shape(self):
@@ -98,29 +105,40 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
+    def accumulate_rows(self, idx, g):
+        """Add ``g`` into gradient rows ``idx``; repeated indices add up."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        np.add.at(self.grad, idx, g)
+
     def backward(self):
-        """Seed a scalar output with gradient 1 and sweep the tape."""
+        """Seed a scalar output with gradient 1 and sweep the tape.
+
+        Nodes run in reverse creation order.  Any topological order would do
+        for pure ops, but a ``RowTable`` needs this one: a read of a table
+        must run its backward after every later write, ancestor or not.
+        The sweep consumes the tape: each op node drops its gradient, its
+        parents and its backward function once it has run, so memory falls
+        as the sweep goes.  Leaves (parameters) keep their gradients.
+        """
         if self.data.shape != (1, 1):
             raise ShapeError("backward() starts from a scalar loss")
-        order = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
+        nodes = [self]
+        seen = {id(self)}
+        for node in nodes:
             for p in node.parents:
                 if p.requires and id(p) not in seen:
-                    stack.append((p, False))
+                    seen.add(id(p))
+                    nodes.append(p)
+        nodes.sort(key=lambda t: t.seq, reverse=True)
         self.accumulate(np.ones((1, 1), dtype=_dtype))
-        for node in reversed(order):
-            if node.backward_fn is not None and node.grad is not None:
+        for i, node in enumerate(nodes):
+            nodes[i] = None
+            if node.backward_fn is None:
+                continue
+            if node.grad is not None:
                 node.backward_fn(node.grad)
+            node.grad, node.parents, node.backward_fn = None, (), None
 
 
 def constant(data) -> Tensor:
@@ -143,12 +161,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a.accumulate(g @ b.data.T)
         b.accumulate(a.data.T @ g)
     return _out(out_data, (a, b), bwd)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def bwd(g):
-        a.accumulate(g.T)
-    return _out(a.data.T, (a,), bwd)
 
 
 def _binary_shapes(a, b):
@@ -316,48 +328,78 @@ def take_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
 
     def bwd(g):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, idx, g)
-        a.accumulate(acc)
+        a.accumulate_rows(idx, g)
     return _out(a.data[idx], (a,), bwd)
 
 
-def softmax_set(a: Tensor) -> Tensor:
-    """Softmax along axis 0 of a (k, 1) score column (a set of predecessors)."""
-    if a.shape[1] != 1:
-        raise ShapeError("softmax_set wants a (k, 1) column")
-    z = a.data - a.data.max()
-    e = np.exp(z)
-    y = e / e.sum()
+class RowTable:
+    """An (n, d) matrix that row-group updates overwrite in place.
 
-    def bwd(g):
-        dot = float((g * y).sum())
-        a.accumulate(y * (g - dot))
-    return _out(y, (a,), bwd)
+    ``current`` is a tensor over the whole buffer.  ``scatter`` writes rows
+    into the buffer and makes a new current version that shares it, so a
+    sweep costs no n x d copy per update.  Read rows with
+    ``take_rows(table.current, idx)``: an older version sees later writes.
+    The buffer is a private copy of the initial data.
+
+    All versions share one gradient buffer.  Since ``Tensor.backward`` runs
+    in reverse creation order, when a scatter's backward runs the buffer
+    holds the gradient of the table as that scatter left it; the scatter
+    hands the rows it wrote to its ``rows`` input and zeroes them, and the
+    reads made before it then add theirs.  Rows of one scatter must be
+    distinct.
+    """
+
+    def __init__(self, data):
+        self.data = np.array(data, dtype=_dtype)
+        self.grad = None
+        self.current = _TableVersion(self, (), None)
+
+    def scatter(self, idx, rows: Tensor) -> Tensor:
+        idx = np.asarray(idx, dtype=np.int64)
+        if rows.shape != (len(idx), self.data.shape[1]):
+            raise ShapeError(f"scatter of {rows.shape} into rows {len(idx)} "
+                             f"of {self.data.shape}")
+        self.data[idx] = rows.data
+        prev = self.current
+
+        def bwd(buf):
+            rows.accumulate(buf[idx])
+            buf[idx] = 0
+            prev.grad = buf
+        needs = _grad_enabled and (prev.requires or rows.requires)
+        self.current = _TableVersion(self, (prev, rows) if needs else (),
+                                     bwd if needs else None)
+        return self.current
 
 
-def softmax_cols(a: Tensor) -> Tensor:
-    """Row-wise softmax of an (n, k) score matrix (one predecessor set per row)."""
-    y = _softmax_rows(a.data)
+class _TableVersion(Tensor):
+    """One version of a ``RowTable``; its gradient is the table's buffer."""
 
-    def bwd(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        a.accumulate(y * (g - dot))
-    return _out(y, (a,), bwd)
+    __slots__ = ("table",)
 
+    def __init__(self, table: RowTable, parents, backward_fn):
+        # Written rows were checked when their tensor was made, so the
+        # buffer needs no finiteness scan here.
+        self.table = table
+        self.data = table.data
+        self.grad = None
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.requires = bool(parents)
+        self.seq = next(_creation)
 
-def set_rows(a: Tensor, idx, rows: Tensor) -> Tensor:
-    """Copy of ``a`` with rows at distinct indices ``idx`` replaced by ``rows``."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = a.data.copy()
-    out[idx] = rows.data
+    def _buffer(self) -> np.ndarray:
+        t = self.table
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        self.grad = t.grad
+        return t.grad
 
-    def bwd(g):
-        rows.accumulate(g[idx])
-        ga = g.copy()
-        ga[idx] = 0
-        a.accumulate(ga)
-    return _out(out, (a, rows), bwd)
+    def accumulate(self, g):
+        self._buffer()[...] += g
+
+    def accumulate_rows(self, idx, g):
+        np.add.at(self._buffer(), idx, g)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -535,26 +577,14 @@ def init_attention(store: ParamStore, prefix: str, dim: int,
     store.create(f"{prefix}.w2", rng.uniform(-std, std, size=(dim, 1)))
 
 
-def attn_aggregate(query: Tensor, preds: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
-    """Attention-weighted sum over a predecessor set.
-
-    ``query`` is (1, d), ``preds`` is (k, d); scores are w1'query + w2'pred,
-    normalized with a softmax over the k predecessors.
-    """
-    if preds.shape[0] < 1:
-        raise ShapeError("attention needs at least one predecessor")
-    scores = add(matmul(preds, w2), matmul(query, w1))
-    alpha = softmax_set(scores)
-    return matmul(transpose(alpha), preds)
-
-
 def attn_aggregate_groups(query: Tensor, preds: list[Tensor], w1: Tensor,
                           w2: Tensor) -> Tensor:
     """Row-batched attention: n independent predecessor sets of equal size k.
 
     ``query`` is (n, d) and ``preds`` holds k tensors of shape (n, d); row i
-    of the result aggregates {preds[0][i], ..., preds[k-1][i]} exactly as
-    ``attn_aggregate`` would.  The whole op is recorded as one tape node.
+    of the result is the attention-weighted sum of {preds[0][i], ...,
+    preds[k-1][i]}, with scores w1'query[i] + w2'preds[j][i] normalized by a
+    softmax over the k predecessors.  The whole op is one tape node.
     """
     if not preds:
         raise ShapeError("attention needs at least one predecessor")

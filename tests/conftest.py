@@ -148,3 +148,15 @@ def numeric_gradients(build_loss, store, h=1e-5, names=None):
 def relative_errors(ad, fd):
     return np.abs(ad - fd) / np.maximum.reduce(
         [np.abs(ad), np.abs(fd), np.ones_like(fd)])
+
+
+def attn_reference(query, preds, w1, w2):
+    """Attention over one predecessor set, in plain numpy (test oracle).
+
+    ``query`` is (d_q,), ``preds`` is (k, d_p); the scores w1'query +
+    w2'pred are normalized by a softmax over the k predecessors, and the
+    result is the weighted sum of the predecessor rows.
+    """
+    scores = preds @ np.ravel(w2) + float(np.ravel(query) @ np.ravel(w1))
+    e = np.exp(scores - scores.max())
+    return (e / e.sum()) @ preds

@@ -101,6 +101,13 @@ def test_dangling_net():
     assert "B" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["", "# comment only\n\n", "OUTPUT(Y)\n"])
+def test_file_without_nets_rejected(text):
+    with pytest.raises(BenchError) as err:
+        parse_bench(text)
+    assert "no nets" in str(err.value)
+
+
 def test_redefined_net():
     with pytest.raises(BenchError):
         parse_bench("INPUT(A)\nY = NOT(A)\nY = NOT(A)\n")

@@ -162,6 +162,13 @@ def test_inspect_plan(tmp_path, corpus, capsys):
     assert doc["graph"]["violations"] == []
 
 
+def test_inspect_empty_bench_is_data_error(tmp_path, capsys):
+    empty = tmp_path / "empty.bench"
+    empty.write_text("# no statements\n")
+    assert run_cli(["inspect", "--bench", str(empty)]) == 2
+    assert "no nets" in capsys.readouterr().err
+
+
 def test_manifest_reproducibility(tmp_path):
     # Re-running gen from the manifest's stored config reproduces the corpus.
     a = str(tmp_path / "a")

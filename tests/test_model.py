@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -303,3 +305,134 @@ class TestEndToEndGradients:
                 ad = params[name].grad
                 ad = ad if ad is not None else np.zeros_like(fd[name])
                 assert relative_errors(ad, fd[name]).max() < 1e-7, name
+
+
+def feedback_records(cfg):
+    """Records whose feedback regions converge after different iteration
+    counts under ``cfg`` (tolerance 0.3, at most 5 iterations), plus one
+    without feedback."""
+    recs = [small_record(seed=s, feedback=0.8) for s in (3, 4, 5)]
+    recs.append(small_record(seed=6, feedback=0.0))
+    return [r.prepare(cfg, 0, i) for i, r in enumerate(recs)]
+
+
+class TestBatchedSweep:
+    CFG = dict(dim=6, cycle_tol=0.3, cycle_max_iters=5)
+
+    def test_merged_forward_matches_per_record(self):
+        with tz.precision("float64"):
+            cfg = mdl.ModelConfig(**self.CFG)
+            recs = feedback_records(cfg)
+            params = mdl.init_params(6, seed=1)
+            st, offsets, rep = mdl.forward_records(recs, params, cfg)
+            merged_iters = list(rep.region_iters)
+            seen_iters = set()
+            for rec, off in zip(recs, offsets):
+                one, one_rep = mdl.forward_tensors(rec.graph, rec.plan, params,
+                                                   rec.emb0, cfg,
+                                                   schedule=rec.schedule)
+                rows = slice(off, off + rec.graph.n)
+                for a, b in ((one.hs, st.hs), (one.hf, st.hf), (one.hq, st.hq)):
+                    assert np.abs(a.data - b.data[rows]).max() < 1e-12
+                k = len(one_rep.region_iters)
+                assert merged_iters[:k] == one_rep.region_iters
+                merged_iters = merged_iters[k:]
+                seen_iters.update(one_rep.region_iters)
+            assert merged_iters == []
+            assert len(seen_iters) >= 2  # regions left the lockstep at different times
+
+    def test_merged_schedule_has_fewer_groups(self):
+        cfg = mdl.ModelConfig(**self.CFG)
+        recs = feedback_records(cfg)
+        merged = mdl.merge_schedules([r.schedule for r in recs])
+        count = lambda levels: sum(len(groups) for groups in levels)
+        assert count(merged["fwd"]) < sum(count(r.schedule["fwd"]) for r in recs)
+        assert count(merged["rev"]) < sum(count(r.schedule["rev"]) for r in recs)
+        assert len(merged["regions"]) == sum(len(r.schedule["regions"]) for r in recs)
+        assert merged["n"] == sum(r.graph.n for r in recs)
+
+    def test_batch_gradient_is_sum_of_record_gradients(self):
+        weights = {t: 1.0 for t in mdl.TASKS}
+        with tz.precision("float64"):
+            cfg = mdl.ModelConfig(**self.CFG)
+            recs = feedback_records(cfg)
+            params = mdl.init_params(6, seed=2)
+            results, _ = mdl.run_batch(recs, params, cfg)
+            total = tz.add(tz.add(mdl.weighted_loss(results[0][1], weights),
+                                  mdl.weighted_loss(results[1][1], weights)),
+                           tz.add(mdl.weighted_loss(results[2][1], weights),
+                                  mdl.weighted_loss(results[3][1], weights)))
+            total.backward()
+            batched = {n: params[n].grad for n in params.names()}
+            params.zero_grads()
+            for rec in recs:
+                _, losses, _ = mdl.run_record(rec, params, cfg)
+                mdl.weighted_loss(losses, weights).backward()
+            for name in params.names():
+                a, b = batched[name], params[name].grad
+                if b is None:
+                    assert a is None or not a.any(), name
+                    continue
+                scale = max(np.abs(b).max(), 1e-3)
+                assert np.abs(a - b).max() / scale < 1e-10, name
+
+    def test_train_leaves_emb0_unchanged(self):
+        recs = [small_record(seed=s) for s in (30, 31, 32)]
+        # Batches of two and of one: the merged and the single-record path.
+        cfg = mdl.TrainConfig(dim=8, epochs_phase1=1, epochs_phase2=1,
+                              lr=1e-3, seed=4, batch_size=2)
+        mcfg = cfg.model_config()
+        for i, rec in enumerate(recs):
+            rec.prepare(mcfg, cfg.seed, i)
+        before = [rec.emb0.copy() for rec in recs]
+        mdl.train(recs, cfg)
+        for rec, emb in zip(recs, before):
+            assert np.array_equal(rec.emb0.structure, emb.structure)
+            assert np.array_equal(rec.emb0.function, emb.function)
+            assert np.array_equal(rec.emb0.sequential, emb.sequential)
+
+    def test_evaluate_same_in_any_union_size(self, monkeypatch):
+        recs = [small_record(seed=s) for s in (33, 34, 35)]
+        cfg = mdl.ModelConfig(dim=8)
+        params = mdl.init_params(8, seed=5)
+        with tz.precision("float64"):
+            together = mdl.evaluate(params, recs, cfg)
+            monkeypatch.setattr(mdl, "EVAL_UNION_NODES", 1)
+            alone = mdl.evaluate(params, recs, cfg)
+        for a, b in zip(together["per_circuit"], alone["per_circuit"]):
+            for key in b:
+                if key != "path":
+                    assert a[key] == pytest.approx(b[key], abs=1e-12)
+
+    def test_continued_training_with_fixed_weights(self):
+        recs = [small_record(seed=s) for s in (36, 37)]
+        cfg = mdl.TrainConfig(dim=8, epochs_phase1=1, epochs_phase2=0,
+                              lr=1e-3, seed=6, batch_size=2)
+        start, _ = mdl.train(recs, cfg)
+        kept = {n: start[n].data.copy() for n in start.names()}
+        tuned, history = mdl.train(recs, replace(cfg, epochs_phase2=2),
+                                   params=start, weights={"logic": 1.0})
+        assert len(history) == 3
+        assert all(set(row) == {"epoch", "loss_logic", "pe_logic"}
+                   for row in history)
+        for name in start.names():
+            assert np.array_equal(start[name].data, kept[name])
+        assert any(not np.array_equal(tuned[n].data, kept[n])
+                   for n in tuned.names())
+
+
+def test_load_dataset_normalizes_paths(tmp_path):
+    from seqcircuit.aiger import emit_aiger
+
+    rec = small_record(seed=40)
+    corpus = tmp_path / "corpus"
+    data = tmp_path / "data"
+    corpus.mkdir()
+    data.mkdir()
+    (corpus / "c0.aag").write_text(emit_aiger(rec.graph))
+    line = rec.labels.to_json_record("../corpus/c0.aag", rec.workload,
+                                     SimConfig(150, 25, 40))
+    (data / "set.jsonl").write_text(line + "\n")
+    loaded = mdl.load_dataset(str(data / "set.jsonl"))
+    assert loaded[0].path == str(corpus / "c0.aag")
+    assert ".." not in loaded[0].path

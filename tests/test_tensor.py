@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcircuit import tensor as tz
-from tests.conftest import numeric_gradients, relative_errors
+from tests.conftest import attn_reference, numeric_gradients, relative_errors
 
 
 @pytest.fixture(autouse=True)
@@ -28,12 +28,11 @@ class TestForwardOps:
         assert np.allclose(out.data, x.data)
 
     def test_softmax_single_element(self):
-        out = tz.softmax_set(tz.constant([[2.7]]))
-        assert out.data.tolist() == [[1.0]]
+        assert tz._softmax_rows(np.array([[2.7]])).tolist() == [[1.0]]
 
     def test_softmax_cols_rows_sum_to_one(self):
-        out = tz.softmax_cols(tz.constant(rand((5, 3), 2)))
-        assert np.allclose(out.data.sum(axis=1), 1.0)
+        out = tz._softmax_rows(rand((5, 3), 2))
+        assert np.allclose(out.sum(axis=1), 1.0)
 
     def test_nonfinite_trips(self):
         with pytest.raises(tz.NumericsError):
@@ -60,7 +59,7 @@ class TestForwardOps:
             assert np.isfinite(op(x, y).data).all()
         for op in (tz.sigmoid, tz.tanh, tz.relu, tz.absolute):
             assert np.isfinite(op(x).data).all()
-        assert np.isfinite(tz.softmax_cols(x).data).all()
+        assert np.isfinite(tz._softmax_rows(x.data)).all()
 
 
 class TestGradients:
@@ -88,13 +87,16 @@ class TestGradients:
         self._check(build, store)
 
     def test_softmax_and_concat(self):
+        # One set of six predecessors, the rows of m, mixed by attention.
         store = tz.ParamStore()
-        s = store.create("s", rand((6, 1), 7))
+        w2 = store.create("w2", rand((3, 1), 7))
         m = store.create("m", rand((6, 3), 8))
+        q = tz.constant(rand((1, 2), 6))
+        w1 = tz.constant(rand((2, 1), 5))
 
         def build():
-            alpha = tz.softmax_set(s)
-            mixed = tz.matmul(tz.transpose(alpha), m)
+            preds = [tz.take_rows(m, [j]) for j in range(6)]
+            mixed = tz.attn_aggregate_groups(q, preds, w1, w2)
             stacked = tz.concat_cols([mixed, tz.scale(mixed, -0.5)])
             return tz.sum_all(tz.absolute(stacked))
         self._check(build, store)
@@ -106,7 +108,9 @@ class TestGradients:
 
         def build():
             picked = tz.take_rows(m, [1, 4, 1])
-            merged = tz.set_rows(m, [0, 5], r)
+            table = tz.RowTable(rand((6, 3), 11))
+            table.scatter([0, 5], tz.add(r, tz.take_rows(m, [2, 2])))
+            merged = table.current
             return tz.add(tz.mean_all(picked), tz.mean_all(tz.mul(merged, merged)))
         self._check(build, store)
 
@@ -120,11 +124,15 @@ class TestGradients:
         self._check(build, store)
 
     def test_softmax_cols_gradient(self):
+        # Row-wise softmax over three predecessors that share one source.
         store = tz.ParamStore()
         s = store.create("s", rand((4, 3), 13))
+        w1 = store.create("w1", rand((3, 1), 14))
+        w2 = store.create("w2", rand((3, 1), 15))
 
         def build():
-            return tz.mean_all(tz.mul(tz.softmax_cols(s), s))
+            preds = [s, tz.take_rows(s, [3, 2, 1, 0]), tz.scale(s, 2.0)]
+            return tz.mean_all(tz.mul(tz.attn_aggregate_groups(s, preds, w1, w2), s))
         self._check(build, store)
 
     def test_backward_linearity(self):
@@ -147,6 +155,74 @@ class TestGradients:
         term2().backward()
         g2 = store["a"].grad.copy()
         assert np.allclose(combined, g1 + g2, atol=1e-12)
+
+
+class TestRowTable:
+    def _fd_check(self, build, store, tol=1e-8):
+        build().backward()
+        fd = numeric_gradients(build, store, h=1e-6)
+        for name in store.names():
+            assert store[name].grad is not None, name
+            worst = relative_errors(store[name].grad, fd[name]).max()
+            assert worst < tol, f"{name}: {worst}"
+
+    def test_gather_scatter_sequence_gradcheck(self):
+        store = tz.ParamStore()
+        r = store.create("r", rand((2, 3), 20))
+        w = store.create("w", rand((3, 3), 21))
+        init = rand((5, 3), 22)
+        c = tz.constant(rand((4, 3), 23))
+
+        def build():
+            t = tz.RowTable(init)
+            t.scatter([1, 3], tz.tanh(tz.matmul(r, w)))
+            # Row 1 is read (twice in one group) before it is overwritten.
+            before = tz.take_rows(t.current, [1, 1, 3, 0])
+            t.scatter([1, 4], tz.sigmoid(tz.take_rows(before, [2, 0])))
+            # Row 3 read here is not an ancestor of the scatter that writes
+            # it next, so only creation order puts its backward after it.
+            side = tz.take_rows(t.current, [3, 4])
+            t.scatter([3], tz.matmul(tz.take_rows(t.current, [1]), w))
+            after = tz.take_rows(t.current, [1, 3, 3, 4])
+            loss = tz.add(tz.sum_all(tz.mul(before, c)),
+                          tz.sum_all(tz.mul(after, tz.scale(c, -0.7))))
+            loss = tz.add(loss, tz.sum_all(tz.mul(side, side)))
+            return tz.add(loss, tz.mean_all(tz.mul(t.current, t.current)))
+        self._fd_check(build, store)
+
+    def test_scatter_in_place_over_a_private_copy(self):
+        init = rand((4, 2), 24)
+        kept = init.copy()
+        t = tz.RowTable(init)
+        first = t.current
+        second = t.scatter([2], tz.constant(np.ones((1, 2))))
+        assert np.array_equal(init, kept)
+        assert second.data is first.data is t.data
+        assert np.array_equal(t.data[2], [1.0, 1.0])
+        assert second.parents == ()  # constant rows record no tape
+
+    def test_no_grad_scatter_records_nothing(self):
+        store = tz.ParamStore()
+        r = store.create("r", rand((1, 2), 25))
+        t = tz.RowTable(rand((3, 2), 26))
+        with tz.no_grad():
+            out = t.scatter([0], r)
+        assert not out.requires and out.parents == ()
+        assert np.array_equal(t.data[0], r.data[0])
+
+    def test_scatter_shape_mismatch(self):
+        t = tz.RowTable(rand((3, 2), 27))
+        with pytest.raises(tz.ShapeError):
+            t.scatter([0, 1], tz.constant(rand((1, 2), 28)))
+
+    def test_backward_consumes_op_nodes_keeps_leaves(self):
+        store = tz.ParamStore()
+        a = store.create("a", rand((2, 2), 29))
+        hidden = tz.tanh(a)
+        loss = tz.sum_all(hidden)
+        loss.backward()
+        assert a.grad is not None
+        assert hidden.grad is None and hidden.parents == ()
 
 
 class TestMlp3:
@@ -266,34 +342,33 @@ class TestGru:
 class TestAttention:
     def test_zero_weights_uniform(self):
         q = tz.constant(rand((1, 4), 1))
-        preds = tz.constant(rand((2, 4), 2))
+        preds = rand((2, 4), 2)
         zero = tz.constant(np.zeros((4, 1)))
-        out = tz.attn_aggregate(q, preds, zero, zero)
-        assert np.allclose(out.data, preds.data.mean(axis=0, keepdims=True))
+        out = tz.attn_aggregate_groups(
+            q, [tz.constant(preds[:1]), tz.constant(preds[1:])], zero, zero)
+        assert np.allclose(out.data, preds.mean(axis=0, keepdims=True))
 
     def test_single_predecessor_identity(self):
         q = tz.constant(rand((1, 4), 3))
         pred = tz.constant(rand((1, 4), 4))
         w1 = tz.constant(rand((4, 1), 5))
         w2 = tz.constant(rand((4, 1), 6))
-        out = tz.attn_aggregate(q, pred, w1, w2)
+        out = tz.attn_aggregate_groups(q, [pred], w1, w2)
         assert np.array_equal(out.data, pred.data)
 
     def test_grouped_matches_set_version(self):
         rng = np.random.default_rng(7)
         store = tz.ParamStore()
         w1 = store.create("w1", rng.standard_normal((4, 1)))
-        w2 = store.create("w2", rng.standard_normal((4, 1)))
+        w2 = store.create("w2", rng.standard_normal((3, 1)))
         q_rows = rng.standard_normal((5, 4))
-        p0 = rng.standard_normal((5, 4))
-        p1 = rng.standard_normal((5, 4))
+        ps = [rng.standard_normal((5, 3)) for _ in range(3)]
         grouped = tz.attn_aggregate_groups(
-            tz.constant(q_rows), [tz.constant(p0), tz.constant(p1)], w1, w2)
+            tz.constant(q_rows), [tz.constant(p) for p in ps], w1, w2)
         for r in range(5):
-            single = tz.attn_aggregate(
-                tz.constant(q_rows[r:r + 1]),
-                tz.constant(np.stack([p0[r], p1[r]])), w1, w2)
-            assert np.allclose(grouped.data[r], single.data[0], atol=1e-12)
+            single = attn_reference(q_rows[r], np.stack([p[r] for p in ps]),
+                                    w1.data, w2.data)
+            assert np.allclose(grouped.data[r], single, atol=1e-12)
 
     def test_grouped_single_pred_exact(self):
         rng = np.random.default_rng(8)
@@ -318,7 +393,8 @@ class TestAttention:
         q = tz.constant(rand((1, 4), 12))
 
         def build():
-            return tz.mean_all(tz.attn_aggregate(q, m, w1, w2))
+            preds = [tz.take_rows(m, [j]) for j in range(3)]
+            return tz.mean_all(tz.attn_aggregate_groups(q, preds, w1, w2))
         build().backward()
         fd = numeric_gradients(build, store)
         for name in store.names():
