@@ -378,7 +378,7 @@ class TestBatchedSweep:
 
     def test_train_leaves_emb0_unchanged(self):
         recs = [small_record(seed=s) for s in (30, 31, 32)]
-        # Batches of two and of one: the merged and the single-record path.
+        # Three records in batches of two make a batch of two and one of one.
         cfg = mdl.TrainConfig(dim=8, epochs_phase1=1, epochs_phase2=1,
                               lr=1e-3, seed=4, batch_size=2)
         mcfg = cfg.model_config()
