@@ -12,6 +12,6 @@ from .simulate import (SimConfig, SimStats, Workload, exhaustive_stats,
 from .labels import (LabelSet, build_labelset, ff_pair_eligible, ff_similarity,
                      reconvergence_pairs, sample_f_pairs, truth_table_distance)
 from .model import (CircuitRecord, EmbeddingState, ModelConfig, TrainConfig,
-                    evaluate, forward, init_embeddings, init_params, train)
+                    evaluate, init_embeddings, init_params, train)
 from .power import PowerConfig, export_saif, power_estimate, read_saif
 from .reliability import FaultConfig, FlipLabels, reliability_labels

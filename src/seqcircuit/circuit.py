@@ -74,6 +74,25 @@ class CircuitGraph:
         return tuple(tuple(o) for o in outs)
 
     @cached_property
+    def gate_order(self) -> tuple[int, ...]:
+        """Gates (AND/NOT) in a topological order of the combinational graph.
+
+        Edges into FFs are cut, so PIs and FF outputs act as sources.  A gate
+        on or behind a combinational loop never becomes ready and is left
+        out; ``validate`` reports those.  Fanins must be in range.
+        """
+        gate = [k in (NodeKind.AND, NodeKind.NOT) for k in self.kinds]
+        indeg = [sum(gate[u] for u in fi) for fi in self.fanins]
+        order = [v for v in range(self.n) if gate[v] and indeg[v] == 0]
+        for v in order:  # the list grows while it is walked: a FIFO queue
+            for w in self.fanouts[v]:
+                if gate[w]:
+                    indeg[w] -= 1
+                    if indeg[w] == 0:
+                        order.append(w)
+        return tuple(order)
+
+    @cached_property
     def id_to_name(self) -> dict[int, str]:
         return {i: name for name, i in self.name_map.items()}
 
@@ -127,24 +146,12 @@ def validate(g: CircuitGraph) -> list[Violation]:
     if any(v.rule in ("arity", "fanin-range") for v in out):
         return out
 
-    # Combinational acyclicity: drop edges entering FFs (their D inputs) and
-    # check that what remains, with PIs and FF outputs as sources, is a DAG.
-    indeg = [0] * n
-    for v, kind in enumerate(g.kinds):
-        if kind in (NodeKind.AND, NodeKind.NOT):
-            indeg[v] = len(g.fanins[v])
-    queue = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for w in g.fanouts[u]:
-            if g.kinds[w] in (NodeKind.AND, NodeKind.NOT):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-    if seen != n:
-        stuck = [v for v in range(n) if indeg[v] > 0]
+    # Combinational acyclicity: with the edges into FFs cut, every gate has
+    # a place in the topological order.
+    gates = g.gates
+    if len(g.gate_order) < len(gates):
+        placed = set(g.gate_order)
+        stuck = [v for v in gates if v not in placed]
         out.append(Violation(min(stuck), "acyclicity",
                              f"combinational loop through {len(stuck)} nodes"))
     return out

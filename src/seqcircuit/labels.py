@@ -39,6 +39,7 @@ class LabelSet:
     f_pairs: list[tuple[int, int, float]]              # (node_i, node_j, tt distance)
     ffsim_pairs: list[tuple[int, int, float]]          # (ff_i, ff_j, similarity)
     skipped_ff_pairs: int = 0
+    flip: np.ndarray | None = None                     # (n, 2) fault flip rates p01, p10
 
     @classmethod
     def empty(cls, n: int) -> "LabelSet":
@@ -82,34 +83,14 @@ def combinational_cones(g: CircuitGraph) -> list[int]:
     outputs), where the backward trace stops.
     """
     cone = [0] * g.n
-    plan_order = _topo_gates(g)
     for v in g.pis + g.ffs:
         cone[v] = 1 << v
-    for v in plan_order:
+    for v in g.gate_order:
         m = 1 << v
         for u in g.fanins[v]:
             m |= cone[u]
         cone[v] = m
     return cone
-
-
-def _topo_gates(g: CircuitGraph) -> list[int]:
-    indeg = {v: sum(1 for u in g.fanins[v]
-                    if g.kinds[u] in (NodeKind.AND, NodeKind.NOT))
-             for v in g.gates}
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    order = []
-    head = 0
-    while head < len(ready):
-        v = ready[head]
-        head += 1
-        order.append(v)
-        for w in g.fanouts[v]:
-            if w in indeg:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-    return order
 
 
 def support_masks(g: CircuitGraph) -> list[int]:
@@ -121,7 +102,7 @@ def support_masks(g: CircuitGraph) -> list[int]:
     for v in g.pis + g.ffs:
         if v != g.const_id:
             sup[v] = 1 << v
-    for v in _topo_gates(g):
+    for v in g.gate_order:
         m = 0
         for u in g.fanins[v]:
             m |= sup[u]

@@ -25,7 +25,7 @@ from .tensor import ParamStore, Tensor
 
 STRUCT_KINDS = (NodeKind.AND, NodeKind.NOT)
 UPDATE_KINDS = (NodeKind.AND, NodeKind.NOT, NodeKind.FF)
-TASKS = ("recon", "logic", "trans", "func", "ff_sim")
+TASKS = ("recon", "logic", "trans", "func", "ff_sim", "flip")
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,6 @@ class _TensorState:
     hf = property(lambda self: self.tables[1].current)
     hq = property(lambda self: self.tables[2].current)
 
-    def to_embedding(self) -> EmbeddingState:
-        return EmbeddingState(*(t.data.copy() for t in self.tables))
-
 
 def _level_groups(g: CircuitGraph, nodes, neighbors) -> list[tuple]:
     """Group same-level nodes by (kind, neighbor count) for batched updates.
@@ -320,17 +317,13 @@ def _region_residual(st, old, rows) -> float:
     return res
 
 
-def forward_tensors(g: CircuitGraph, plan: PropagationPlan, params: ParamStore,
-                    emb: EmbeddingState, cfg: ModelConfig,
-                    schedule=None) -> tuple[_TensorState, ForwardReport]:
+def forward_tensors(params: ParamStore, emb: EmbeddingState, cfg: ModelConfig,
+                    *, schedule: dict) -> tuple[_TensorState, ForwardReport]:
     """Differentiable propagation; returns embedding tensors and diagnostics.
 
-    ``g`` and ``plan`` are read only to compile a schedule when none is
-    given; a merged schedule (``merge_schedules``) sweeps several circuits
-    at once.  ``emb`` is copied, never written.
+    ``schedule`` comes from ``compile_schedule`` for one circuit or from
+    ``merge_schedules`` for several.  ``emb`` is copied, never written.
     """
-    if schedule is None:
-        schedule = compile_schedule(g, plan, cfg.reverse_layer)
     n = schedule["n"]
     st = _TensorState(emb)
     report = ForwardReport(forward_updates=np.zeros(n, dtype=np.int64),
@@ -362,14 +355,6 @@ def forward_tensors(g: CircuitGraph, plan: PropagationPlan, params: ParamStore,
     return st, report
 
 
-def forward(g: CircuitGraph, plan: PropagationPlan, params: ParamStore,
-            emb: EmbeddingState, cfg: ModelConfig
-            ) -> tuple[EmbeddingState, ForwardReport]:
-    """Plain-array wrapper around the differentiable sweep."""
-    st, report = forward_tensors(g, plan, params, emb, cfg)
-    return st.to_embedding(), report
-
-
 # --- heads, losses, metrics ---------------------------------------------------
 
 def _cosine_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -377,6 +362,12 @@ def _cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     na = tz.sqrt(tz.add_const(tz.sum_rows(tz.mul(a, a)), 1e-12))
     nb = tz.sqrt(tz.add_const(tz.sum_rows(tz.mul(b, b)), 1e-12))
     return tz.div(dots, tz.mul(na, nb))
+
+
+def flip_head(st: _TensorState, params: ParamStore, rows) -> Tensor:
+    """(len(rows), 2) flip rates from the three spaces of the given table rows."""
+    parts = [tz.take_rows(t, rows) for t in (st.hs, st.hf, st.hq)]
+    return tz.mlp3(tz.concat_cols(parts), params, "head.flip")
 
 
 def predict_heads(g: CircuitGraph, st: _TensorState, params: ParamStore,
@@ -408,6 +399,8 @@ def predict_heads(g: CircuitGraph, st: _TensorState, params: ParamStore,
         qj = take(st.hq, [j for _, j, _ in labels.ffsim_pairs])
         cos = tz.add_const(_cosine_rows(qi, qj), 1.0)
         out["ff_sim"] = tz.scale(cos, 0.5)
+    if labels.flip is not None:
+        out["flip"] = flip_head(st, params, np.arange(g.n) + offset)
     return out
 
 
@@ -433,7 +426,7 @@ def _bce(pred: Tensor, target: np.ndarray) -> Tensor:
 
 
 def _l1(pred: Tensor, target: np.ndarray) -> Tensor:
-    y = tz.constant(target.reshape(-1, 1))
+    y = tz.constant(target.reshape(pred.shape))
     return tz.mean_all(tz.absolute(tz.sub(pred, y)))
 
 
@@ -456,6 +449,8 @@ def task_losses(g: CircuitGraph, preds: dict[str, Tensor],
         out["ff_sim"] = _l1(preds["ff_sim"],
                             _check_unit([s for _, _, s in labels.ffsim_pairs],
                                         "similarity"))
+    if "flip" in preds:
+        out["flip"] = _l1(preds["flip"], _check_unit(labels.flip, "flip-rate"))
     return out
 
 
@@ -490,6 +485,8 @@ def prediction_errors(g: CircuitGraph, preds: dict[str, Tensor],
     if "ff_sim" in preds:
         y = np.array([s for _, _, s in labels.ffsim_pairs])
         out["ff_sim"] = float(np.mean(np.abs(preds["ff_sim"].data.ravel() - y)))
+    if "flip" in preds:
+        out["flip"] = float(np.mean(np.abs(preds["flip"].data - labels.flip)))
     return out
 
 
@@ -555,7 +552,7 @@ def forward_records(records: list[CircuitRecord], params: ParamStore,
         np.concatenate([getattr(r.emb0, f) for r in records])
         for f in ("structure", "function", "sequential")))
     offsets = np.cumsum([0] + [r.graph.n for r in records[:-1]])
-    st, report = forward_tensors(None, None, params, emb, cfg, schedule=schedule)
+    st, report = forward_tensors(params, emb, cfg, schedule=schedule)
     return st, [int(o) for o in offsets], report
 
 
@@ -585,7 +582,8 @@ def train(records: list[CircuitRecord], cfg: TrainConfig, log_fn=None,
     phase 1 keeps the FF-similarity weight at zero; phase 2 enables all
     weights, and history rows name the phase.  ``params`` continues from a
     copy of existing parameters and ``weights`` fixes the task weights of
-    every epoch.  Either way it runs both phases' epochs.  History rows
+    every epoch.  Either way it runs both phases' epochs.  Records with
+    flip labels get a flip head if the parameters lack one.  History rows
     carry per-task mean losses and prediction errors.
     """
     if not records:
@@ -598,6 +596,9 @@ def train(records: list[CircuitRecord], cfg: TrainConfig, log_fn=None,
                              reverse_layer=cfg.reverse_layer)
     else:
         params = params.clone()
+    if "head.flip.w1" not in params and any(r.labels.flip is not None
+                                            for r in records):
+        add_reliability_head(params, cfg.dim, seed=cfg.seed)
     epochs = cfg.epochs_phase1 + cfg.epochs_phase2
     order_rng = np.random.default_rng([cfg.seed, 0x0E70])
     history = []
@@ -681,6 +682,7 @@ def evaluate(params: ParamStore, records: list[CircuitRecord],
                 "trans": n_sup,
                 "func": len(rec.labels.f_pairs),
                 "ff_sim": len(rec.labels.ffsim_pairs),
+                "flip": 0 if rec.labels.flip is None else len(rec.labels.flip),
             }
             per_circuit.append({"path": rec.path,
                                 **{f"pe_{t}": v for t, v in pes.items()}})

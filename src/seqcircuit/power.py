@@ -155,8 +155,7 @@ def predicted_transitions(params: tz.ParamStore, g: CircuitGraph, w: Workload,
                             labels=LabelSet.empty(g.n)).prepare(cfg, seed, 0)
     sup = mdl.supervised_nodes(g)
     with tz.no_grad():
-        st, _ = mdl.forward_tensors(g, rec.plan, params, rec.emb0, cfg,
-                                    schedule=rec.schedule)
+        st, _, _ = mdl.forward_records([rec], params, cfg)
         pred = tz.mlp3(tz.take_rows(st.hq, sup), params, "head.trans")
     tr = np.zeros(g.n)
     tr[sup] = pred.data.ravel()

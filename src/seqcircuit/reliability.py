@@ -8,7 +8,7 @@ labels are the observed 0-to-1 and 1-to-0 flip rates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,31 +118,21 @@ def reliability_labels(g: CircuitGraph, w: Workload, fc: FaultConfig,
 
 def predict_flip_rates(params: tz.ParamStore, record: mdl.CircuitRecord,
                        cfg: mdl.ModelConfig) -> tz.Tensor:
-    """(n_nodes, 2) sigmoid outputs from the concatenated embedding spaces."""
-    st, _ = mdl.forward_tensors(record.graph, record.plan, params,
-                                record.emb0, cfg, schedule=record.schedule)
-    rows = tz.concat_cols([st.hs, st.hf, st.hq])
-    return tz.mlp3(rows, params, "head.flip")
+    """(n_nodes, 2) flip rates of a prepared record, without a tape."""
+    with tz.no_grad():
+        st, _, _ = mdl.forward_records([record], params, cfg)
+        return mdl.flip_head(st, params, np.arange(record.graph.n))
 
 
 def finetune_reliability(params: tz.ParamStore, g: CircuitGraph, w: Workload,
                          flip: FlipLabels, cfg: mdl.TrainConfig,
                          epochs: int = 50) -> tuple[tz.ParamStore, list[dict]]:
-    """Swap in a two-output head and fine-tune everything with L1 loss."""
-    tuned = params.clone()
-    if "head.flip.w1" not in tuned:
-        mdl.add_reliability_head(tuned, cfg.dim, seed=cfg.seed)
-    mcfg = cfg.model_config()
-    record = mdl.CircuitRecord(graph=g, workload=w, labels=LabelSet.empty(g.n)
-                               ).prepare(mcfg, cfg.seed, 0)
-    target = tz.constant(np.stack([flip.p01, flip.p10], axis=1))
-    history = []
-    for epoch in range(1, epochs + 1):
-        tuned.zero_grads()
-        pred = predict_flip_rates(tuned, record, mcfg)
-        loss = tz.mean_all(tz.absolute(tz.sub(pred, target)))
-        loss.backward()
-        tz.adam_step(tuned, cfg.lr)
-        pe = float(np.mean(np.abs(pred.data - target.data)))
-        history.append({"epoch": epoch, "loss_flip": loss.item(), "pe_flip": pe})
-    return tuned, history
+    """Fine-tune everything with L1 loss on the flip rates.
+
+    ``model.train`` runs the flip task alone on a copy of ``params`` and
+    adds the two-output head if it is missing.
+    """
+    labels = replace(LabelSet.empty(g.n), flip=np.stack([flip.p01, flip.p10], axis=1))
+    record = mdl.CircuitRecord(graph=g, workload=w, labels=labels)
+    return mdl.train([record], replace(cfg, epochs_phase1=epochs, epochs_phase2=0),
+                     params=params, weights={"flip": 1.0})

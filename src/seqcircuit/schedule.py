@@ -44,12 +44,6 @@ class PropagationPlan:
         return json.dumps(doc, indent=2)
 
 
-def _check_clean(g: CircuitGraph):
-    bad = validate(g)
-    if bad:
-        raise CircuitError("graph fails validation: " + "; ".join(map(str, bad)))
-
-
 def _source_level(g, levels, u):
     # FF outputs and PIs feed consumers at level 0 regardless of their own
     # scheduled update level.
@@ -60,32 +54,10 @@ def _source_level(g, levels, u):
 
 def levelize(g: CircuitGraph) -> PropagationPlan:
     """Build the full propagation plan (levels, FF order, cyclic regions)."""
-    _check_clean(g)
+    regions = detect_cycles(g)  # validates g, once per plan
     n = g.n
     level = [0] * n
-    indeg = [0] * n
-    for v in range(n):
-        if g.kinds[v] in (NodeKind.AND, NodeKind.NOT):
-            indeg[v] = sum(1 for u in g.fanins[v]
-                           if g.kinds[u] in (NodeKind.AND, NodeKind.NOT))
-    ready = sorted(v for v in range(n) if g.kinds[v] in (NodeKind.AND, NodeKind.NOT)
-                   and indeg[v] == 0)
-    order = []
-    head = 0
-    queue = ready
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        order.append(v)
-        level[v] = 1 + max(_source_level(g, level, u) for u in g.fanins[v])
-        for w in g.fanouts[v]:
-            if g.kinds[w] in (NodeKind.AND, NodeKind.NOT):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-    if len(order) != sum(1 for k in g.kinds if k in (NodeKind.AND, NodeKind.NOT)):
-        raise CircuitError("combinational loop survived validation")
-    for v in g.ffs:
+    for v in (*g.gate_order, *g.ffs):
         level[v] = 1 + max(_source_level(g, level, u) for u in g.fanins[v])
 
     max_level = max((level[v] for v in range(n) if g.kinds[v] != NodeKind.PI),
@@ -99,7 +71,6 @@ def levelize(g: CircuitGraph) -> PropagationPlan:
     levels = tuple(tuple(sorted(b)) for b in buckets)
 
     ffs_sorted = tuple(sorted(g.ffs, key=lambda f: (level[f], f)))
-    regions = detect_cycles(g)
     regions = tuple(sorted(regions,
                            key=lambda r: (min(level[v] for v in r.nodes),
                                           min(r.nodes))))
@@ -154,8 +125,13 @@ def _tarjan_sccs(n, succ):
 
 
 def detect_cycles(g: CircuitGraph) -> list[CyclicRegion]:
-    """One region per multi-node strongly connected component of the full graph."""
-    _check_clean(g)
+    """One region per multi-node strongly connected component of the full graph.
+
+    Raises ``CircuitError`` if the graph fails validation.
+    """
+    bad = validate(g)
+    if bad:
+        raise CircuitError("graph fails validation: " + "; ".join(map(str, bad)))
     sccs = _tarjan_sccs(g.n, g.fanouts)
     regions = []
     for comp in sccs:
@@ -174,27 +150,15 @@ def detect_cycles(g: CircuitGraph) -> list[CyclicRegion]:
 def _region_levels(g: CircuitGraph, nodes: frozenset[int]):
     """Levelize a region: member FF outputs and external fanins count as level 0."""
     level: dict[int, int] = {}
-    gates = [v for v in sorted(nodes) if g.kinds[v] != NodeKind.FF]
-    indeg = {v: sum(1 for u in g.fanins[v]
-                    if u in nodes and g.kinds[u] != NodeKind.FF)
-             for v in gates}
 
     def src_level(u):
         if u not in nodes or g.kinds[u] in (NodeKind.PI, NodeKind.FF):
             return 0
         return level[u]
 
-    queue = sorted(v for v in gates if indeg[v] == 0)
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        level[v] = 1 + max(src_level(u) for u in g.fanins[v])
-        for w in g.fanouts[v]:
-            if w in indeg and g.kinds[w] != NodeKind.FF:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
+    for v in g.gate_order:
+        if v in nodes:
+            level[v] = 1 + max(src_level(u) for u in g.fanins[v])
     for v in sorted(nodes):
         if g.kinds[v] == NodeKind.FF:
             level[v] = 1 + max(src_level(u) for u in g.fanins[v])

@@ -124,6 +124,15 @@ def eval_graph(g, source_vals, ff_vals=None):
     return ev
 
 
+def forward_arrays(g, plan, params, emb0, cfg):
+    """Embedding arrays and diagnostics of one circuit's forward pass."""
+    from seqcircuit import model as mdl
+
+    schedule = mdl.compile_schedule(g, plan, cfg.reverse_layer)
+    st, report = mdl.forward_tensors(params, emb0, cfg, schedule=schedule)
+    return mdl.EmbeddingState(*(t.data for t in st.tables)), report
+
+
 def numeric_gradients(build_loss, store, h=1e-5, names=None):
     """Central finite differences over every scalar parameter (test oracle)."""
     from seqcircuit import tensor as tz

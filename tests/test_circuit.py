@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcircuit import (CircuitBuilder, CircuitError, GenSpec, NodeKind,
-                        emit_aiger, generate, isomorphic, parse_aiger,
-                        random_spec, validate)
+                        detect_cycles, emit_aiger, generate, isomorphic,
+                        parse_aiger, random_spec, validate)
 
 
 def test_validate_clean_diamond():
@@ -31,9 +31,31 @@ def test_combinational_loop_detected():
     a = b.add_pi()
     g1 = b.add_and(a, a)
     g2 = b.add_not(g1)
+    g3 = b.add_and(a, g2)  # downstream of the loop
+    b.add_not(a)  # outside the loop
     b.fanins[g1] = (a, g2)  # two-gate loop with no FF
-    bad = validate(b.build(check=False))
-    assert any(v.rule == "acyclicity" for v in bad)
+    g = b.build(check=False)
+    bad = validate(g)
+    assert [str(v) for v in bad] == [
+        "node 1: acyclicity (combinational loop through 3 nodes)"]
+    assert (bad[0].node, bad[0].detail) == (g1, "combinational loop through 3 nodes")
+    # The loop and what lies behind it have no place in the order.
+    assert set(g.gate_order) == set(g.gates) - {g1, g2, g3}
+
+
+def test_gate_order_is_topological():
+    with_feedback = 0
+    for seed in range(10):
+        g = generate(GenSpec(n_pi=4, n_and=24, n_not=8, n_ff=4, seed=seed,
+                             feedback_prob=0.8))
+        with_feedback += bool(detect_cycles(g))
+        order = g.gate_order
+        assert sorted(order) == g.gates
+        place = {v: i for i, v in enumerate(order)}
+        for v in order:
+            for u in g.fanins[v]:
+                assert g.kinds[u] in (NodeKind.PI, NodeKind.FF) or place[u] < place[v]
+    assert with_feedback
 
 
 def test_ff_cycle_is_legal():

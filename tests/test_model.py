@@ -8,7 +8,8 @@ from seqcircuit import (CircuitBuilder, GenSpec, SimConfig, Workload,
 from seqcircuit import model as mdl
 from seqcircuit import tensor as tz
 from seqcircuit.labels import LabelSet
-from tests.conftest import numeric_gradients, relative_errors, toggle_ff
+from tests.conftest import (forward_arrays, numeric_gradients, relative_errors,
+                            toggle_ff)
 
 
 def small_record(seed=0, feedback=0.5, **gen):
@@ -68,13 +69,13 @@ class TestForward:
         cfg = mdl.ModelConfig(dim=8)
         rec.prepare(cfg, 0, 0)
         params = mdl.init_params(8, seed=1)
-        emb1, rep1 = mdl.forward(rec.graph, rec.plan, params, rec.emb0, cfg)
+        emb1, rep1 = forward_arrays(rec.graph, rec.plan, params, rec.emb0, cfg)
         g = rec.graph
         for v in range(g.n):
             expect = 0 if v in g.pis else 1
             assert rep1.forward_updates[v] == expect
         assert rep1.region_iters == []
-        emb2, rep2 = mdl.forward(rec.graph, rec.plan, params, rec.emb0, cfg)
+        emb2, rep2 = forward_arrays(rec.graph, rec.plan, params, rec.emb0, cfg)
         assert np.array_equal(emb1.structure, emb2.structure)
         assert np.array_equal(emb1.function, emb2.function)
         assert np.array_equal(emb1.sequential, emb2.sequential)
@@ -86,7 +87,7 @@ class TestForward:
         cfg = mdl.ModelConfig(dim=8, cycle_max_iters=3, cycle_tol=0.0)
         emb0 = mdl.init_embeddings(g, w, 8, seed=2)
         params = mdl.init_params(8, seed=3)
-        _, rep = mdl.forward(g, plan, params, emb0, cfg)
+        _, rep = forward_arrays(g, plan, params, emb0, cfg)
         assert rep.forward_updates[ids["ff"]] == 1 + 3
         assert rep.region_iters == [3]
         assert len(rep.region_residuals[0]) == 3
@@ -98,7 +99,7 @@ class TestForward:
         cfg = mdl.ModelConfig(dim=8, cycle_max_iters=5, cycle_tol=1e9)
         emb0 = mdl.init_embeddings(g, w, 8, seed=2)
         params = mdl.init_params(8, seed=3)
-        _, rep = mdl.forward(g, plan, params, emb0, cfg)
+        _, rep = forward_arrays(g, plan, params, emb0, cfg)
         assert rep.region_iters == [1]  # giant tolerance exits immediately
 
     def test_frozen_rows_after_forward(self):
@@ -106,7 +107,7 @@ class TestForward:
         cfg = mdl.ModelConfig(dim=8)
         rec.prepare(cfg, 0, 0)
         params = mdl.init_params(8, seed=2)
-        emb, _ = mdl.forward(rec.graph, rec.plan, params, rec.emb0, cfg)
+        emb, _ = forward_arrays(rec.graph, rec.plan, params, rec.emb0, cfg)
         g = rec.graph
         sources = sorted(g.pis + g.ffs)
         assert np.array_equal(emb.structure[sources],
@@ -123,7 +124,7 @@ class TestForward:
         cfg = mdl.ModelConfig(dim=8, reverse_layer=True)
         rec.prepare(cfg, 0, 0)
         params = mdl.init_params(8, seed=2)
-        _, rep = mdl.forward(rec.graph, rec.plan, params, rec.emb0, cfg)
+        _, rep = forward_arrays(rec.graph, rec.plan, params, rec.emb0, cfg)
         g = rec.graph
         for v in range(g.n):
             if v in g.pis:
@@ -138,8 +139,7 @@ class TestHeadsAndLoss:
         cfg = mdl.ModelConfig(dim=8)
         rec.prepare(cfg, 0, 0)
         params = mdl.init_params(8, seed=1)
-        st, _ = mdl.forward_tensors(rec.graph, rec.plan, params, rec.emb0,
-                                    cfg, schedule=rec.schedule)
+        st, _ = mdl.forward_tensors(params, rec.emb0, cfg, schedule=rec.schedule)
         gates = rec.graph.gates
         i = gates[0]
         labels = LabelSet(p1=rec.labels.p1, ptr=rec.labels.ptr, rc_pairs=[],
@@ -202,8 +202,7 @@ class TestHeadsAndLoss:
         for name in params.names():
             if name.startswith("head."):
                 params[name].data = np.zeros_like(params[name].data)
-        st, _ = mdl.forward_tensors(rec.graph, rec.plan, params, rec.emb0,
-                                    cfg, schedule=rec.schedule)
+        st, _ = mdl.forward_tensors(params, rec.emb0, cfg, schedule=rec.schedule)
         preds = mdl.predict_heads(rec.graph, st, params, rec.labels)
         assert np.allclose(preds["logic"].data, 0.5)
         assert np.allclose(preds["recon"].data, 0.5)
@@ -240,7 +239,8 @@ class TestTraining:
                               lr=2e-3, seed=2, batch_size=1)
         params, _ = mdl.train([rec], cfg)
         g = rec.graph
-        emb, _ = mdl.forward(g, rec.plan, params, rec.emb0, cfg.model_config())
+        emb, _ = forward_arrays(g, rec.plan, params, rec.emb0,
+                                cfg.model_config())
         sources = sorted(g.pis + g.ffs)
         assert np.array_equal(emb.structure[sources],
                               rec.emb0.structure[sources])
@@ -263,7 +263,7 @@ class TestTraining:
         struct_grads = [params[n].grad for n in params.names()
                         if ".struct." in n and params[n].grad is not None]
         assert any(np.abs(g).max() > 0 for g in struct_grads)
-        emb, _ = mdl.forward(rec.graph, rec.plan, params, rec.emb0, mcfg)
+        emb, _ = forward_arrays(rec.graph, rec.plan, params, rec.emb0, mcfg)
         sources = sorted(rec.graph.pis + rec.graph.ffs)
         assert np.array_equal(emb.structure[sources],
                               rec.emb0.structure[sources])
@@ -328,8 +328,7 @@ class TestBatchedSweep:
             merged_iters = list(rep.region_iters)
             seen_iters = set()
             for rec, off in zip(recs, offsets):
-                one, one_rep = mdl.forward_tensors(rec.graph, rec.plan, params,
-                                                   rec.emb0, cfg,
+                one, one_rep = mdl.forward_tensors(params, rec.emb0, cfg,
                                                    schedule=rec.schedule)
                 rows = slice(off, off + rec.graph.n)
                 for a, b in ((one.hs, st.hs), (one.hf, st.hf), (one.hq, st.hq)):
@@ -419,6 +418,77 @@ class TestBatchedSweep:
             assert np.array_equal(start[name].data, kept[name])
         assert any(not np.array_equal(tuned[n].data, kept[n])
                    for n in tuned.names())
+
+
+def flip_records(cfg):
+    """Two feedback records with random flip-rate targets, prepared under ``cfg``."""
+    recs = []
+    for i, seed in enumerate((3, 4)):
+        rec = small_record(seed=seed, feedback=0.8)
+        rng = np.random.default_rng(seed)
+        rec.labels.flip = rng.uniform(0.0, 0.2, size=(rec.graph.n, 2))
+        recs.append(rec.prepare(cfg, 0, i))
+    return recs
+
+
+class TestFlipTask:
+    CFG = dict(dim=4, cycle_tol=0.0, cycle_max_iters=2)
+    WEIGHTS = {"flip": 1.0}
+
+    def params(self):
+        params = mdl.init_params(4, seed=8)
+        mdl.add_reliability_head(params, 4, seed=9)
+        return params
+
+    def test_flip_loss_gradients_float64(self):
+        with tz.precision("float64"):
+            cfg = mdl.ModelConfig(**self.CFG)
+            recs = flip_records(cfg)
+            params = self.params()
+
+            def build():
+                results, _ = mdl.run_batch(recs, params, cfg)
+                assert all(set(losses) >= {"flip"} for _, losses in results)
+                return tz.add(*(mdl.weighted_loss(losses, self.WEIGHTS)
+                                for _, losses in results))
+            build().backward()
+            names = [n for n in params.names() if n.startswith("head.flip.")]
+            names.append("fwd.seq.and.gru.b")
+            fd = numeric_gradients(build, params, h=1e-5, names=names)
+            for name in names:
+                assert params[name].grad is not None, name
+                assert relative_errors(params[name].grad, fd[name]).max() < 1e-8, name
+            assert np.abs(params["fwd.seq.and.gru.b"].grad).max() > 0
+
+    def test_batch_gradient_is_sum_of_record_gradients(self):
+        with tz.precision("float64"):
+            cfg = mdl.ModelConfig(**self.CFG)
+            recs = flip_records(cfg)
+            params = self.params()
+            results, _ = mdl.run_batch(recs, params, cfg)
+            tz.add(*(mdl.weighted_loss(losses, self.WEIGHTS)
+                     for _, losses in results)).backward()
+            batched = {n: params[n].grad for n in params.names()}
+            params.zero_grads()
+            for rec in recs:
+                _, losses, _ = mdl.run_record(rec, params, cfg)
+                mdl.weighted_loss(losses, self.WEIGHTS).backward()
+            for name in params.names():
+                a, b = batched[name], params[name].grad
+                if b is None:
+                    assert a is None or not a.any(), name
+                    continue
+                scale = max(np.abs(b).max(), 1e-3)
+                assert np.abs(a - b).max() / scale < 1e-10, name
+
+    def test_evaluate_pools_flip_error_over_rows(self):
+        cfg = mdl.ModelConfig(**self.CFG)
+        recs = flip_records(cfg)
+        report = mdl.evaluate(self.params(), recs, cfg)
+        per = [row["pe_flip"] for row in report["per_circuit"]]
+        rows = [rec.graph.n for rec in recs]
+        assert report["pooled"]["pe_flip"] == pytest.approx(
+            np.dot(per, rows) / sum(rows), abs=1e-12)
 
 
 def test_load_dataset_normalizes_paths(tmp_path):

@@ -199,8 +199,7 @@ class TestPredictedTransitions:
 
         rec = mdl.CircuitRecord(graph=g, workload=w,
                                 labels=LabelSet.empty(g.n)).prepare(mcfg, 2, 0)
-        st, _ = mdl.forward_tensors(g, rec.plan, params, rec.emb0, mcfg,
-                                    schedule=rec.schedule)
+        st, _ = mdl.forward_tensors(params, rec.emb0, mcfg, schedule=rec.schedule)
         sup = mdl.supervised_nodes(g)
         taped = tz.mlp3(tz.take_rows(st.hq, sup), params, "head.trans")
         assert taped.parents and taped.requires

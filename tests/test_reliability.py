@@ -144,10 +144,12 @@ def test_finetune_head_shape_and_learning():
     assert "head.flip.w1" in tuned
     assert "head.flip.w1" not in pre  # original params untouched
     assert hist[-1]["pe_flip"] < hist[0]["pe_flip"]
+    assert all(set(row) == {"epoch", "loss_flip", "pe_flip"} for row in hist)
     rec2 = mdl.CircuitRecord(graph=g, workload=w, labels=labels).prepare(
         mdl.ModelConfig(dim=8), 0, 0)
     pred = rel.predict_flip_rates(tuned, rec2, mdl.ModelConfig(dim=8))
     assert pred.shape == (g.n, 2)
+    assert not pred.requires and not pred.parents  # inference keeps no tape
 
 
 def test_zero_labels_start_near_half_and_decrease():
