@@ -179,22 +179,26 @@ class _TensorState:
 
 
 def _level_groups(g: CircuitGraph, nodes, neighbors) -> list[tuple]:
-    """Group same-level nodes by (kind, neighbor count) for batched updates.
+    """Group same-level nodes by kind for batched updates.
 
-    Within a level no node feeds another, so batching cannot change values.
+    A group is (kind, node ids, (neighbour ids, segment starts, owners)):
+    the neighbour lists of its nodes laid end to end, node i's list
+    starting at ``starts[i]``, and for each neighbour entry the position of
+    the node it serves.  Nodes without neighbours are left out.  Within a
+    level no gate feeds another, so batching gates cannot change values;
+    a group reads every neighbour row as it was before the group ran.
     """
-    buckets: dict[tuple[NodeKind, int], list[int]] = {}
+    buckets: dict[NodeKind, list[int]] = {}
     for v in nodes:
-        k = len(neighbors[v])
-        if k == 0:
-            continue
-        buckets.setdefault((g.kinds[v], k), []).append(v)
+        if neighbors[v]:
+            buckets.setdefault(g.kinds[v], []).append(v)
     groups = []
-    for (kind, k), vids in sorted(buckets.items()):
-        vid_arr = np.array(vids, dtype=np.int64)
-        cols = [np.array([neighbors[v][j] for v in vids], dtype=np.int64)
-                for j in range(k)]
-        groups.append((kind, vid_arr, cols))
+    for kind, vids in sorted(buckets.items()):
+        sizes = [len(neighbors[v]) for v in vids]
+        nbrs = np.array([u for v in vids for u in neighbors[v]], dtype=np.int64)
+        starts = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        groups.append((kind, np.array(vids, dtype=np.int64),
+                       (nbrs, starts, tz.segment_owner(starts, len(nbrs)))))
     return groups
 
 
@@ -219,25 +223,43 @@ def compile_schedule(g: CircuitGraph, plan: PropagationPlan, reverse: bool):
 
 
 def _merge_levels(parts) -> list[list[tuple]]:
-    """Align level lists by index and regroup each level by (kind, arity)."""
+    """Align level lists by index and regroup each level by kind.
+
+    Same-kind groups are joined: node ids and neighbour lists are
+    concatenated, each part's segment starts move by the neighbour count
+    of the parts before it, and its owners by their node count.
+    """
     if len(parts) == 1:
         return parts[0]
     merged = []
     for i in range(max(map(len, parts))):
-        buckets: dict[tuple[NodeKind, int], list] = {}
+        buckets: dict[NodeKind, list] = {}
         for levels in parts:
-            for kind, vids, cols in levels[i] if i < len(levels) else ():
-                buckets.setdefault((kind, len(cols)), []).append((vids, cols))
-        merged.append([
-            (kind, np.concatenate([v for v, _ in items]),
-             [np.concatenate(c) for c in zip(*(cols for _, cols in items))])
-            for (kind, _), items in sorted(buckets.items())])
+            for kind, vids, csr in levels[i] if i < len(levels) else ():
+                buckets.setdefault(kind, []).append((vids, csr))
+        merged.append([(kind, *_join_groups(items))
+                       for kind, items in sorted(buckets.items())])
     return merged
 
 
+def _join_groups(items):
+    """One group's (node ids, csr) from same-kind (node ids, csr) pairs."""
+    if len(items) == 1:
+        return items[0]
+    vids, csrs = zip(*items)
+    nbrs, starts, owners = zip(*csrs)
+    edge_off = np.cumsum([0] + [len(n) for n in nbrs[:-1]])
+    node_off = np.cumsum([0] + [len(v) for v in vids[:-1]])
+    return (np.concatenate(vids),
+            (np.concatenate(nbrs),
+             np.concatenate([s + e for s, e in zip(starts, edge_off)]),
+             np.concatenate([o + k for o, k in zip(owners, node_off)])))
+
+
 def _shift(levels, off: int) -> list[list[tuple]]:
-    return [[(kind, vids + off, [c + off for c in cols])
-             for kind, vids, cols in groups] for groups in levels]
+    return [[(kind, vids + off, (nbrs + off, starts, owner))
+             for kind, vids, (nbrs, starts, owner) in groups]
+            for groups in levels]
 
 
 def merge_schedules(schedules) -> dict:
@@ -266,44 +288,43 @@ def merge_schedules(schedules) -> dict:
             "n": int(offsets[-1]), "region_rows": rows, "waves": waves}
 
 
-def _update_group(st: _TensorState, params, kind: NodeKind, vids, cols, side: str):
-    """Batched refresh of one (kind, arity) node group from its neighbor rows."""
+def _update_group(st: _TensorState, params, kind: NodeKind, vids, csr,
+                  side: str):
+    """Batched refresh of one node group from its CSR neighbour rows.
+
+    Each table is read once over the neighbour list, before the group
+    writes it.  The function attention sees [structure | function] rows
+    and the sequence attention [structure | function | sequence] rows.
+    """
+    nbrs, starts, owner = csr
     tag = _kind_tag(kind)
     ts, tf, tq = st.tables
-    hs_v = tz.take_rows(ts.current, vids)
-    hs_n = [tz.take_rows(ts.current, c) for c in cols]
+    hs_n = tz.take_rows(ts.current, nbrs)
     if kind in STRUCT_KINDS:
         base = f"{side}.struct.{tag}"
-        msg = tz.attn_aggregate_groups(hs_v, hs_n, params[f"{base}.attn.w1"],
-                                       params[f"{base}.attn.w2"])
-        new_hs = tz.gru_cell(msg, hs_v, params, f"{base}.gru")
-        ts.scatter(vids, new_hs)
-        hs_v = new_hs
+        msg = tz.attn_aggregate_groups(hs_n, starts, params[f"{base}.attn.w2"],
+                                       owner)
+        ts.scatter(vids, tz.gru_cell(msg, tz.take_rows(ts.current, vids),
+                                     params, f"{base}.gru"))
 
-    hf_v = tz.take_rows(tf.current, vids)
-    preds_f = [tz.concat_cols([h, tz.take_rows(tf.current, c)])
-               for h, c in zip(hs_n, cols)]
+    preds_f = tz.concat_cols([hs_n, tz.take_rows(tf.current, nbrs)])
     base = f"{side}.func.{tag}"
-    msg_f = tz.attn_aggregate_groups(tz.concat_cols([hs_v, hf_v]), preds_f,
-                                     params[f"{base}.attn.w1"],
-                                     params[f"{base}.attn.w2"])
-    new_hf = tz.gru_cell(msg_f, hf_v, params, f"{base}.gru")
-    tf.scatter(vids, new_hf)
+    msg_f = tz.attn_aggregate_groups(preds_f, starts, params[f"{base}.attn.w2"],
+                                     owner)
+    tf.scatter(vids, tz.gru_cell(msg_f, tz.take_rows(tf.current, vids),
+                                 params, f"{base}.gru"))
 
-    hq_v = tz.take_rows(tq.current, vids)
-    preds_q = [tz.concat_cols([pf, tz.take_rows(tq.current, c)])
-               for pf, c in zip(preds_f, cols)]
+    preds_q = tz.concat_cols([preds_f, tz.take_rows(tq.current, nbrs)])
     base = f"{side}.seq.{tag}"
-    msg_q = tz.attn_aggregate_groups(tz.concat_cols([hs_v, new_hf, hq_v]), preds_q,
-                                     params[f"{base}.attn.w1"],
-                                     params[f"{base}.attn.w2"])
-    new_hq = tz.gru_cell(msg_q, hq_v, params, f"{base}.gru")
-    tq.scatter(vids, new_hq)
+    msg_q = tz.attn_aggregate_groups(preds_q, starts, params[f"{base}.attn.w2"],
+                                     owner)
+    tq.scatter(vids, tz.gru_cell(msg_q, tz.take_rows(tq.current, vids),
+                                 params, f"{base}.gru"))
 
 
 def _sweep_level(st, params, groups, side: str, updates: np.ndarray):
-    for kind, vids, cols in groups:
-        _update_group(st, params, kind, vids, cols, side)
+    for kind, vids, csr in groups:
+        _update_group(st, params, kind, vids, csr, side)
         updates[vids] += 1
 
 

@@ -247,17 +247,14 @@ def _require_finite(op: str, *arrays):
 
 def _sigmoid(x):
     """Logistic function without overflow: exp only ever sees non-positive values."""
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _softmax_rows(x):
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _segment_softmax(scores, starts, owner):
+    """Softmax of 1-D ``scores`` within each segment; ``owner`` maps row to segment."""
+    e = np.exp(scores - np.maximum.reduceat(scores, starts)[owner])
+    return e / np.add.reduceat(e, starts)[owner]
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -573,49 +570,51 @@ def gru_cell(x: Tensor, h_prev: Tensor, store: ParamStore, prefix: str) -> Tenso
 def init_attention(store: ParamStore, prefix: str, dim: int,
                    rng: np.random.Generator):
     std = 1.0 / np.sqrt(dim)
-    store.create(f"{prefix}.w1", rng.uniform(-std, std, size=(dim, 1)))
+    # Draw and drop the block a query weight would take (a per-segment
+    # score term cancels in the softmax), so every parameter drawn after
+    # it keeps its initial value for a given seed.
+    rng.uniform(-std, std, size=(dim, 1))
     store.create(f"{prefix}.w2", rng.uniform(-std, std, size=(dim, 1)))
 
 
-def attn_aggregate_groups(query: Tensor, preds: list[Tensor], w1: Tensor,
-                          w2: Tensor) -> Tensor:
-    """Row-batched attention: n independent predecessor sets of equal size k.
+def segment_owner(starts, n_rows: int) -> np.ndarray:
+    """Segment index of each of ``n_rows`` rows split at ``starts``."""
+    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n_rows))
 
-    ``query`` is (n, d) and ``preds`` holds k tensors of shape (n, d); row i
-    of the result is the attention-weighted sum of {preds[0][i], ...,
-    preds[k-1][i]}, with scores w1'query[i] + w2'preds[j][i] normalized by a
-    softmax over the k predecessors.  The whole op is one tape node.
+
+def attn_aggregate_groups(preds: Tensor, starts, w2: Tensor,
+                          owner=None) -> Tensor:
+    """Segment-softmax attention over ragged neighbour sets (CSR layout).
+
+    ``preds`` is (E, d); segment i is rows ``starts[i]`` up to the next
+    start (or E), and a row may repeat across segments.  Row i of the
+    (len(starts), d) result is the attention-weighted sum of segment i's
+    rows, with scores w2'pred normalized by a softmax within the segment.
+    ``owner`` is ``segment_owner(starts, E)``; callers that reuse one
+    layout pass it precomputed.  The whole op is one tape node.
     """
-    if not preds:
-        raise ShapeError("attention needs at least one predecessor")
-    rows, dq = query.shape
-    dp = preds[0].shape[1]
-    if (w1.shape != (dq, 1) or w2.shape != (dp, 1)
-            or any(p.shape != (rows, dp) for p in preds)):
-        raise ShapeError(f"attn_aggregate_groups query {query.shape}, preds "
-                         f"{[p.shape for p in preds]}, w1 {w1.shape}, w2 {w2.shape}")
-    qs = query.data @ w1.data
-    scores = np.concatenate([p.data @ w2.data + qs for p in preds], axis=1)
+    starts = np.asarray(starts, dtype=np.int64)
+    n_rows, d = preds.shape
+    if (starts.ndim != 1 or not len(starts) or starts[0] != 0
+            or starts[-1] >= n_rows or (starts[1:] <= starts[:-1]).any()
+            or w2.shape != (d, 1)
+            or (owner is not None and owner.shape != (n_rows,))):
+        raise ShapeError(f"attn_aggregate_groups preds {preds.shape}, "
+                         f"starts {starts.tolist()}, w2 {w2.shape}")
+    if owner is None:
+        owner = segment_owner(starts, n_rows)
+    scores = (preds.data @ w2.data).ravel()
     _require_finite("attn_aggregate_groups", scores)
-    alpha = _softmax_rows(scores)
-    out = alpha[:, :1] * preds[0].data
-    for j in range(1, len(preds)):
-        out = out + alpha[:, j:j + 1] * preds[j].data
+    alpha = _segment_softmax(scores, starts, owner)
+    out = np.add.reduceat(alpha[:, None] * preds.data, starts, axis=0)
 
     def bwd(g):
-        dalpha = np.concatenate([(g * p.data).sum(axis=1, keepdims=True)
-                                 for p in preds], axis=1)
-        dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
-        dqs = dscores.sum(axis=1, keepdims=True)
-        query.accumulate(dqs * w1.data.T)
-        w1.accumulate(query.data.T @ dqs)
-        dw2 = np.zeros_like(w2.data)
-        for j, p in enumerate(preds):
-            ds = dscores[:, j:j + 1]
-            p.accumulate(alpha[:, j:j + 1] * g + ds * w2.data.T)
-            dw2 += p.data.T @ ds
-        w2.accumulate(dw2)
-    return _out(out, (query, *preds, w1, w2), bwd)
+        g_rows = g[owner]
+        dalpha = (g_rows * preds.data).sum(axis=1)
+        ds = alpha * (dalpha - np.add.reduceat(dalpha * alpha, starts)[owner])
+        preds.accumulate(alpha[:, None] * g_rows + ds[:, None] * w2.data.T)
+        w2.accumulate(preds.data.T @ ds[:, None])
+    return _out(out, (preds, w2), bwd)
 
 
 # --- checkpoint io ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -418,6 +419,143 @@ class TestBatchedSweep:
             assert np.array_equal(start[name].data, kept[name])
         assert any(not np.array_equal(tuned[n].data, kept[n])
                    for n in tuned.names())
+
+
+def union_lists(recs):
+    """Fanins, fanouts and kinds of the disjoint union of the records' graphs,
+    and each level's nodes aligned by level index (level 0 left out)."""
+    fanins, fanouts, kinds, levels = [], [], [], []
+    off = 0
+    for rec in recs:
+        g = rec.graph
+        fanins += [[u + off for u in g.fanins[v]] for v in range(g.n)]
+        fanouts += [[u + off for u in g.fanouts[v]] for v in range(g.n)]
+        kinds += list(g.kinds)
+        for i, level in enumerate(rec.plan.levels[1:]):
+            if i == len(levels):
+                levels.append([])
+            levels[i] += [v + off for v in level]
+        off += g.n
+    return fanins, fanouts, kinds, levels
+
+
+def check_level(groups, nodes, neighbours, kinds):
+    """At most one group per kind; together the groups hold exactly the
+    level's nodes with neighbours, each with its neighbour list in order."""
+    assert len({kind for kind, _, _ in groups}) == len(groups)
+    covered = []
+    for kind, vids, (nbrs, starts, owner) in groups:
+        assert all(kinds[v] == kind for v in vids)
+        ends = list(starts[1:]) + [len(nbrs)]
+        for v, lo, hi in zip(vids, starts, ends):
+            assert list(nbrs[lo:hi]) == neighbours[v]
+        assert np.array_equal(owner, tz.segment_owner(starts, len(nbrs)))
+        covered += list(vids)
+    assert sorted(covered) == sorted(v for v in nodes if neighbours[v])
+
+
+class TestSchedule:
+    def test_one_group_per_kind_per_level(self):
+        cfg = mdl.ModelConfig(dim=4)
+        recs = feedback_records(cfg)
+        merged = mdl.merge_schedules([r.schedule for r in recs])
+        for part, schedule in [([r], r.schedule) for r in recs] + [(recs, merged)]:
+            fanins, fanouts, kinds, levels = union_lists(part)
+            assert len(schedule["fwd"]) == len(schedule["rev"]) == len(levels)
+            for groups, nodes in zip(schedule["fwd"], levels):
+                check_level(groups, nodes, fanins, kinds)
+            for groups, nodes in zip(schedule["rev"], levels[::-1]):
+                check_level(groups, nodes, fanouts, kinds)
+            offsets = np.cumsum([0] + [r.graph.n for r in part])
+            regions = [[[v + off for v in level] for level in region.internal_levels]
+                       for rec, off in zip(part, offsets)
+                       for region in rec.plan.cyclic_regions]
+            assert len(schedule["regions"]) == len(regions)
+            for got, want in zip(schedule["regions"], regions):
+                assert len(got) == len(want)
+                for groups, nodes in zip(got, want):
+                    check_level(groups, nodes, fanins, kinds)
+            for wave in schedule["waves"]:
+                joined = mdl._merge_levels([schedule["regions"][r] for r in wave])
+                for i, groups in enumerate(joined):
+                    nodes = [v for r in wave if i < len(regions[r])
+                             for v in regions[r][i]]
+                    check_level(groups, nodes, fanins, kinds)
+        assert any(len(wave) > 1 for wave in merged["waves"])
+
+    def test_one_attention_node_per_level_kind_group(self):
+        # Fanouts from 1 to 5: splitting levels by neighbour count would
+        # make several reverse groups of one kind.
+        cfg = mdl.ModelConfig(dim=4)
+        recs = [small_record(seed=s, n_pi=4, n_and=24, n_not=8, feedback=0.0)
+                .prepare(cfg, 0, i) for i, s in enumerate((1, 2))]
+        fanout_counts = {len(r.graph.fanouts[v]) for r in recs
+                         for v in range(r.graph.n)}
+        assert set(range(1, 6)) <= fanout_counts
+        params = mdl.init_params(4, seed=3)
+        results, report = mdl.run_batch(recs, params, cfg)
+        assert report.region_iters == []
+        loss = tz.add(*(mdl.weighted_loss(losses, {t: 1.0 for t in mdl.TASKS})
+                        for _, losses in results))
+        w2 = {id(params[n]) for n in params.names() if n.endswith(".attn.w2")}
+        seen, stack, attn_nodes = {id(loss)}, [loss], 0
+        while stack:
+            t = stack.pop()
+            attn_nodes += bool(t.parents) and id(t.parents[-1]) in w2
+            for p in t.parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+
+        def attentions(kind):
+            return 3 if kind in mdl.STRUCT_KINDS else 2
+        fanins, fanouts, kinds, levels = union_lists(recs)
+        expected = by_arity = 0
+        for neighbours in (fanins, fanouts):
+            for nodes in levels:
+                keys = {(kinds[v], len(neighbours[v])) for v in nodes
+                        if neighbours[v]}
+                expected += sum(attentions(k) for k in {k for k, _ in keys})
+                by_arity += sum(attentions(k) for k, _ in keys)
+        assert attn_nodes == expected
+        assert by_arity > expected
+
+
+class TestParameters:
+    def test_init_params_keep_their_draws(self):
+        # Digest of init_params(64, 7) less its attn.w1 tensors, taken when
+        # the attentions still had them: dropping them moves no other value.
+        params = mdl.init_params(64, seed=7)
+        digest = hashlib.sha256()
+        for name in params.names():
+            digest.update(name.encode())
+            digest.update(params[name].data.tobytes())
+        assert params.n_scalars() == 648899
+        assert digest.hexdigest() == (
+            "e0d0b6d4bc01474c2d7b16886d42897c03fc2af679163a98bd97878796bcde61")
+
+    def test_checkpoint_with_query_weights(self, tmp_path):
+        # A checkpoint that still holds *.attn.w1 loads; the forward never
+        # reads those tensors, so predictions match and no gradient reaches them.
+        cfg = mdl.ModelConfig(dim=8)
+        rec = small_record(seed=7).prepare(cfg, 0, 0)
+        params = mdl.init_params(8, seed=3)
+        old = params.clone()
+        rng = np.random.default_rng(0)
+        for name in params.names():
+            if name.endswith(".attn.w2"):
+                old.create(name[:-1] + "1", rng.uniform(-0.3, 0.3, size=(8, 1)))
+        path = tmp_path / "old.bin"
+        tz.save_checkpoint(path, old)
+        loaded, _ = tz.load_checkpoint(path)
+        extra = [n for n in loaded.names() if n.endswith(".attn.w1")]
+        assert len(extra) == 16
+        assert set(loaded.names()) - set(extra) == set(params.names())
+        assert mdl.evaluate(loaded, [rec], cfg) == mdl.evaluate(params, [rec], cfg)
+        _, losses, _ = mdl.run_record(rec, loaded, cfg)
+        mdl.weighted_loss(losses, {t: 1.0 for t in mdl.TASKS}).backward()
+        assert all(loaded[n].grad is None for n in extra)
+        assert loaded["fwd.func.and.attn.w2"].grad is not None
 
 
 def flip_records(cfg):

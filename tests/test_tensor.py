@@ -28,11 +28,13 @@ class TestForwardOps:
         assert np.allclose(out.data, x.data)
 
     def test_softmax_single_element(self):
-        assert tz._softmax_rows(np.array([[2.7]])).tolist() == [[1.0]]
+        one = np.array([0])
+        assert tz._segment_softmax(np.array([2.7]), one, one).tolist() == [1.0]
 
     def test_softmax_cols_rows_sum_to_one(self):
-        out = tz._softmax_rows(rand((5, 3), 2))
-        assert np.allclose(out.sum(axis=1), 1.0)
+        starts = np.array([0, 3, 4, 9])
+        out = tz._segment_softmax(rand(15, 2), starts, tz.segment_owner(starts, 15))
+        assert np.allclose(np.add.reduceat(out, starts), 1.0)
 
     def test_nonfinite_trips(self):
         with pytest.raises(tz.NumericsError):
@@ -59,7 +61,27 @@ class TestForwardOps:
             assert np.isfinite(op(x, y).data).all()
         for op in (tz.sigmoid, tz.tanh, tz.relu, tz.absolute):
             assert np.isfinite(op(x).data).all()
-        assert np.isfinite(tz._softmax_rows(x.data)).all()
+        starts = np.array([0, 4, 8])
+        assert np.isfinite(tz._segment_softmax(
+            x.data.ravel(), starts, tz.segment_owner(starts, 12))).all()
+
+    def test_sigmoid_matches_masked_form_without_overflow(self):
+        def masked(x):
+            y = np.empty_like(x)
+            pos = x >= 0
+            y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            y[~pos] = ex / (1.0 + ex)
+            return y
+
+        for dtype, tol in ((np.float32, 1.2e-7), (np.float64, 2.2e-16)):
+            x = np.concatenate([np.linspace(-1e4, 1e4, 2001),
+                                np.linspace(-40, 40, 2001)]).astype(dtype)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                y = tz._sigmoid(x)
+            assert y.dtype == dtype
+            ref = masked(x)
+            assert (np.abs(y - ref) <= tol * ref).all()
 
 
 class TestGradients:
@@ -91,12 +113,9 @@ class TestGradients:
         store = tz.ParamStore()
         w2 = store.create("w2", rand((3, 1), 7))
         m = store.create("m", rand((6, 3), 8))
-        q = tz.constant(rand((1, 2), 6))
-        w1 = tz.constant(rand((2, 1), 5))
 
         def build():
-            preds = [tz.take_rows(m, [j]) for j in range(6)]
-            mixed = tz.attn_aggregate_groups(q, preds, w1, w2)
+            mixed = tz.attn_aggregate_groups(tz.take_rows(m, range(6)), [0], w2)
             stacked = tz.concat_cols([mixed, tz.scale(mixed, -0.5)])
             return tz.sum_all(tz.absolute(stacked))
         self._check(build, store)
@@ -124,15 +143,18 @@ class TestGradients:
         self._check(build, store)
 
     def test_softmax_cols_gradient(self):
-        # Row-wise softmax over three predecessors that share one source.
+        # Row-wise softmax over three predecessors that share one source:
+        # segment i holds rows i, 3 - i and 2 * row i of s.
         store = tz.ParamStore()
         s = store.create("s", rand((4, 3), 13))
-        w1 = store.create("w1", rand((3, 1), 14))
         w2 = store.create("w2", rand((3, 1), 15))
+        idx = [j for i in range(4) for j in (i, 3 - i, i)]
+        factor = tz.constant(np.tile([[1.0], [1.0], [2.0]], (4, 1)))
 
         def build():
-            preds = [s, tz.take_rows(s, [3, 2, 1, 0]), tz.scale(s, 2.0)]
-            return tz.mean_all(tz.mul(tz.attn_aggregate_groups(s, preds, w1, w2), s))
+            preds = tz.mul(tz.take_rows(s, idx), factor)
+            out = tz.attn_aggregate_groups(preds, [0, 3, 6, 9], w2)
+            return tz.mean_all(tz.mul(out, s))
         self._check(build, store)
 
     def test_backward_linearity(self):
@@ -339,99 +361,146 @@ class TestGru:
                         store, "g")
 
 
+def csr(sizes):
+    """Segment starts of consecutive segments with the given sizes."""
+    return np.cumsum([0] + list(sizes[:-1]))
+
+
+RAGGED = [3, 1, 9, 2, 7, 1, 4, 5, 8, 6]
+
+
 class TestAttention:
     def test_zero_weights_uniform(self):
-        q = tz.constant(rand((1, 4), 1))
         preds = rand((2, 4), 2)
         zero = tz.constant(np.zeros((4, 1)))
-        out = tz.attn_aggregate_groups(
-            q, [tz.constant(preds[:1]), tz.constant(preds[1:])], zero, zero)
+        out = tz.attn_aggregate_groups(tz.constant(preds), [0], zero)
         assert np.allclose(out.data, preds.mean(axis=0, keepdims=True))
 
     def test_single_predecessor_identity(self):
-        q = tz.constant(rand((1, 4), 3))
         pred = tz.constant(rand((1, 4), 4))
-        w1 = tz.constant(rand((4, 1), 5))
         w2 = tz.constant(rand((4, 1), 6))
-        out = tz.attn_aggregate_groups(q, [pred], w1, w2)
+        out = tz.attn_aggregate_groups(pred, [0], w2)
         assert np.array_equal(out.data, pred.data)
 
     def test_grouped_matches_set_version(self):
+        # Five sets of three; the reference adds a query term the op lacks.
         rng = np.random.default_rng(7)
         store = tz.ParamStore()
         w1 = store.create("w1", rng.standard_normal((4, 1)))
         w2 = store.create("w2", rng.standard_normal((3, 1)))
         q_rows = rng.standard_normal((5, 4))
-        ps = [rng.standard_normal((5, 3)) for _ in range(3)]
-        grouped = tz.attn_aggregate_groups(
-            tz.constant(q_rows), [tz.constant(p) for p in ps], w1, w2)
+        ps = rng.standard_normal((15, 3))
+        grouped = tz.attn_aggregate_groups(tz.constant(ps), csr([3] * 5), w2)
         for r in range(5):
-            single = attn_reference(q_rows[r], np.stack([p[r] for p in ps]),
+            single = attn_reference(q_rows[r], ps[3 * r:3 * r + 3],
                                     w1.data, w2.data)
             assert np.allclose(grouped.data[r], single, atol=1e-12)
+
+    def test_query_term_cancels_on_ragged_sets(self):
+        rng = np.random.default_rng(11)
+        preds = rng.standard_normal((sum(RAGGED), 5))
+        w2 = rng.standard_normal((5, 1))
+        starts = csr(RAGGED)
+        out = tz.attn_aggregate_groups(tz.constant(preds), starts, tz.constant(w2))
+        for r, (lo, k) in enumerate(zip(starts, RAGGED)):
+            query, w1 = rng.standard_normal(7) * 10, rng.standard_normal((7, 1))
+            ref = attn_reference(query, preds[lo:lo + k], w1, w2)
+            assert np.abs(out.data[r] - ref).max() < 1e-12
 
     def test_grouped_single_pred_exact(self):
         rng = np.random.default_rng(8)
         p0 = rng.standard_normal((6, 3))
         out = tz.attn_aggregate_groups(
-            tz.constant(rng.standard_normal((6, 3))), [tz.constant(p0)],
-            tz.constant(rng.standard_normal((3, 1))),
+            tz.constant(p0), np.arange(6),
             tz.constant(rng.standard_normal((3, 1))))
         assert np.array_equal(out.data, p0)
 
     def test_empty_predecessors_rejected(self):
-        with pytest.raises(tz.ShapeError):
-            tz.attn_aggregate_groups(tz.constant(rand((1, 4))), [],
-                                     tz.constant(rand((4, 1))),
-                                     tz.constant(rand((4, 1))))
+        w2 = tz.constant(rand((4, 1)))
+        for rows, starts in ((1, []), (2, [0, 1, 1]), (2, [0, 2]), (0, [0])):
+            with pytest.raises(tz.ShapeError):
+                tz.attn_aggregate_groups(tz.constant(rand((rows, 4))), starts, w2)
 
     def test_gradcheck_three_predecessors(self):
         store = tz.ParamStore()
-        w1 = store.create("w1", rand((4, 1), 9))
         w2 = store.create("w2", rand((4, 1), 10))
         m = store.create("m", rand((3, 4), 11))
-        q = tz.constant(rand((1, 4), 12))
 
         def build():
-            preds = [tz.take_rows(m, [j]) for j in range(3)]
-            return tz.mean_all(tz.attn_aggregate_groups(q, preds, w1, w2))
+            preds = tz.take_rows(m, [0, 1, 2])
+            return tz.mean_all(tz.attn_aggregate_groups(preds, [0], w2))
         build().backward()
         fd = numeric_gradients(build, store)
         for name in store.names():
             assert relative_errors(store[name].grad, fd[name]).max() < 1e-8
 
-
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_grouped_gradcheck(self, k):
         store = tz.ParamStore()
-        q = store.create("q", rand((4, 5), 20))
-        preds = [store.create(f"p{j}", rand((4, 3), 21 + j)) for j in range(k)]
-        w1 = store.create("w1", rand((5, 1), 30))
+        preds = store.create("p", rand((4 * k, 3), 21 + k))
         w2 = store.create("w2", rand((3, 1), 31))
         c = tz.constant(rand((4, 3), 32))
 
         def build():
-            return tz.sum_all(tz.mul(tz.attn_aggregate_groups(q, preds, w1, w2), c))
+            out = tz.attn_aggregate_groups(preds, csr([k] * 4), w2)
+            return tz.sum_all(tz.mul(out, c))
         build().backward()
         fd = numeric_gradients(build, store)
         for name in store.names():
             assert relative_errors(store[name].grad, fd[name]).max() < 1e-8, name
 
+    def test_ragged_gradcheck(self):
+        # Sets of sizes 1 to 9; every pred row and w2 against central
+        # differences.
+        store = tz.ParamStore()
+        preds = store.create("p", rand((sum(RAGGED), 4), 50))
+        w2 = store.create("w2", rand((4, 1), 51))
+        c = tz.constant(rand((len(RAGGED), 4), 52))
+
+        def build():
+            out = tz.attn_aggregate_groups(preds, csr(RAGGED), w2)
+            return tz.sum_all(tz.mul(out, c))
+        build().backward()
+        fd = numeric_gradients(build, store, h=1e-6)
+        for name in store.names():
+            assert relative_errors(store[name].grad, fd[name]).max() < 1e-8, name
+
+    def test_repeated_row_gradients_add(self):
+        # Row 1 of m is a neighbour of both segments; its gradient is the
+        # sum of both uses, gathered by take_rows.
+        store = tz.ParamStore()
+        m = store.create("m", rand((3, 4), 60))
+        w2 = store.create("w2", rand((4, 1), 61))
+        c = tz.constant(rand((2, 4), 62))
+
+        def build():
+            preds = tz.take_rows(m, [0, 1, 1, 2])
+            out = tz.attn_aggregate_groups(preds, [0, 2], w2)
+            return tz.sum_all(tz.mul(out, c))
+        build().backward()
+        fd = numeric_gradients(build, store, h=1e-6)
+        assert np.abs(store["m"].grad[1]).max() > 0
+        for name in store.names():
+            assert relative_errors(store[name].grad, fd[name]).max() < 1e-8, name
+
     def test_grouped_one_tape_node(self):
         store = tz.ParamStore()
-        q = store.create("q", rand((4, 5), 40))
-        preds = [store.create(f"p{j}", rand((4, 3), 41 + j)) for j in range(2)]
-        w1 = store.create("w1", rand((5, 1), 43))
+        preds = store.create("p", rand((6, 3), 41))
         w2 = store.create("w2", rand((3, 1), 44))
-        out = tz.attn_aggregate_groups(q, preds, w1, w2)
-        assert out.parents == (q, *preds, w1, w2)
+        out = tz.attn_aggregate_groups(preds, [0, 2, 5], w2)
+        assert out.parents == (preds, w2)
+        assert out.shape == (3, 3)
 
     def test_grouped_shape_mismatch(self):
         with pytest.raises(tz.ShapeError):
-            tz.attn_aggregate_groups(tz.constant(rand((2, 4))),
-                                     [tz.constant(rand((3, 4)))],
-                                     tz.constant(rand((4, 1))),
-                                     tz.constant(rand((4, 1))))
+            tz.attn_aggregate_groups(tz.constant(rand((3, 4))), [0],
+                                     tz.constant(rand((3, 1))))
+
+    def test_unordered_starts_rejected(self):
+        w2 = tz.constant(rand((4, 1)))
+        for starts in ([0, 3, 1], [1, 2], [0, 2, 2]):
+            with pytest.raises(tz.ShapeError):
+                tz.attn_aggregate_groups(tz.constant(rand((4, 4))), starts, w2)
 
 
 class TestAdam:
