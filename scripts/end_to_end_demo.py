@@ -9,6 +9,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -61,13 +62,12 @@ def main():
 
     from seqcircuit.tensor import save_checkpoint
 
+    mcfg = cfg.model_config()
+    extra = asdict(mcfg)
     save_checkpoint(os.path.join(args.out, "checkpoint.bin"), params,
-                    extra={"dim": cfg.dim, "seed": cfg.seed,
-                           "reverse_layer": cfg.reverse_layer,
-                           "cycle_tol": cfg.cycle_tol,
-                           "cycle_max_iters": cfg.cycle_max_iters})
+                    extra={"dim": extra.pop("dim"), "seed": cfg.seed, **extra})
 
-    report = mdl.evaluate(params, records, cfg.model_config(), seed=cfg.seed)
+    report = mdl.evaluate(params, records, mcfg, seed=cfg.seed)
     print("pooled avg prediction error per task:")
     for task, value in sorted(report["pooled"].items()):
         print(f"  {task}: {value:.4f}")

@@ -394,10 +394,9 @@ COMMANDS = {
         ("seed", int, 0), ("dim", int, 128), ("batch-size", int, 16),
         ("lr", float, 1e-4), ("epochs-phase1", int, 40),
         ("epochs-phase2", int, 40), ("reverse-layer", bool, True),
-        ("cycle-tol", float, 1e-3), ("cycle-max-iters", int, 3),
-        ("w-recon", float, 1.0), ("w-logic", float, 1.0),
-        ("w-trans", float, 1.0), ("w-func", float, 1.0),
-        ("w-ff-sim", float, 1.0)]),
+        ("cycle-max-iters", int, 3), ("w-recon", float, 1.0),
+        ("w-logic", float, 1.0), ("w-trans", float, 1.0),
+        ("w-func", float, 1.0), ("w-ff-sim", float, 1.0)]),
     "eval": (cmd_eval, "evaluate a checkpoint on a dataset", [
         ("dataset", str, "dataset.jsonl"),
         ("checkpoint", str, "run/checkpoint.bin"), ("out", str, "")]),

@@ -4,15 +4,16 @@ Every node carries three embeddings: structure, function, and sequential
 behavior.  Sources keep parts of their embeddings pinned: structure vectors
 of PIs and FFs never change (they act as pseudo primary inputs), and PI
 function/sequential vectors stay at their workload initialization.  A single
-forward sweep walks the level plan; feedback regions are re-swept a bounded
-number of times; an optional mirrored sweep over reversed edges follows.
+forward sweep walks the level plan; each feedback region is then re-swept a
+fixed number of times (``cycle_max_iters``) with no convergence test; an
+optional mirrored sweep over reversed edges follows.
 The sweep updates in-place row tables, and training runs each mini-batch
 as one sweep over the disjoint union of its circuits.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,12 +33,11 @@ TASKS = ("recon", "logic", "trans", "func", "ff_sim", "flip")
 class ModelConfig:
     dim: int = 128
     reverse_layer: bool = True
-    cycle_tol: float = 1e-3
-    cycle_max_iters: int = 3
+    cycle_max_iters: int = 3  # fixed number of passes over each feedback region
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ModelConfig):
     batch_size: int = 16
     epochs_phase1: int = 40
     epochs_phase2: int = 40
@@ -48,15 +48,10 @@ class TrainConfig:
     w_func: float = 1.0
     w_ff_sim: float = 1.0
     seed: int = 0
-    dim: int = 128
-    reverse_layer: bool = True
-    cycle_tol: float = 1e-3
-    cycle_max_iters: int = 3
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(dim=self.dim, reverse_layer=self.reverse_layer,
-                           cycle_tol=self.cycle_tol,
-                           cycle_max_iters=self.cycle_max_iters)
+        return ModelConfig(**{f.name: getattr(self, f.name)
+                              for f in fields(ModelConfig)})
 
     def weights(self, phase: int) -> dict[str, float]:
         w = {"recon": self.w_recon, "logic": self.w_logic,
@@ -207,7 +202,8 @@ def compile_schedule(g: CircuitGraph, plan: PropagationPlan, reverse: bool):
 
     ``fwd`` and ``rev`` hold one group list per level and ``regions`` one
     list of internal levels per feedback region.  ``region_rows`` are each
-    region's nodes and ``waves`` the regions that run together, in order.
+    region's nodes and ``waves`` the regions that run together, in order,
+    each as (region ids, their levels merged).
     """
     fwd = [_level_groups(g, level, g.fanins) for level in plan.levels[1:]]
     regions = [
@@ -219,7 +215,8 @@ def compile_schedule(g: CircuitGraph, plan: PropagationPlan, reverse: bool):
     rows = [np.array(sorted(r.nodes), dtype=np.int64)
             for r in plan.cyclic_regions]
     return {"fwd": fwd, "regions": regions, "rev": rev, "n": g.n,
-            "region_rows": rows, "waves": [[k] for k in range(len(regions))]}
+            "region_rows": rows,
+            "waves": [([k], levels) for k, levels in enumerate(regions)]}
 
 
 def _merge_levels(parts) -> list[list[tuple]]:
@@ -267,9 +264,9 @@ def merge_schedules(schedules) -> dict:
 
     Node ids of each circuit are shifted by the node counts before it.
     Forward and reverse levels are aligned by level index; the k-th
-    feedback region of every circuit runs in wave k, in lockstep, and each
-    keeps its own convergence test.  The regions are listed circuit by
-    circuit, and so are the forward report's ``region_iters``.
+    feedback region of every circuit runs in wave k, in lockstep, over
+    levels merged here once.  The regions are listed circuit by circuit,
+    and so are the forward report's ``region_iters``.
     """
     offsets = np.cumsum([0] + [s["n"] for s in schedules])
     regions, rows, waves = [], [], []
@@ -284,6 +281,7 @@ def merge_schedules(schedules) -> dict:
                          for s, off in zip(schedules, offsets)])
     rev = _merge_levels([_shift(s["rev"][::-1], off)
                          for s, off in zip(schedules, offsets)])[::-1]
+    waves = [(ids, _merge_levels([regions[r] for r in ids])) for ids in waves]
     return {"fwd": fwd, "regions": regions, "rev": rev,
             "n": int(offsets[-1]), "region_rows": rows, "waves": waves}
 
@@ -353,23 +351,19 @@ def forward_tensors(params: ParamStore, emb: EmbeddingState, cfg: ModelConfig,
     for groups in schedule["fwd"]:
         _sweep_level(st, params, groups, "fwd", report.forward_updates)
 
-    regions, region_rows = schedule["regions"], schedule["region_rows"]
-    report.region_iters = [0] * len(regions)
-    report.region_residuals = [[] for _ in regions]
-    for wave in schedule["waves"]:
-        active = list(wave) if cfg.cycle_max_iters > 0 else []
-        while active:
+    # Each pass's residual is a diagnostic only; the pass count is fixed.
+    region_rows = schedule["region_rows"]
+    report.region_residuals = [[] for _ in region_rows]
+    for ids, levels in schedule["waves"]:
+        for _ in range(cfg.cycle_max_iters):
             # Snapshot first: the tables are overwritten in place.
-            old = {r: [t.data[region_rows[r]] for t in st.tables] for r in active}
-            for groups in _merge_levels([regions[r] for r in active]):
+            old = [[t.data[region_rows[r]] for t in st.tables] for r in ids]
+            for groups in levels:
                 _sweep_level(st, params, groups, "fwd", report.forward_updates)
-            for r in active:
-                report.region_iters[r] += 1
+            for r, before in zip(ids, old):
                 report.region_residuals[r].append(
-                    _region_residual(st, old[r], region_rows[r]))
-            active = [r for r in active
-                      if report.region_residuals[r][-1] >= cfg.cycle_tol
-                      and report.region_iters[r] < cfg.cycle_max_iters]
+                    _region_residual(st, before, region_rows[r]))
+    report.region_iters = [len(res) for res in report.region_residuals]
 
     for groups in schedule["rev"]:
         _sweep_level(st, params, groups, "rev", report.reverse_updates)

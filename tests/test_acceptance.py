@@ -163,8 +163,7 @@ def test_criterion_3_gradient_correctness():
     DIM = 3
 
     def build_ctx():
-        cfg = mdl.ModelConfig(dim=DIM, reverse_layer=True, cycle_tol=0.0,
-                              cycle_max_iters=2)
+        cfg = mdl.ModelConfig(dim=DIM, reverse_layer=True, cycle_max_iters=2)
         params = mdl.init_params(DIM, seed=1, reverse_layer=True)
         rec = mdl.CircuitRecord(graph=g, workload=w,
                                 labels=labels).prepare(cfg, 0, 0)

@@ -7,9 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from seqcircuit.cli import (COMMANDS, boolean, build_parser, load_config_file,
-                            main, resolve_config)
+from seqcircuit import model as mdl
+from seqcircuit.cli import (COMMANDS, _model_config_from_extra, boolean,
+                            build_parser, load_config_file, main,
+                            resolve_config)
 from seqcircuit.power import read_saif
+from seqcircuit.tensor import load_checkpoint, save_checkpoint
 
 
 def run_cli(args, **kw):
@@ -294,7 +297,7 @@ def test_bool_spellings(text, value):
 
 @pytest.mark.parametrize("argv", [
     ["--workers", "2", "sim"], ["inspect", "--workload-seed", "3"],
-    ["inspect", "--workload", "w.json"]])
+    ["inspect", "--workload", "w.json"], ["train", "--cycle-tol", "0.3"]])
 def test_removed_flags_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -306,6 +309,33 @@ def test_workers_config_key_rejected(tmp_path, section):
     cfg = tmp_path / "w.ini"
     cfg.write_text(f"[{section}]\nworkers = 2\n")
     assert main(["--config", str(cfg), section]) == 2
+
+
+def test_cycle_tol_config_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "t.ini"
+    cfg.write_text("[train]\ncycle-tol = 0.3\n")
+    assert main(["--config", str(cfg), "train"]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_checkpoint_with_cycle_tol_loads(tmp_path, corpus):
+    # Checkpoints written while the forward pass had a convergence
+    # tolerance still carry it in their header.
+    dataset = str(tmp_path / "data.jsonl")
+    assert run_cli(["label", "--corpus", corpus, "--out", dataset,
+                    "--patterns", "30", "--cycles", "10", "--f-pairs", "4",
+                    "--ffsim-pairs", "2"]) == 0
+    ckpt = str(tmp_path / "old.bin")
+    save_checkpoint(ckpt, mdl.init_params(8, seed=1),
+                    extra={"dim": 8, "seed": 1, "reverse_layer": True,
+                           "cycle_tol": 1e-3, "cycle_max_iters": 2})
+    mcfg, seed = _model_config_from_extra(load_checkpoint(ckpt)[1])
+    assert (mcfg, seed) == (mdl.ModelConfig(dim=8, cycle_max_iters=2), 1)
+    report = str(tmp_path / "report.json")
+    assert run_cli(["eval", "--dataset", dataset, "--checkpoint", ckpt,
+                    "--out", report]) == 0
+    with open(report) as f:
+        assert len(json.load(f)["per_circuit"]) == 4
 
 
 SAMPLE = {int: "7", float: "0.25", str: "x.txt"}

@@ -82,26 +82,18 @@ class TestForward:
         assert np.array_equal(emb1.sequential, emb2.sequential)
 
     def test_region_updates_bounded(self):
+        # A region runs exactly cycle_max_iters passes, also when that is 0.
         g, ids = toggle_ff()
         plan = levelize(g)
         w = Workload({ids["pi"]: (0.5, 0.5)})
-        cfg = mdl.ModelConfig(dim=8, cycle_max_iters=3, cycle_tol=0.0)
         emb0 = mdl.init_embeddings(g, w, 8, seed=2)
         params = mdl.init_params(8, seed=3)
-        _, rep = forward_arrays(g, plan, params, emb0, cfg)
-        assert rep.forward_updates[ids["ff"]] == 1 + 3
-        assert rep.region_iters == [3]
-        assert len(rep.region_residuals[0]) == 3
-
-    def test_region_tolerance_exit(self):
-        g, ids = toggle_ff()
-        plan = levelize(g)
-        w = Workload({ids["pi"]: (0.5, 0.5)})
-        cfg = mdl.ModelConfig(dim=8, cycle_max_iters=5, cycle_tol=1e9)
-        emb0 = mdl.init_embeddings(g, w, 8, seed=2)
-        params = mdl.init_params(8, seed=3)
-        _, rep = forward_arrays(g, plan, params, emb0, cfg)
-        assert rep.region_iters == [1]  # giant tolerance exits immediately
+        for passes in (0, 1, 3):
+            cfg = mdl.ModelConfig(dim=8, cycle_max_iters=passes)
+            _, rep = forward_arrays(g, plan, params, emb0, cfg)
+            assert rep.forward_updates[ids["ff"]] == 1 + passes
+            assert rep.region_iters == [passes]
+            assert len(rep.region_residuals[0]) == passes
 
     def test_frozen_rows_after_forward(self):
         rec = small_record(seed=5)
@@ -288,7 +280,7 @@ class TestEndToEndGradients:
     def test_small_pipeline_float64(self):
         rec = small_record(seed=26, n_and=4, n_not=2, n_ff=2, feedback=1.0)
         with tz.precision("float64"):
-            cfg = mdl.ModelConfig(dim=3, cycle_tol=0.0, cycle_max_iters=2)
+            cfg = mdl.ModelConfig(dim=3, cycle_max_iters=2)
             rec.prepare(cfg, 0, 0)
             params = mdl.init_params(3, seed=7)
             weights = {"recon": 1.0, "logic": 1.0, "trans": 1.0, "func": 1.0,
@@ -309,16 +301,15 @@ class TestEndToEndGradients:
 
 
 def feedback_records(cfg):
-    """Records whose feedback regions converge after different iteration
-    counts under ``cfg`` (tolerance 0.3, at most 5 iterations), plus one
-    without feedback."""
+    """Three records with feedback regions of different sizes and one
+    without feedback, prepared under ``cfg``."""
     recs = [small_record(seed=s, feedback=0.8) for s in (3, 4, 5)]
     recs.append(small_record(seed=6, feedback=0.0))
     return [r.prepare(cfg, 0, i) for i, r in enumerate(recs)]
 
 
 class TestBatchedSweep:
-    CFG = dict(dim=6, cycle_tol=0.3, cycle_max_iters=5)
+    CFG = dict(dim=6, cycle_max_iters=5)
 
     def test_merged_forward_matches_per_record(self):
         with tz.precision("float64"):
@@ -327,7 +318,6 @@ class TestBatchedSweep:
             params = mdl.init_params(6, seed=1)
             st, offsets, rep = mdl.forward_records(recs, params, cfg)
             merged_iters = list(rep.region_iters)
-            seen_iters = set()
             for rec, off in zip(recs, offsets):
                 one, one_rep = mdl.forward_tensors(params, rec.emb0, cfg,
                                                    schedule=rec.schedule)
@@ -337,9 +327,9 @@ class TestBatchedSweep:
                 k = len(one_rep.region_iters)
                 assert merged_iters[:k] == one_rep.region_iters
                 merged_iters = merged_iters[k:]
-                seen_iters.update(one_rep.region_iters)
             assert merged_iters == []
-            assert len(seen_iters) >= 2  # regions left the lockstep at different times
+            assert rep.region_iters == [cfg.cycle_max_iters] * len(rep.region_iters)
+            assert len(rep.region_iters) >= 2
 
     def test_merged_schedule_has_fewer_groups(self):
         cfg = mdl.ModelConfig(**self.CFG)
@@ -350,6 +340,23 @@ class TestBatchedSweep:
         assert count(merged["rev"]) < sum(count(r.schedule["rev"]) for r in recs)
         assert len(merged["regions"]) == sum(len(r.schedule["regions"]) for r in recs)
         assert merged["n"] == sum(r.graph.n for r in recs)
+
+    def test_forward_merges_no_levels(self, monkeypatch):
+        # Waves are merged when the schedule is built, not on every pass.
+        cfg = mdl.ModelConfig(**self.CFG)
+        recs = feedback_records(cfg)
+        schedule = mdl.merge_schedules([r.schedule for r in recs])
+        assert any(len(ids) > 1 for ids, _ in schedule["waves"])
+
+        def no_merge(parts):
+            raise AssertionError("levels merged inside the forward pass")
+        monkeypatch.setattr(mdl, "_merge_levels", no_merge)
+        emb = mdl.EmbeddingState(*(
+            np.concatenate([getattr(r.emb0, f) for r in recs])
+            for f in ("structure", "function", "sequential")))
+        _, rep = mdl.forward_tensors(mdl.init_params(6, seed=1), emb, cfg,
+                                     schedule=schedule)
+        assert rep.region_iters == [cfg.cycle_max_iters] * len(schedule["regions"])
 
     def test_batch_gradient_is_sum_of_record_gradients(self):
         weights = {t: 1.0 for t in mdl.TASKS}
@@ -475,13 +482,13 @@ class TestSchedule:
                 assert len(got) == len(want)
                 for groups, nodes in zip(got, want):
                     check_level(groups, nodes, fanins, kinds)
-            for wave in schedule["waves"]:
-                joined = mdl._merge_levels([schedule["regions"][r] for r in wave])
+            for ids, joined in schedule["waves"]:
+                assert len(joined) == max(len(regions[r]) for r in ids)
                 for i, groups in enumerate(joined):
-                    nodes = [v for r in wave if i < len(regions[r])
+                    nodes = [v for r in ids if i < len(regions[r])
                              for v in regions[r][i]]
                     check_level(groups, nodes, fanins, kinds)
-        assert any(len(wave) > 1 for wave in merged["waves"])
+        assert any(len(ids) > 1 for ids, _ in merged["waves"])
 
     def test_one_attention_node_per_level_kind_group(self):
         # Fanouts from 1 to 5: splitting levels by neighbour count would
@@ -570,7 +577,7 @@ def flip_records(cfg):
 
 
 class TestFlipTask:
-    CFG = dict(dim=4, cycle_tol=0.0, cycle_max_iters=2)
+    CFG = dict(dim=4, cycle_max_iters=2)
     WEIGHTS = {"flip": 1.0}
 
     def params(self):
