@@ -7,15 +7,21 @@ eligible FF pairs.
 """
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import CircuitGraph, CircuitError, NodeKind
-from .simulate import SimConfig, SimStats, Workload, simulate
+from .schedule import _tarjan_sccs
+from .simulate import (WORD, WORD_BITS, SimConfig, SimStats, Workload,
+                       compiled_order, eval_levels, pack_patterns, simulate)
 
 MAX_PAIR_SUPPORT = 16
+# Working-set bound, in 64-bit words (about 1 MB), of one block of the F-pair
+# count and of one chunk of packed truth tables (rows x words).
+PAIR_CHUNK_WORDS = 1 << 17
 
 # Desk-scale defaults mirroring the per-circuit pair budgets of the training
 # recipe (pairs per circuit, scaled by node count relative to the reference
@@ -133,98 +139,198 @@ def truth_table_distance(g: CircuitGraph, i: int, j: int, sup=None) -> float:
             raise LabelError(f"node {v} is not combinational")
     if sup is None:
         sup = support_masks(g)
-    joint = sup[i] | sup[j]
-    sources = [v for v in range(g.n) if joint >> v & 1]
-    if len(sources) > MAX_PAIR_SUPPORT:
-        raise LabelError(f"joint support {len(sources)} exceeds {MAX_PAIR_SUPPORT}")
-    ti = _eval_over_support(g, i, sources)
-    tj = _eval_over_support(g, j, sources)
-    return float(np.mean(ti != tj))
+    return pair_distances(g, [(i, j)], sup)[0]
 
 
-def _eval_over_support(g: CircuitGraph, target: int, sources: list[int]):
-    size = 1 << len(sources)
-    idx = np.arange(size)
-    memo: dict[int, np.ndarray] = {}
-    for b, s in enumerate(sources):
-        memo[s] = ((idx >> b) & 1).astype(bool)
-
-    order = []
-    seen = set(memo)
-    stack = [target]
-    while stack:  # iterative post-order over the cone
-        v = stack.pop()
-        if v >= 0:
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.append(~v)
-            stack.extend(g.fanins[v])
-        else:
-            order.append(~v)
-    for v in order:
-        if g.kinds[v] == NodeKind.AND:
-            memo[v] = memo[g.fanins[v][0]] & memo[g.fanins[v][1]]
-        elif g.kinds[v] == NodeKind.NOT:
-            memo[v] = ~memo[g.fanins[v][0]]
-        elif v == g.const_id:
-            memo[v] = np.zeros(size, dtype=bool)
-        else:
-            raise LabelError(f"cone of {target} reaches non-source node {v}")
-    return memo[target]
+def _bits(mask: int) -> np.ndarray:
+    """Ascending positions of the set bits of a non-negative int."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                                        bitorder="little"))
 
 
-def eligible_f_pairs(g: CircuitGraph, sup=None) -> list[tuple[int, int]]:
-    if sup is None:
-        sup = support_masks(g)
-    gates = g.gates
-    out = []
-    for ii, i in enumerate(gates):
-        for j in gates[ii + 1:]:
-            if bin(sup[i] | sup[j]).count("1") <= MAX_PAIR_SUPPORT:
-                out.append((i, j))
+@functools.cache
+def _standard_table() -> np.ndarray:
+    """(16, 1024) words: row b is variable b over the 2^16 assignments, set
+    where bit b of the assignment index is (the layout of
+    ``_enumerate_truth``).  The first 2^k bits of rows 0..k-1 enumerate
+    every assignment of k variables."""
+    idx = np.arange(1 << MAX_PAIR_SUPPORT)
+    table = np.stack([pack_patterns((idx >> b & 1).astype(bool))
+                      for b in range(MAX_PAIR_SUPPORT)])
+    table.flags.writeable = False  # one cached copy serves every caller
+    return table
+
+
+def _table_words(k: int) -> int:
+    return max(1, (1 << k) // WORD_BITS)
+
+
+def pair_distances(g: CircuitGraph, pairs, sup) -> list[float]:
+    """Truth-table distances of gate pairs, one ``eval_levels`` per chunk.
+
+    Pair p owns a block of ``_table_words(k)`` words; its k joint sources,
+    in ascending id order, hold the first 2^k bits of the standard table,
+    so the block of every node in its cones is that node's truth table.
+    The distance is the popcount of the XOR over the first 2^k bits, an
+    integer over 2^k.  A chunk's rows are the union of its pairs' cones,
+    and rows x words stays within PAIR_CHUNK_WORDS (one pair may exceed
+    it alone).  ``sup`` holds ``support_masks(g)``; a pair whose joint
+    support exceeds MAX_PAIR_SUPPORT sources raises ``LabelError``.
+    """
+    cones = combinational_cones(g)
+    levels = compiled_order(g)
+    out: list[float] = []
+    start = 0
+    while start < len(pairs):
+        union, words, stop = 0, 0, start
+        while stop < len(pairs):
+            i, j = pairs[stop]
+            k = (sup[i] | sup[j]).bit_count()
+            if k > MAX_PAIR_SUPPORT:
+                raise LabelError(f"joint support {k} exceeds {MAX_PAIR_SUPPORT}")
+            grown = union | cones[i] | cones[j]
+            w = _table_words(k)
+            if stop > start and grown.bit_count() * (words + w) > PAIR_CHUNK_WORDS:
+                break
+            union, words, stop = grown, words + w, stop + 1
+        out += _chunk_distances(g, pairs[start:stop], sup, _bits(union),
+                                words, levels)
+        start = stop
     return out
+
+
+def _chunk_distances(g, pairs, sup, rows, words, levels) -> list[float]:
+    local = np.full(g.n, -1, dtype=np.intp)
+    local[rows] = np.arange(len(rows))
+    chunk_levels = []
+    for out, fa, fb, inv in levels:
+        keep = local[out] >= 0
+        if keep.any():
+            chunk_levels.append((local[out[keep]], local[fa[keep]],
+                                 local[fb[keep]], inv[keep]))
+    table = _standard_table()
+    vals = np.zeros((len(rows), words), dtype=WORD)
+    ks, widths = [], []
+    col = 0
+    for i, j in pairs:
+        src = _bits(sup[i] | sup[j])
+        k, w = len(src), _table_words(len(src))
+        vals[local[src], col:col + w] = table[:k, :w]
+        ks.append(k)
+        widths.append(w)
+        col += w
+    eval_levels(chunk_levels, vals)
+
+    widths = np.array(widths)
+    owner = np.repeat(np.arange(len(pairs)), widths)
+    cols = np.arange(words)
+    li = local[[i for i, _ in pairs]][owner]
+    lj = local[[j for _, j in pairs]][owner]
+    mask = np.array([(1 << (1 << k)) - 1 if k < 6 else (1 << WORD_BITS) - 1
+                     for k in ks], dtype=WORD)[owner]
+    diff = np.bitwise_count((vals[li, cols] ^ vals[lj, cols]) & mask)
+    counts = np.add.reduceat(diff, np.cumsum(widths) - widths, dtype=np.int64)
+    return [int(c) / (1 << k) for c, k in zip(counts, ks)]
+
+
+def _packed_supports(g: CircuitGraph, sup, gates) -> np.ndarray:
+    """(len(gates), W) words of each gate's support, one bit per free source."""
+    sources = [v for v in g.pis + g.ffs if v != g.const_id]
+    col = np.full(g.n, -1, dtype=np.intp)
+    col[sources] = np.arange(len(sources))
+    bits = [col[_bits(sup[v])] for v in gates]
+    rows = np.repeat(np.arange(len(gates)), [len(b) for b in bits])
+    cols = np.concatenate(bits) if bits else np.zeros(0, dtype=np.intp)
+    words = np.zeros((len(gates), -(-len(sources) // WORD_BITS)), dtype=WORD)
+    np.bitwise_or.at(words, (rows, cols // WORD_BITS),
+                     np.left_shift(WORD.type(1), (cols % WORD_BITS).astype(WORD)))
+    return words
+
+
+def _eligible_partners(words: np.ndarray, rows: np.ndarray):
+    """Yield (block of rows, first column, partner mask) over ascending rows.
+
+    Mask row i covers columns ``lo`` onwards of ``words`` and is set at each
+    j > i whose joint support with i has at most MAX_PAIR_SUPPORT sources.
+    A block's joint words stay within PAIR_CHUNK_WORDS.
+    """
+    m, w = words.shape
+    r = 0
+    while r < len(rows):
+        lo = int(rows[r]) + 1
+        step = max(1, PAIR_CHUNK_WORDS // max(1, (m - lo) * w))
+        block = rows[r:r + step]
+        joint = np.bitwise_count(words[block, None, :] | words[None, lo:, :]
+                                 ).sum(axis=2)
+        yield block, lo, (joint <= MAX_PAIR_SUPPORT) & \
+            (np.arange(lo, m) > block[:, None])
+        r += step
 
 
 def sample_f_pairs(g: CircuitGraph, target_count: int | None, seed: int
                    ) -> list[tuple[int, int, float]]:
-    """Uniformly sample eligible combinational pairs and label their distance."""
+    """Uniformly sample eligible combinational pairs and label their distance.
+
+    The eligible pairs (i < j, joint support of at most MAX_PAIR_SUPPORT
+    sources) are counted per gate, never listed: the draw depends only on
+    their number, and each drawn index maps back to its pair through the
+    per-gate prefix sums, in the order of a row-major enumeration.
+    """
     if target_count is None:
         target_count = max(1, round(F_PAIRS_PER_CIRCUIT * g.n / REFERENCE_NODES))
+    if target_count <= 0:
+        return []
     sup = support_masks(g)
-    elig = eligible_f_pairs(g, sup)
-    if not elig or target_count <= 0:
+    gates = np.array([v for v in g.gates
+                      if sup[v].bit_count() <= MAX_PAIR_SUPPORT], dtype=np.intp)
+    words = _packed_supports(g, sup, gates)
+    counts = np.zeros(len(gates), dtype=np.int64)
+    for block, _, mask in _eligible_partners(words, np.arange(len(gates))):
+        counts[block] = mask.sum(axis=1)
+    total = int(counts.sum())
+    if not total:
         return []
     rng = np.random.default_rng([int(seed), 0xF0])
-    take = min(target_count, len(elig))
-    chosen = rng.choice(len(elig), size=take, replace=False)
-    out = []
-    for c in sorted(chosen):
-        i, j = elig[c]
-        out.append((i, j, truth_table_distance(g, i, j, sup)))
-    return out
+    chosen = np.sort(rng.choice(total, size=min(target_count, total),
+                                replace=False))
+    ends = np.cumsum(counts)
+    row = np.searchsorted(ends, chosen, side="right")
+    rank = chosen - (ends[row] - counts[row])
+    partner = np.empty_like(row)
+    for block, lo, mask in _eligible_partners(words, np.unique(row)):
+        # a block holds consecutive drawn rows, in the order of ``row``
+        sel = (row >= block[0]) & (row <= block[-1])
+        first = np.cumsum(counts[block]) - counts[block]
+        cols = np.nonzero(mask)[1]
+        partner[sel] = lo + cols[first[np.searchsorted(block, row[sel])]
+                                 + rank[sel]]
+    pairs = [(int(gates[a]), int(gates[b])) for a, b in zip(row, partner)]
+    dists = pair_distances(g, pairs, sup)
+    return [(i, j, d) for (i, j), d in zip(pairs, dists)]
 
 
 # --- FF pair machinery ------------------------------------------------------
 
 def transitive_pi_support(g: CircuitGraph) -> list[int]:
-    """Per-node bitmask of PIs reachable backward through gates and FFs."""
+    """Per-node bitmask of PIs reachable backward through gates and FFs.
+
+    One pass over the strongly connected components of the fanin graph,
+    in the order Tarjan's algorithm closes them (each after the components
+    of its fanins); the nodes of a component share one mask.
+    """
     sup = [0] * g.n
-    for pi in g.pis:
-        if pi != g.const_id:
-            sup[pi] = 1 << pi
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
+    for comp in _tarjan_sccs(g.n, g.fanins):
+        m = 0
+        for v in comp:
             if g.kinds[v] == NodeKind.PI:
-                continue
-            m = sup[v]
-            for u in g.fanins[v]:
-                m |= sup[u]
-            if m != sup[v]:
-                sup[v] = m
-                changed = True
+                if v != g.const_id:
+                    m |= 1 << v
+            else:
+                for u in g.fanins[v]:
+                    m |= sup[u]
+        for v in comp:
+            sup[v] = m
     return sup
 
 
@@ -286,23 +392,37 @@ def ff_similarity(trace_i: np.ndarray, trace_j: np.ndarray) -> float | None:
 
 def sample_ffsim_pairs(g: CircuitGraph, stats: SimStats,
                        target_count: int | None, seed: int):
-    """Sample eligible FF pairs and label their transition similarity."""
+    """Sample eligible FF pairs and label their transition similarity.
+
+    FFs are grouped on their (transitive PI support, sequential depth) key,
+    so no pair list is built: the draw depends only on the number of
+    eligible pairs, and each drawn index maps back to its pair in the order
+    of an enumeration over (i, later j) with ``ff_pair_eligible``.
+    """
     if target_count is None:
         target_count = max(1, round(FF_PAIRS_PER_CIRCUIT * g.n / REFERENCE_NODES))
-    ffs = g.ffs
     sup = transitive_pi_support(g)
     depth = sequential_depths(g)
-    elig = [(i, j) for ii, i in enumerate(ffs) for j in ffs[ii + 1:]
-            if ff_pair_eligible(g, i, j, sup, depth)]
-    if not elig or target_count <= 0:
+    groups: dict[tuple, list[int]] = {}
+    for f in g.ffs:
+        if sup[f] and depth[f] != float("inf"):
+            groups.setdefault((sup[f], depth[f]), []).append(f)
+    place = sorted((f, members, p) for members in groups.values()
+                   for p, f in enumerate(members))
+    counts = np.array([len(members) - p - 1 for _, members, p in place],
+                      dtype=np.int64)
+    total = int(counts.sum())
+    if not total or target_count <= 0:
         return [], 0
     rng = np.random.default_rng([int(seed), 0xFF])
-    take = min(target_count, len(elig))
-    chosen = rng.choice(len(elig), size=take, replace=False)
+    chosen = np.sort(rng.choice(total, size=min(target_count, total),
+                                replace=False))
+    ends = np.cumsum(counts)
     out = []
     skipped = 0
-    for c in sorted(chosen):
-        i, j = elig[c]
+    for c, r in zip(chosen, np.searchsorted(ends, chosen, side="right")):
+        i, members, p = place[r]
+        j = members[p + 1 + int(c - (ends[r] - counts[r]))]
         sim = ff_similarity(stats.traces[i], stats.traces[j])
         if sim is None:
             skipped += 1

@@ -105,11 +105,18 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    def accumulate_rows(self, idx, g):
-        """Add ``g`` into gradient rows ``idx``; repeated indices add up."""
+    def accumulate_rows(self, idx, g, distinct=False):
+        """Add ``g`` into gradient rows ``idx``; repeated indices add up.
+
+        ``distinct`` rows take a plain in-place add, which sums the same
+        values as ``np.add.at`` without its per-element dispatch.
+        """
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        np.add.at(self.grad, idx, g)
+        if distinct:
+            self.grad[idx] += g
+        else:
+            np.add.at(self.grad, idx, g)
 
     def backward(self):
         """Seed a scalar output with gradient 1 and sweep the tape.
@@ -321,11 +328,12 @@ def concat_cols(parts) -> Tensor:
     return _out(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bwd)
 
 
-def take_rows(a: Tensor, idx) -> Tensor:
+def take_rows(a: Tensor, idx, distinct: bool = False) -> Tensor:
+    """Rows ``idx`` of ``a``; pass ``distinct`` when no index repeats."""
     idx = np.asarray(idx, dtype=np.int64)
 
     def bwd(g):
-        a.accumulate_rows(idx, g)
+        a.accumulate_rows(idx, g, distinct)
     return _out(a.data[idx], (a,), bwd)
 
 
@@ -338,18 +346,19 @@ class RowTable:
     ``take_rows(table.current, idx)``: an older version sees later writes.
     The buffer is a private copy of the initial data.
 
-    All versions share one gradient buffer.  Since ``Tensor.backward`` runs
-    in reverse creation order, when a scatter's backward runs the buffer
-    holds the gradient of the table as that scatter left it; the scatter
-    hands the rows it wrote to its ``rows`` input and zeroes them, and the
-    reads made before it then add theirs.  Rows of one scatter must be
-    distinct.
+    All versions share one gradient buffer, through a holder that does not
+    point back at the table, so a dropped table is freed without the cyclic
+    garbage collector.  Since ``Tensor.backward`` runs in reverse creation
+    order, when a scatter's backward runs the buffer holds the gradient of
+    the table as that scatter left it; the scatter hands the rows it wrote
+    to its ``rows`` input and zeroes them, and the reads made before it then
+    add theirs.  Rows of one scatter must be distinct.
     """
 
     def __init__(self, data):
         self.data = np.array(data, dtype=_dtype)
-        self.grad = None
-        self.current = _TableVersion(self, (), None)
+        self._grad = _GradBuffer()
+        self.current = _TableVersion(self.data, self._grad, (), None)
 
     def scatter(self, idx, rows: Tensor) -> Tensor:
         idx = np.asarray(idx, dtype=np.int64)
@@ -364,21 +373,32 @@ class RowTable:
             buf[idx] = 0
             prev.grad = buf
         needs = _grad_enabled and (prev.requires or rows.requires)
-        self.current = _TableVersion(self, (prev, rows) if needs else (),
+        self.current = _TableVersion(self.data, self._grad,
+                                     (prev, rows) if needs else (),
                                      bwd if needs else None)
         return self.current
+
+
+class _GradBuffer:
+    """The gradient buffer that the versions of one ``RowTable`` share;
+    made on the first accumulation."""
+
+    __slots__ = ("buf",)
+
+    def __init__(self):
+        self.buf = None
 
 
 class _TableVersion(Tensor):
     """One version of a ``RowTable``; its gradient is the table's buffer."""
 
-    __slots__ = ("table",)
+    __slots__ = ("shared",)
 
-    def __init__(self, table: RowTable, parents, backward_fn):
+    def __init__(self, data, shared: _GradBuffer, parents, backward_fn):
         # Written rows were checked when their tensor was made, so the
         # buffer needs no finiteness scan here.
-        self.table = table
-        self.data = table.data
+        self.shared = shared
+        self.data = data
         self.grad = None
         self.parents = parents
         self.backward_fn = backward_fn
@@ -386,17 +406,17 @@ class _TableVersion(Tensor):
         self.seq = next(_creation)
 
     def _buffer(self) -> np.ndarray:
-        t = self.table
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        self.grad = t.grad
-        return t.grad
+        if self.shared.buf is None:
+            self.shared.buf = np.zeros_like(self.data)
+        self.grad = self.shared.buf
+        return self.grad
 
     def accumulate(self, g):
         self._buffer()[...] += g
 
-    def accumulate_rows(self, idx, g):
-        np.add.at(self._buffer(), idx, g)
+    def accumulate_rows(self, idx, g, distinct=False):
+        self._buffer()
+        super().accumulate_rows(idx, g, distinct)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -169,3 +169,107 @@ def attn_reference(query, preds, w1, w2):
     scores = preds @ np.ravel(w2) + float(np.ravel(query) @ np.ravel(w1))
     e = np.exp(scores - scores.max())
     return (e / e.sum()) @ preds
+
+
+def truth_table_reference(g, i, j, sup):
+    """Distance of two gates by walking each cone gate by gate (test oracle).
+
+    Source b of the pair's joint support (ascending ids) takes bit b of the
+    row index over 2^k rows; the pinned constant input reads 0.
+    """
+    sources = [v for v in range(g.n) if (sup[i] | sup[j]) >> v & 1]
+    size = 1 << len(sources)
+    idx = np.arange(size)
+
+    def table(target):
+        memo = {s: ((idx >> b) & 1).astype(bool) for b, s in enumerate(sources)}
+        order, seen, stack = [], set(memo), [target]
+        while stack:  # iterative post-order over the cone
+            v = stack.pop()
+            if v >= 0:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(~v)
+                    stack.extend(g.fanins[v])
+            else:
+                order.append(~v)
+        for v in order:
+            if g.kinds[v] == NodeKind.AND:
+                memo[v] = memo[g.fanins[v][0]] & memo[g.fanins[v][1]]
+            elif g.kinds[v] == NodeKind.NOT:
+                memo[v] = ~memo[g.fanins[v][0]]
+            else:
+                assert v == g.const_id, f"cone of {target} reaches source {v}"
+                memo[v] = np.zeros(size, dtype=bool)
+        return memo[target]
+
+    return float(np.mean(table(i) != table(j)))
+
+
+def f_pair_list(g, sup):
+    """Every gate pair i < j with at most 16 joint sources, in row-major
+    order (test oracle for the counted enumeration)."""
+    gates = g.gates
+    return [(i, j) for ii, i in enumerate(gates) for j in gates[ii + 1:]
+            if bin(sup[i] | sup[j]).count("1") <= 16]
+
+
+def sample_f_pairs_reference(g, target_count, seed):
+    """``sample_f_pairs`` over a listed enumeration and cone walks (test oracle)."""
+    from seqcircuit.labels import support_masks
+
+    sup = support_masks(g)
+    elig = f_pair_list(g, sup)
+    if not elig or target_count <= 0:
+        return []
+    rng = np.random.default_rng([int(seed), 0xF0])
+    chosen = rng.choice(len(elig), size=min(target_count, len(elig)),
+                        replace=False)
+    return [(*elig[c], truth_table_reference(g, *elig[c], sup))
+            for c in sorted(chosen)]
+
+
+def transitive_pi_support_reference(g):
+    """Whole-graph fixpoint of backward PI reachability (test oracle)."""
+    sup = [0] * g.n
+    for pi in g.pis:
+        if pi != g.const_id:
+            sup[pi] = 1 << pi
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            if g.kinds[v] != NodeKind.PI:
+                m = sup[v]
+                for u in g.fanins[v]:
+                    m |= sup[u]
+                if m != sup[v]:
+                    sup[v], changed = m, True
+    return sup
+
+
+def sample_ffsim_pairs_reference(g, stats, target_count, seed):
+    """``sample_ffsim_pairs`` over every FF pair that ``ff_pair_eligible``
+    accepts, in (i, later j) order (test oracle)."""
+    from seqcircuit.labels import (ff_pair_eligible, ff_similarity,
+                                   sequential_depths)
+
+    ffs = g.ffs
+    sup = transitive_pi_support_reference(g)
+    depth = sequential_depths(g)
+    elig = [(i, j) for ii, i in enumerate(ffs) for j in ffs[ii + 1:]
+            if ff_pair_eligible(g, i, j, sup, depth)]
+    if not elig or target_count <= 0:
+        return [], 0
+    rng = np.random.default_rng([int(seed), 0xFF])
+    chosen = rng.choice(len(elig), size=min(target_count, len(elig)),
+                        replace=False)
+    out, skipped = [], 0
+    for c in sorted(chosen):
+        i, j = elig[c]
+        sim = ff_similarity(stats.traces[i], stats.traces[j])
+        if sim is None:
+            skipped += 1
+        else:
+            out.append((i, j, sim))
+    return out, skipped

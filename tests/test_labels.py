@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,48 @@ from seqcircuit import (CircuitBuilder, GenSpec, NodeKind, SimConfig, Workload,
                         build_labelset, ff_pair_eligible, ff_similarity,
                         generate, reconvergence_pairs, sample_f_pairs,
                         truth_table_distance)
-from seqcircuit.labels import (LabelError, LabelSet, eligible_f_pairs,
-                               sequential_depths, support_masks,
-                               transitive_pi_support)
-from tests.conftest import eval_graph
+from seqcircuit import labels
+from seqcircuit.labels import (LabelError, LabelSet, pair_distances,
+                               sample_ffsim_pairs, sequential_depths,
+                               support_masks, transitive_pi_support)
+from seqcircuit.simulate import simulate
+from tests.conftest import (eval_graph, f_pair_list, sample_f_pairs_reference,
+                            sample_ffsim_pairs_reference,
+                            transitive_pi_support_reference,
+                            truth_table_reference)
+
+
+def random_aig(seed, n_pi, n_ff, n_gates, const=True):
+    """Random AIG whose gates draw each fanin from the sources or from
+    recent nodes, so that supports widen with depth, followed by one AND
+    chain over every source in random order, whose gates have supports of
+    2 up to all sources; FF inputs come from random gates."""
+    rng = np.random.default_rng(seed)
+    b = CircuitBuilder()
+    nodes = [b.add_pi() for _ in range(n_pi)]
+    if const:
+        nodes.append(b.const_false())
+    ffs = [b.add_ff() for _ in range(n_ff)]
+    nodes += ffs
+    first_gate = len(nodes)
+
+    def pick():
+        if rng.random() < 0.4:
+            return nodes[int(rng.integers(first_gate))]
+        return nodes[max(0, len(nodes) - int(rng.geometric(0.1)))]
+    for _ in range(n_gates):
+        if rng.random() < 0.25:
+            nodes.append(b.add_not(pick()))
+        else:
+            nodes.append(b.add_and(pick(), pick()))
+    chain = [int(v) for v in rng.permutation(nodes[:first_gate])]
+    acc = chain[0]
+    for v in chain[1:]:
+        acc = b.add_and(acc, v)
+    gates = list(range(first_gate, len(b.kinds)))
+    for f in ffs:
+        b.set_ff_input(f, gates[int(rng.integers(len(gates)))])
+    return b.build()
 
 
 class TestReconvergence:
@@ -138,6 +177,72 @@ class TestTruthTableDistance:
             assert dik <= dij + djk + 1e-12
 
 
+    def _check_batched(self, g, pairs):
+        sup = support_masks(g)
+        want = [truth_table_reference(g, i, j, sup) for i, j in pairs]
+        assert pair_distances(g, pairs, sup) == want
+        assert [truth_table_distance(g, i, j) for i, j in pairs] == want
+
+    def test_batched_matches_cone_walk_small_supports(self):
+        # k < 6: one word per pair, with the bits past 2^k masked; the
+        # pinned constant input sits inside several cones.
+        b = CircuitBuilder()
+        x, y, z = b.add_pi(), b.add_pi(), b.add_pi()
+        c = b.const_false()
+        nc = b.add_not(c)
+        g1 = b.add_and(x, nc)            # x, through NOT(const)
+        g2 = b.add_and(y, c)             # always 0
+        g3 = b.add_not(g2)               # always 1
+        g4 = b.add_and(b.add_not(x), z)
+        g5 = b.add_and(g1, g4)
+        g6 = b.add_not(nc)               # support 0: const only
+        g = b.build()
+        gates = [g1, g2, g3, g4, g5, g6]
+        pairs = list(itertools.combinations(gates, 2))
+        self._check_batched(g, pairs)
+        assert pair_distances(g, [(g2, g3)], support_masks(g)) == [1.0]
+        assert pair_distances(g, [(g2, g6)], support_masks(g)) == [0.0]
+
+    def test_batched_matches_cone_walk_k6_and_k16(self):
+        b = CircuitBuilder()
+        pis = [b.add_pi() for _ in range(16)]
+        c = b.const_false()
+        acc6 = b.add_and(pis[0], pis[1])
+        for p in pis[2:6]:
+            acc6 = b.add_and(b.add_not(acc6), p)
+        par = pis[0]
+        for p in pis[1:16]:  # XOR chain: NOT(AND(NOT(a&~b), NOT(~a&b)))
+            na, nb = b.add_not(par), b.add_not(p)
+            par = b.add_not(b.add_and(b.add_not(b.add_and(par, nb)),
+                                      b.add_not(b.add_and(na, p))))
+        acc16 = b.add_and(pis[15], b.add_not(c))
+        for p in pis[:15]:
+            acc16 = b.add_not(b.add_and(acc16, b.add_not(p)))
+        other6 = b.add_and(pis[5], pis[0])
+        g = b.build()
+        sup = support_masks(g)
+        assert bin(sup[acc6] | sup[other6]).count("1") == 6
+        assert bin(sup[par] | sup[acc16]).count("1") == 16
+        pairs = [(acc6, other6), (other6, acc6), (par, acc16), (acc6, par),
+                 (acc16, acc16), (acc6, acc16)]
+        self._check_batched(g, pairs)
+        assert pair_distances(g, [(par, acc6)], sup)[0] == 0.5
+
+    @pytest.mark.parametrize("chunk_words", [1, 64, labels.PAIR_CHUNK_WORDS])
+    def test_batched_pairs_sharing_cones(self, monkeypatch, chunk_words):
+        # Every eligible pair of one circuit: their cones overlap, so one
+        # chunk's rows serve many pairs at the default bound, and every pair
+        # is alone in its chunk at a bound of one word.
+        monkeypatch.setattr(labels, "PAIR_CHUNK_WORDS", chunk_words)
+        for seed in range(3):
+            g = random_aig(seed, n_pi=9, n_ff=3, n_gates=30)
+            pairs = f_pair_list(g, support_masks(g))
+            pairs += [(j, i) for i, j in pairs[::7]]
+            sup = support_masks(g)
+            want = [truth_table_reference(g, i, j, sup) for i, j in pairs]
+            assert pair_distances(g, pairs, sup) == want
+
+
 class TestFPairSampling:
     def test_single_and_has_no_pairs(self):
         b = CircuitBuilder()
@@ -160,7 +265,7 @@ class TestFPairSampling:
                              feedback_prob=0.5))
         target = 40
         pairs = sample_f_pairs(g, target, seed=7)
-        elig = eligible_f_pairs(g)
+        elig = f_pair_list(g, support_masks(g))
         assert len(pairs) == min(target, len(elig))
         sup = support_masks(g)
         for i, j, d in pairs:
@@ -170,6 +275,43 @@ class TestFPairSampling:
     def test_deterministic(self):
         g = generate(GenSpec(n_pi=4, n_and=20, n_not=8, n_ff=3, seed=5))
         assert sample_f_pairs(g, 25, seed=3) == sample_f_pairs(g, 25, seed=3)
+
+    @pytest.mark.parametrize("chunk_words", [7, labels.PAIR_CHUNK_WORDS])
+    def test_matches_listed_enumeration(self, monkeypatch, chunk_words):
+        # Gates whose own support exceeds 16 sources are in every circuit
+        # here; a bound of 7 words splits the count into many blocks.
+        monkeypatch.setattr(labels, "PAIR_CHUNK_WORDS", chunk_words)
+        for seed in range(4):
+            g = random_aig(seed, n_pi=20, n_ff=4, n_gates=40)
+            sup = support_masks(g)
+            assert any(bin(sup[v]).count("1") > 16 for v in g.gates)
+            for target in (1, 40, 200):
+                assert sample_f_pairs(g, target, seed) \
+                    == sample_f_pairs_reference(g, target, seed)
+
+    def test_working_memory_bounded(self):
+        # About 1.3M pairs of this 2,010-node circuit are eligible: a list of
+        # them took some 80 MB, the blocked count takes a few.
+        g = generate(GenSpec(n_pi=40, n_and=1400, n_not=420, n_ff=150, seed=1))
+        sample_f_pairs(g, 1, 0)  # builds the cached standard table
+        tracemalloc.start()
+        try:
+            pairs = sample_f_pairs(g, None, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == round(labels.F_PAIRS_PER_CIRCUIT * g.n
+                                   / labels.REFERENCE_NODES)
+        assert peak < 16 * 2 ** 20
+
+    def test_defaults_match_listed_enumeration(self):
+        for seed in range(3):
+            g = generate(GenSpec(n_pi=6, n_and=40, n_not=12, n_ff=5,
+                                 seed=seed, feedback_prob=0.5))
+            target = max(1, round(labels.F_PAIRS_PER_CIRCUIT * g.n
+                                  / labels.REFERENCE_NODES))
+            assert sample_f_pairs(g, None, seed) \
+                == sample_f_pairs_reference(g, target, seed)
 
 
 class TestFFPairs:
@@ -227,6 +369,28 @@ class TestFFPairs:
         g = b.build(check=False)
         sup = transitive_pi_support(g)
         assert sup[f2] == 1 << pi
+
+    def test_transitive_support_matches_fixpoint(self):
+        for seed in range(6):
+            g = random_aig(seed, n_pi=5, n_ff=6, n_gates=40, const=seed % 2 == 0)
+            assert transitive_pi_support(g) == transitive_pi_support_reference(g)
+            g = generate(GenSpec(n_pi=3, n_and=30, n_not=10, n_ff=8, seed=seed,
+                                 feedback_prob=0.8))
+            assert transitive_pi_support(g) == transitive_pi_support_reference(g)
+
+    def test_sampling_matches_listed_enumeration(self):
+        # Many FFs on few PIs, so several (support, depth) groups hold more
+        # than two FFs; some FFs see no PI and others sit on a
+        # PI-unreachable loop (infinite depth).
+        for seed in range(6):
+            g = random_aig(seed, n_pi=2, n_ff=14, n_gates=30)
+            stats = simulate(g, Workload.random(g, seed), SimConfig(64, 8, seed))
+            for target in (1, 5, None, 10 ** 6):
+                want = sample_ffsim_pairs_reference(
+                    g, stats, target if target is not None else
+                    max(1, round(labels.FF_PAIRS_PER_CIRCUIT * g.n
+                                 / labels.REFERENCE_NODES)), seed)
+                assert sample_ffsim_pairs(g, stats, target, seed) == want
 
 
 class TestFFSimilarity:
@@ -308,7 +472,7 @@ class TestBuildLabelset:
         ls = build_labelset(g, w, SimConfig(100, 20, 0), f_target=17,
                             ffsim_target=3, seed=5)
         assert len(ls.rc_pairs) == 25
-        assert len(ls.f_pairs) == min(17, len(eligible_f_pairs(g)))
+        assert len(ls.f_pairs) == min(17, len(f_pair_list(g, support_masks(g))))
         assert len(ls.f_pairs) == 17
         assert (0 <= ls.p1).all() and (ls.p1 <= 1).all()
 

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -357,6 +359,26 @@ class TestBatchedSweep:
         _, rep = mdl.forward_tensors(mdl.init_params(6, seed=1), emb, cfg,
                                      schedule=schedule)
         assert rep.region_iters == [cfg.cycle_max_iters] * len(schedule["regions"])
+
+    def test_dropped_forward_frees_tables_without_gc(self):
+        # No reference cycle holds a forward's tables: with the cyclic
+        # collector off, dropping the result frees its (n, d) buffers and
+        # their gradient buffer.
+        cfg = mdl.ModelConfig(**self.CFG)
+        recs = feedback_records(cfg)
+        params = mdl.init_params(6, seed=1)
+        gc.collect()
+        gc.disable()
+        try:
+            st, _, _ = mdl.forward_records(recs, params, cfg)
+            loss = tz.add(tz.sum_all(tz.mul(st.hf, st.hf)), tz.sum_all(st.hq))
+            loss.backward()
+            refs = [weakref.ref(t.data) for t in st.tables]
+            refs.append(weakref.ref(st.tables[1]._grad.buf))
+            del st, loss
+            assert [r() for r in refs] == [None] * 4
+        finally:
+            gc.enable()
 
     def test_batch_gradient_is_sum_of_record_gradients(self):
         weights = {t: 1.0 for t in mdl.TASKS}
