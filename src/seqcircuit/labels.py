@@ -16,7 +16,7 @@ import numpy as np
 from .circuit import CircuitGraph, CircuitError, NodeKind
 from .schedule import _tarjan_sccs
 from .simulate import (WORD, WORD_BITS, SimConfig, SimStats, Workload,
-                       compiled_order, eval_levels, pack_patterns, simulate)
+                       eval_levels, pack_patterns, simulate)
 
 MAX_PAIR_SUPPORT = 16
 # Working-set bound, in 64-bit words (about 1 MB), of one block of the F-pair
@@ -132,14 +132,33 @@ def truth_table_distance(g: CircuitGraph, i: int, j: int, sup=None) -> float:
 
     Both cones are evaluated over an exhaustive assignment of their joint
     source support (FF outputs treated as free inputs); the support size is
-    capped at MAX_PAIR_SUPPORT.  ``sup`` takes precomputed support masks.
+    capped at MAX_PAIR_SUPPORT.  ``sup`` takes precomputed support masks;
+    without them each call builds the masks of the whole graph.  The call
+    walks only the two cones; ``pair_distances`` labels many pairs at once.
     """
     for v in (i, j):
         if g.kinds[v] not in (NodeKind.AND, NodeKind.NOT):
             raise LabelError(f"node {v} is not combinational")
     if sup is None:
         sup = support_masks(g)
-    return pair_distances(g, [(i, j)], sup)[0]
+    level: dict[int, int] = {}
+    expanded = set()
+    stack = [i, j]
+    while stack:  # post-order over the two cones, stopping at the sources
+        v = stack[-1]
+        if v in level:
+            stack.pop()
+        elif g.kinds[v] not in (NodeKind.AND, NodeKind.NOT):
+            level[stack.pop()] = 0
+        elif todo := [u for u in g.fanins[v] if u not in level]:
+            if v in expanded:
+                raise CircuitError(f"combinational loop through node {v}")
+            expanded.add(v)
+            stack += todo
+        else:
+            level[stack.pop()] = 1 + max(level[u] for u in g.fanins[v])
+    rows = np.array(sorted(level), dtype=np.intp)
+    return _chunk_distances([(i, j)], sup, rows, _gate_rows(g, rows, level))[0]
 
 
 def _bits(mask: int) -> np.ndarray:
@@ -166,6 +185,28 @@ def _table_words(k: int) -> int:
     return max(1, (1 << k) // WORD_BITS)
 
 
+def _comb_levels(g: CircuitGraph) -> list[int]:
+    """Per-node combinational level: 0 at the sources (PIs, FF outputs), one
+    above the deepest fanin at a gate."""
+    if len(g.gate_order) < len(g.gates):
+        raise CircuitError("graph fails validation: combinational loop")
+    level = [0] * g.n
+    for v in g.gate_order:
+        level[v] = 1 + max(level[u] for u in g.fanins[v])
+    return level
+
+
+def _gate_rows(g: CircuitGraph, rows, level):
+    """(level, fanin a, fanin b, (m, 1) invert mask) of ``rows``, in the gate
+    encoding of ``compiled_order``; ``level`` maps node ids to levels."""
+    fi = [g.fanins[v] or (v,) for v in rows]
+    inv = [[g.kinds[v] == NodeKind.NOT] for v in rows]
+    return (np.array([level[v] for v in rows], dtype=np.intp),
+            np.array([f[0] for f in fi], dtype=np.intp),
+            np.array([f[-1] for f in fi], dtype=np.intp),
+            np.where(inv, np.iinfo(WORD).max, 0).astype(WORD))
+
+
 def pair_distances(g: CircuitGraph, pairs, sup) -> list[float]:
     """Truth-table distances of gate pairs, one ``eval_levels`` per chunk.
 
@@ -179,59 +220,61 @@ def pair_distances(g: CircuitGraph, pairs, sup) -> list[float]:
     support exceeds MAX_PAIR_SUPPORT sources raises ``LabelError``.
     """
     cones = combinational_cones(g)
-    levels = compiled_order(g)
+    gates = _gate_rows(g, range(g.n), _comb_levels(g))
     out: list[float] = []
     start = 0
     while start < len(pairs):
         union, words, stop = 0, 0, start
         while stop < len(pairs):
             i, j = pairs[stop]
-            k = (sup[i] | sup[j]).bit_count()
-            if k > MAX_PAIR_SUPPORT:
-                raise LabelError(f"joint support {k} exceeds {MAX_PAIR_SUPPORT}")
             grown = union | cones[i] | cones[j]
-            w = _table_words(k)
+            w = _table_words(min((sup[i] | sup[j]).bit_count(),
+                                 MAX_PAIR_SUPPORT))
             if stop > start and grown.bit_count() * (words + w) > PAIR_CHUNK_WORDS:
                 break
             union, words, stop = grown, words + w, stop + 1
-        out += _chunk_distances(g, pairs[start:stop], sup, _bits(union),
-                                words, levels)
+        rows = _bits(union)
+        out += _chunk_distances(pairs[start:stop], sup, rows,
+                                [a[rows] for a in gates])
         start = stop
     return out
 
 
-def _chunk_distances(g, pairs, sup, rows, words, levels) -> list[float]:
-    local = np.full(g.n, -1, dtype=np.intp)
-    local[rows] = np.arange(len(rows))
-    chunk_levels = []
-    for out, fa, fb, inv in levels:
-        keep = local[out] >= 0
-        if keep.any():
-            chunk_levels.append((local[out[keep]], local[fa[keep]],
-                                 local[fb[keep]], inv[keep]))
-    table = _standard_table()
-    vals = np.zeros((len(rows), words), dtype=WORD)
-    ks, widths = [], []
-    col = 0
-    for i, j in pairs:
-        src = _bits(sup[i] | sup[j])
-        k, w = len(src), _table_words(len(src))
-        vals[local[src], col:col + w] = table[:k, :w]
-        ks.append(k)
-        widths.append(w)
-        col += w
-    eval_levels(chunk_levels, vals)
+def _chunk_distances(pairs, sup, rows, gates) -> list[float]:
+    """Distances of ``pairs`` over one packed sweep of ``rows``.
 
-    widths = np.array(widths)
+    ``rows`` are ascending node ids that cover every pair's cones, and
+    ``gates`` is their ``_gate_rows``.  Only the levels the rows sit on are
+    swept.
+    """
+    level, fa, fb, inv = gates
+    srcs = [_bits(sup[i] | sup[j]) for i, j in pairs]
+    ks = np.array([len(src) for src in srcs])
+    if ks.max() > MAX_PAIR_SUPPORT:
+        raise LabelError(f"joint support {ks.max()} exceeds {MAX_PAIR_SUPPORT}")
+    widths = np.array([_table_words(k) for k in ks])
+    out = np.flatnonzero(level)
+    out = out[np.argsort(level[out], kind="stable")]
+    sweep = [(o, np.searchsorted(rows, fa[o]), np.searchsorted(rows, fb[o]),
+              inv[o])
+             for o in np.split(out, np.flatnonzero(np.diff(level[out])) + 1)]
+    table = _standard_table()
+    vals = np.zeros((len(rows), int(widths.sum())), dtype=WORD)
+    col = 0
+    for src, k, w in zip(srcs, ks, widths):
+        vals[np.searchsorted(rows, src), col:col + w] = table[:k, :w]
+        col += w
+    eval_levels(sweep, vals)
+
     owner = np.repeat(np.arange(len(pairs)), widths)
-    cols = np.arange(words)
-    li = local[[i for i, _ in pairs]][owner]
-    lj = local[[j for _, j in pairs]][owner]
+    cols = np.arange(len(owner))
+    li = np.searchsorted(rows, [i for i, _ in pairs])[owner]
+    lj = np.searchsorted(rows, [j for _, j in pairs])[owner]
     mask = np.array([(1 << (1 << k)) - 1 if k < 6 else (1 << WORD_BITS) - 1
                      for k in ks], dtype=WORD)[owner]
     diff = np.bitwise_count((vals[li, cols] ^ vals[lj, cols]) & mask)
     counts = np.add.reduceat(diff, np.cumsum(widths) - widths, dtype=np.int64)
-    return [int(c) / (1 << k) for c, k in zip(counts, ks)]
+    return [int(c) / (1 << int(k)) for c, k in zip(counts, ks)]
 
 
 def _packed_supports(g: CircuitGraph, sup, gates) -> np.ndarray:

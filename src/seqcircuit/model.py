@@ -297,27 +297,27 @@ def _update_group(st: _TensorState, params, kind: NodeKind, vids, csr,
     nbrs, starts, owner = csr
     tag = _kind_tag(kind)
     ts, tf, tq = st.tables
-
-    def own(table):  # a group's node ids are distinct rows
-        return tz.take_rows(table.current, vids, distinct=True)
     hs_n = tz.take_rows(ts.current, nbrs)
     if kind in STRUCT_KINDS:
         base = f"{side}.struct.{tag}"
         msg = tz.attn_aggregate_groups(hs_n, starts, params[f"{base}.attn.w2"],
                                        owner)
-        ts.scatter(vids, tz.gru_cell(msg, own(ts), params, f"{base}.gru"))
+        ts.scatter(vids, tz.gru_cell(msg, tz.take_rows(ts.current, vids),
+                                     params, f"{base}.gru"))
 
     preds_f = tz.concat_cols([hs_n, tz.take_rows(tf.current, nbrs)])
     base = f"{side}.func.{tag}"
     msg_f = tz.attn_aggregate_groups(preds_f, starts, params[f"{base}.attn.w2"],
                                      owner)
-    tf.scatter(vids, tz.gru_cell(msg_f, own(tf), params, f"{base}.gru"))
+    tf.scatter(vids, tz.gru_cell(msg_f, tz.take_rows(tf.current, vids),
+                                 params, f"{base}.gru"))
 
     preds_q = tz.concat_cols([preds_f, tz.take_rows(tq.current, nbrs)])
     base = f"{side}.seq.{tag}"
     msg_q = tz.attn_aggregate_groups(preds_q, starts, params[f"{base}.attn.w2"],
                                      owner)
-    tq.scatter(vids, tz.gru_cell(msg_q, own(tq), params, f"{base}.gru"))
+    tq.scatter(vids, tz.gru_cell(msg_q, tz.take_rows(tq.current, vids),
+                                 params, f"{base}.gru"))
 
 
 def _sweep_level(st, params, groups, side: str, updates: np.ndarray):

@@ -105,18 +105,11 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    def accumulate_rows(self, idx, g, distinct=False):
-        """Add ``g`` into gradient rows ``idx``; repeated indices add up.
-
-        ``distinct`` rows take a plain in-place add, which sums the same
-        values as ``np.add.at`` without its per-element dispatch.
-        """
+    def accumulate_rows(self, idx, g):
+        """Add ``g`` into gradient rows ``idx``; repeated indices add up."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        if distinct:
-            self.grad[idx] += g
-        else:
-            np.add.at(self.grad, idx, g)
+        np.add.at(self.grad, idx, g)
 
     def backward(self):
         """Seed a scalar output with gradient 1 and sweep the tape.
@@ -328,12 +321,11 @@ def concat_cols(parts) -> Tensor:
     return _out(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bwd)
 
 
-def take_rows(a: Tensor, idx, distinct: bool = False) -> Tensor:
-    """Rows ``idx`` of ``a``; pass ``distinct`` when no index repeats."""
+def take_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
 
     def bwd(g):
-        a.accumulate_rows(idx, g, distinct)
+        a.accumulate_rows(idx, g)
     return _out(a.data[idx], (a,), bwd)
 
 
@@ -414,9 +406,8 @@ class _TableVersion(Tensor):
     def accumulate(self, g):
         self._buffer()[...] += g
 
-    def accumulate_rows(self, idx, g, distinct=False):
-        self._buffer()
-        super().accumulate_rows(idx, g, distinct)
+    def accumulate_rows(self, idx, g):
+        np.add.at(self._buffer(), idx, g)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcircuit import (CircuitBuilder, GenSpec, NodeKind, SimConfig, Workload,
-                        build_labelset, ff_pair_eligible, ff_similarity,
-                        generate, reconvergence_pairs, sample_f_pairs,
-                        truth_table_distance)
+from seqcircuit import (CircuitBuilder, CircuitError, GenSpec, NodeKind,
+                        SimConfig, Workload, build_labelset, ff_pair_eligible,
+                        ff_similarity, generate, reconvergence_pairs,
+                        sample_f_pairs, truth_table_distance)
 from seqcircuit import labels
 from seqcircuit.labels import (LabelError, LabelSet, pair_distances,
                                sample_ffsim_pairs, sequential_depths,
@@ -176,7 +176,6 @@ class TestTruthTableDistance:
             dik = truth_table_distance(g, i, k)
             assert dik <= dij + djk + 1e-12
 
-
     def _check_batched(self, g, pairs):
         sup = support_masks(g)
         want = [truth_table_reference(g, i, j, sup) for i, j in pairs]
@@ -241,6 +240,23 @@ class TestTruthTableDistance:
             sup = support_masks(g)
             want = [truth_table_reference(g, i, j, sup) for i, j in pairs]
             assert pair_distances(g, pairs, sup) == want
+
+    def test_combinational_loop_raises(self):
+        b = CircuitBuilder()
+        a, c = b.add_pi(), b.add_pi()
+        g1 = b.add_and(a, a)
+        g2 = b.add_not(g1)
+        g3 = b.add_and(c, g2)
+        g4 = b.add_and(a, c)
+        b.fanins[g1] = (a, g2)  # two-gate loop with no FF
+        g = b.build(check=False)
+        sup = support_masks(g)
+        with pytest.raises(CircuitError, match="combinational loop"):
+            truth_table_distance(g, g3, g4, sup)
+        with pytest.raises(CircuitError, match="combinational loop"):
+            pair_distances(g, [(g3, g4)], sup)
+        # Cones clear of the loop are labelled.
+        assert truth_table_distance(g, g4, g4, sup) == 0.0
 
 
 class TestFPairSampling:
