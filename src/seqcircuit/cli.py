@@ -237,9 +237,9 @@ def cmd_label(cfg, log):
 
 
 def cmd_train(cfg, log):
-    records = mdl.load_dataset(cfg["dataset"])
     tcfg = mdl.TrainConfig(**{f.name: cfg[f.name]
                               for f in fields(mdl.TrainConfig)})
+    records = mdl.load_dataset(cfg["dataset"])
     params, history = mdl.train(records, tcfg,
                                 log_fn=lambda row: log("epoch", **row))
     out_dir = cfg["out_dir"]

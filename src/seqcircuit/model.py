@@ -4,15 +4,17 @@ Every node carries three embeddings: structure, function, and sequential
 behavior.  Sources keep parts of their embeddings pinned: structure vectors
 of PIs and FFs never change (they act as pseudo primary inputs), and PI
 function/sequential vectors stay at their workload initialization.  A single
-forward sweep walks the level plan; each feedback region is then re-swept a
-fixed number of times (``cycle_max_iters``) with no convergence test; an
-optional mirrored sweep over reversed edges follows.
+forward sweep walks the level plan; the feedback regions are then re-swept
+a fixed number of times (``cycle_max_iters``) with no convergence test, in
+waves of regions that share no edge; an optional mirrored sweep over
+reversed edges follows.
 The sweep updates in-place row tables, and training runs each mini-batch
 as one sweep over the disjoint union of its circuits.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,6 +37,9 @@ class ModelConfig:
     reverse_layer: bool = True
     cycle_max_iters: int = 3  # fixed number of passes over each feedback region
 
+    def __post_init__(self):
+        _check_at_least(self, dim=1, cycle_max_iters=0)
+
 
 @dataclass(frozen=True)
 class TrainConfig(ModelConfig):
@@ -49,6 +54,12 @@ class TrainConfig(ModelConfig):
     w_ff_sim: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        super().__post_init__()
+        _check_at_least(self, batch_size=1, epochs_phase1=0, epochs_phase2=0)
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name)
                               for f in fields(ModelConfig)})
@@ -58,6 +69,12 @@ class TrainConfig(ModelConfig):
              "trans": self.w_trans, "func": self.w_func,
              "ff_sim": self.w_ff_sim if phase == 2 else 0.0}
         return w
+
+
+def _check_at_least(cfg, **bounds):
+    for name, low in bounds.items():
+        if getattr(cfg, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
 
 
 @dataclass
@@ -203,7 +220,9 @@ def compile_schedule(g: CircuitGraph, plan: PropagationPlan, reverse: bool):
     ``fwd`` and ``rev`` hold one group list per level and ``regions`` one
     list of internal levels per feedback region.  ``region_rows`` are each
     region's nodes and ``waves`` the regions that run together, in order,
-    each as (region ids, their levels merged).
+    each as (region ids, their levels merged).  A region's wave is its
+    depth in the region contact graph (``_region_waves``), so regions that
+    share no edge run in one wave.
     """
     fwd = [_level_groups(g, level, g.fanins) for level in plan.levels[1:]]
     regions = [
@@ -214,9 +233,33 @@ def compile_schedule(g: CircuitGraph, plan: PropagationPlan, reverse: bool):
             for level in reversed(plan.levels[1:])] if reverse else [])
     rows = [np.array(sorted(r.nodes), dtype=np.int64)
             for r in plan.cyclic_regions]
+    waves = [(ids, _merge_levels([regions[k] for k in ids]))
+             for ids in _region_waves(g, plan.cyclic_regions)]
     return {"fwd": fwd, "regions": regions, "rev": rev, "n": g.n,
-            "region_rows": rows,
-            "waves": [([k], levels) for k, levels in enumerate(regions)]}
+            "region_rows": rows, "waves": waves}
+
+
+def _region_waves(g: CircuitGraph, regions) -> list[list[int]]:
+    """Region ids grouped by depth in the region contact graph, shallowest first.
+
+    Region k is one deeper than the deepest earlier region j < k that it
+    reads or feeds (a node of k has a fanin or fanout in j).  A wave pass
+    rewrites only region rows, and a region reads only its own rows, rows
+    outside every region and rows of the regions it touches.  So regions of
+    one depth share no edge and cannot see each other's updates, while
+    regions that touch keep their index order: the waves give the values of
+    running the regions one by one in index order.
+    """
+    owner = {v: k for k, r in enumerate(regions) for v in r.nodes}
+    depth: list[int] = []
+    for k, r in enumerate(regions):
+        touched = {owner[u] for v in r.nodes
+                   for u in (*g.fanins[v], *g.fanouts[v]) if u in owner}
+        depth.append(1 + max((depth[j] for j in touched if j < k), default=0))
+    waves: list[list[int]] = [[] for _ in range(max(depth, default=0))]
+    for k, d in enumerate(depth):
+        waves[d - 1].append(k)
+    return waves
 
 
 def _merge_levels(parts) -> list[list[tuple]]:
@@ -263,25 +306,27 @@ def merge_schedules(schedules) -> dict:
     """One schedule for the disjoint union of several circuits.
 
     Node ids of each circuit are shifted by the node counts before it.
-    Forward and reverse levels are aligned by level index; the k-th
-    feedback region of every circuit runs in wave k, in lockstep, over
-    levels merged here once.  The regions are listed circuit by circuit,
-    and so are the forward report's ``region_iters``.
+    Forward and reverse levels are aligned by level index; wave k of every
+    circuit runs in wave k of the union, over levels merged here once.
+    Circuits share no edge, so any such alignment keeps each circuit's
+    values.  The regions are listed circuit by circuit, and so are the
+    forward report's ``region_iters``.
     """
     offsets = np.cumsum([0] + [s["n"] for s in schedules])
     regions, rows, waves = [], [], []
     for s, off in zip(schedules, offsets):
-        for k, (levels, r) in enumerate(zip(s["regions"], s["region_rows"])):
+        for k, (ids, levels) in enumerate(s["waves"]):
             if k == len(waves):
-                waves.append([])
-            waves[k].append(len(regions))
-            regions.append(_shift(levels, off))
-            rows.append(r + off)
+                waves.append(([], []))
+            waves[k][0].extend(len(regions) + r for r in ids)
+            waves[k][1].append(_shift(levels, off))
+        regions += [_shift(levels, off) for levels in s["regions"]]
+        rows += [r + off for r in s["region_rows"]]
     fwd = _merge_levels([_shift(s["fwd"], off)
                          for s, off in zip(schedules, offsets)])
     rev = _merge_levels([_shift(s["rev"][::-1], off)
                          for s, off in zip(schedules, offsets)])[::-1]
-    waves = [(ids, _merge_levels([regions[r] for r in ids])) for ids in waves]
+    waves = [(ids, _merge_levels(parts)) for ids, parts in waves]
     return {"fwd": fwd, "regions": regions, "rev": rev,
             "n": int(offsets[-1]), "region_rows": rows, "waves": waves}
 

@@ -132,6 +132,9 @@ WORD_BITS = 64
 # inputs) uniforms stay small, many enough to amortise the per-cycle
 # Markov step over several words.
 PI_CHUNK = 4 * WORD_BITS
+# Bytes of bool traces unpacked at a time, so that unpacking never holds a
+# second copy of every FF's (patterns x cycles) trace.
+TRACE_CHUNK_BYTES = 1 << 20
 
 
 def compiled_order(g: CircuitGraph):
@@ -260,9 +263,18 @@ def pi_words(g: CircuitGraph, w: Workload, cfg: SimConfig):
 
 
 def unpack_traces(ffs, ff_words, n_patterns: int) -> dict[int, np.ndarray]:
-    """(T, n_ff, W) per-cycle FF state words -> {ff: (P, T) bool}."""
-    per_ff = unpack_patterns(ff_words, n_patterns).transpose(1, 2, 0)
-    return dict(zip(ffs, np.ascontiguousarray(per_ff)))
+    """(T, n_ff, W) per-cycle FF state words -> {ff: (P, T) bool}.
+
+    The traces are rows of one (n_ff, P, T) array, filled a chunk of FFs
+    at a time.
+    """
+    T, n_ff, _ = ff_words.shape
+    out = np.empty((n_ff, n_patterns, T), dtype=bool)
+    step = max(1, TRACE_CHUNK_BYTES // (n_patterns * T))
+    for lo in range(0, n_ff, step):
+        out[lo:lo + step] = unpack_patterns(ff_words[:, lo:lo + step],
+                                            n_patterns).transpose(1, 2, 0)
+    return dict(zip(ffs, out))
 
 
 def simulate(g: CircuitGraph, w: Workload, cfg: SimConfig = SimConfig(),

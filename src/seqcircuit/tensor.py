@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import struct
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -147,9 +148,14 @@ def constant(data) -> Tensor:
 
 def _out(data, parents, backward_fn):
     needs = _grad_enabled and any(p.requires for p in parents)
-    return Tensor(data, parents=parents if needs else (),
-                  backward_fn=backward_fn if needs else None,
-                  requires=needs)
+    try:
+        return Tensor(data, parents=parents if needs else (),
+                      backward_fn=backward_fn if needs else None,
+                      requires=needs)
+    except NumericsError:
+        # Only a failure looks up the op: the function that called _out.
+        op = sys._getframe(1).f_code.co_name
+        raise NumericsError(f"non-finite tensor value in {op}") from None
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

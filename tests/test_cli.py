@@ -318,6 +318,42 @@ def test_cycle_tol_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("dim", "0", "dim"), ("dim", "-4", "dim"),
+    ("batch-size", "0", "batch_size"),
+    ("cycle-max-iters", "-1", "cycle_max_iters"),
+    ("lr", "-1", "lr"), ("epochs-phase1", "-1", "epochs_phase1")])
+def test_train_rejects_out_of_range_option(tmp_path, corpus, capsys, flag,
+                                           value, field):
+    dataset = str(tmp_path / "data.jsonl")
+    assert run_cli(["label", "--corpus", corpus, "--out", dataset,
+                    "--patterns", "30", "--cycles", "10", "--f-pairs", "4",
+                    "--ffsim-pairs", "2"]) == 0
+    capsys.readouterr()
+    run_dir = tmp_path / "run"
+    assert main(["train", "--dataset", dataset, "--out-dir", str(run_dir),
+                 "--dim", "8", "--epochs-phase1", "1", "--epochs-phase2", "0",
+                 f"--{flag}", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be"), err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("flag, field", [("epochs", "epochs_phase1"),
+                                         ("lr", "lr")])
+def test_reliab_finetune_rejects_negative_option(tmp_path, corpus, capsys,
+                                                 flag, field):
+    aag = os.path.join(corpus, sorted(os.listdir(corpus))[0])
+    ckpt = str(tmp_path / "m.bin")
+    save_checkpoint(ckpt, mdl.init_params(8, seed=1),
+                    extra={"dim": 8, "seed": 1})
+    assert main(["reliab", "--aig", aag, "--workload-seed", "5",
+                 "--patterns", "20", "--cycles", "5", "--finetune",
+                 "--checkpoint", ckpt, f"--{flag}", "-1",
+                 "--out", str(tmp_path / "flips.jsonl")]) == 2
+    assert f"\nerror: {field} must be" in capsys.readouterr().err
+
+
 def test_checkpoint_with_cycle_tol_loads(tmp_path, corpus):
     # Checkpoints written while the forward pass had a convergence
     # tolerance still carry it in their header.

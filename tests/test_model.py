@@ -10,6 +10,7 @@ from seqcircuit import (CircuitBuilder, GenSpec, SimConfig, Workload,
                         build_labelset, generate, levelize)
 from seqcircuit import model as mdl
 from seqcircuit import tensor as tz
+from seqcircuit.bench import parse_bench
 from seqcircuit.labels import LabelSet
 from tests.conftest import (forward_arrays, numeric_gradients, relative_errors,
                             toggle_ff)
@@ -548,6 +549,129 @@ class TestSchedule:
                 by_arity += sum(attentions(k) for k, _ in keys)
         assert attn_nodes == expected
         assert by_arity > expected
+
+
+def accumulator_bench(width):
+    """BENCH text of a ripple-carry accumulator q <= q + in + cin: each bit's
+    FF closes its own feedback region, and no edge joins two regions."""
+    rows = ["INPUT(cin)"] + [f"INPUT(in{i})" for i in range(width)]
+    rows += [f"OUTPUT(q{i})" for i in range(width)]
+    for i in range(width):
+        q, x, c = f"q{i}", f"in{i}", f"c{i}" if i else "cin"
+        rows += [f"o{i} = OR({q}, {x})", f"n{i} = NAND({q}, {x})",
+                 f"h{i} = AND(o{i}, n{i})", f"r{i} = NOR(h{i}, {c})",
+                 f"a{i} = AND(h{i}, {c})", f"s{i} = NOR(r{i}, a{i})",
+                 f"g{i} = AND({q}, {x})", f"c{i + 1} = OR(g{i}, a{i})",
+                 f"{q} = DFF(s{i})"]
+    return "\n".join(rows) + "\n"
+
+
+def wave_ids(schedule):
+    return [ids for ids, _ in schedule["waves"]]
+
+
+def assert_waves_match_serial(g):
+    """Forward tables of the compiled waves equal, in float64, those of a
+    schedule that runs the regions one by one in index order."""
+    with tz.precision("float64"):
+        cfg = mdl.ModelConfig(dim=6, cycle_max_iters=3)
+        schedule = mdl.compile_schedule(g, levelize(g), True)
+        serial = {**schedule, "waves": [([k], levels) for k, levels
+                                        in enumerate(schedule["regions"])]}
+        emb0 = mdl.init_embeddings(g, Workload.random(g, 1), 6, seed=2)
+        params = mdl.init_params(6, seed=3)
+        got, got_rep = mdl.forward_tensors(params, emb0, cfg, schedule=schedule)
+        want, want_rep = mdl.forward_tensors(params, emb0, cfg, schedule=serial)
+        for a, b in zip(got.tables, want.tables):
+            assert np.abs(a.data - b.data).max() < 1e-12
+        assert got_rep.region_iters == want_rep.region_iters
+        assert np.allclose(got_rep.region_residuals, want_rep.region_residuals,
+                           rtol=1e-12, atol=0)
+    return schedule
+
+
+def two_loops(edge):
+    """Two toggle loops; ``edge`` joins them so that region 1 reads region 0
+    ("fanin"), region 0 reads region 1 ("fanout") or not at all (None)."""
+    b = CircuitBuilder()
+    ff0, ff1 = b.add_ff(), b.add_ff()
+    inv0, inv1 = b.add_not(ff0), b.add_not(ff1)
+    d0 = b.add_and(inv0, inv1) if edge == "fanout" else inv0
+    d1 = b.add_and(inv1, inv0) if edge == "fanin" else inv1
+    b.set_ff_input(ff0, d0)
+    b.set_ff_input(ff1, d1)
+    b.set_outputs([ff0, ff1])
+    return b.build()
+
+
+class TestRegionWaves:
+    def test_generated_circuit_waves_match_serial(self):
+        g = generate(GenSpec(n_pi=4, n_and=30, n_not=10, n_ff=8, seed=5,
+                             feedback_prob=1.0))
+        schedule = assert_waves_match_serial(g)
+        waves = wave_ids(schedule)
+        assert len(schedule["regions"]) == 8
+        assert 1 < len(waves) < 8
+        assert sorted(k for ids in waves for k in ids) == list(range(8))
+
+    def test_accumulator_regions_run_in_one_wave(self):
+        g = parse_bench(accumulator_bench(8))
+        schedule = assert_waves_match_serial(g)
+        assert wave_ids(schedule) == [list(range(8))]
+
+    @pytest.mark.parametrize("edge", ["fanin", "fanout"])
+    def test_touching_regions_keep_index_order(self, edge):
+        g = two_loops(edge)
+        plan = levelize(g)
+        region_of = {v: k for k, r in enumerate(plan.cyclic_regions)
+                     for v in r.nodes}
+        reader = 1 if edge == "fanin" else 0
+        reads = {region_of.get(u) for v in plan.cyclic_regions[reader].nodes
+                 for u in g.fanins[v]}
+        assert 1 - reader in reads
+        schedule = assert_waves_match_serial(g)
+        assert wave_ids(schedule) == [[0], [1]]
+
+    def test_regions_without_edge_share_a_wave(self):
+        schedule = assert_waves_match_serial(two_loops(None))
+        assert wave_ids(schedule) == [[0, 1]]
+
+    def test_merge_lines_up_wave_k(self):
+        cfg = mdl.ModelConfig(dim=4)
+        gens = [dict(n_pi=4, n_and=30, n_not=10, n_ff=8, seed=5),
+                dict(seed=3), dict(seed=0)]
+        recs = [small_record(feedback=1.0, **gen).prepare(cfg, 0, i)
+                for i, gen in enumerate(gens)]
+        per_record = [wave_ids(r.schedule) for r in recs]
+        assert len({len(w) for w in per_record}) > 1
+        merged = mdl.merge_schedules([r.schedule for r in recs])
+        want, base = [], 0
+        for rec, waves in zip(recs, per_record):
+            for k, ids in enumerate(waves):
+                if k == len(want):
+                    want.append([])
+                want[k] += [base + r for r in ids]
+            base += len(rec.schedule["regions"])
+        assert wave_ids(merged) == want
+
+    @pytest.mark.parametrize("width, groups", [(8, 164), (16, 276)])
+    def test_wave_groups_do_not_grow_with_width(self, monkeypatch, width,
+                                                groups):
+        # One wave of 13 merged groups, swept cycle_max_iters = 3 times,
+        # whatever the number of bits (regions); only the forward and
+        # reverse sweeps grow with the carry chain.
+        g = parse_bench(accumulator_bench(width))
+        cfg = mdl.ModelConfig(dim=4)
+        schedule = mdl.compile_schedule(g, levelize(g), cfg.reverse_layer)
+        calls = []
+        update = mdl._update_group
+        monkeypatch.setattr(mdl, "_update_group",
+                            lambda *a: calls.append(1) or update(*a))
+        emb0 = mdl.init_embeddings(g, Workload.random(g, 1), 4)
+        mdl.forward_tensors(mdl.init_params(4), emb0, cfg, schedule=schedule)
+        sweeps = sum(len(level) for level in schedule["fwd"] + schedule["rev"])
+        assert len(calls) == groups
+        assert len(calls) - sweeps == 13 * cfg.cycle_max_iters
 
 
 class TestParameters:

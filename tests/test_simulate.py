@@ -1,3 +1,4 @@
+import importlib
 import os
 from fractions import Fraction
 
@@ -11,6 +12,9 @@ from seqcircuit.simulate import (SimulationError, _enumerate_truth,
                                  read_trace_file, write_trace_file)
 from tests.conftest import (and2, eval_graph, mixed_circuit, reference_run,
                             toggle_ff)
+
+# The package exports the function ``simulate`` under the module's name.
+sim = importlib.import_module("seqcircuit.simulate")
 
 
 class TestMarkovParams:
@@ -150,6 +154,21 @@ class TestKernel:
             assert list(stats.traces) == g.ffs
             for j, ff in enumerate(g.ffs):
                 assert np.array_equal(stats.traces[ff], states[:, j, :].T)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2 * 65 * 3, 1 << 20])
+    def test_unpack_traces_in_chunks(self, monkeypatch, chunk_bytes):
+        # 1 byte: one FF per chunk; 2 * P * T: two per chunk, the last one
+        # short; 1 MB: all five in one chunk.
+        monkeypatch.setattr(sim, "TRACE_CHUNK_BYTES", chunk_bytes)
+        words = np.random.default_rng(4).integers(
+            0, 2 ** 64, size=(3, 5, 2), dtype=np.uint64)
+        traces = sim.unpack_traces([10, 11, 12, 13, 14], words, 65)
+        p = np.arange(65)
+        bits = (words[:, :, p // 64] >> (p % 64).astype(np.uint64)) & 1
+        assert list(traces) == [10, 11, 12, 13, 14]
+        for j, trace in enumerate(traces.values()):
+            assert trace.shape == (65, 3)
+            assert np.array_equal(trace, bits[:, j, :].T.astype(bool))
 
     def test_constant_and_reset_values(self):
         g = mixed_circuit()

@@ -45,6 +45,12 @@ class TestForwardOps:
                 t = tz.constant(np.full((1, 2), 1e30))
                 tz.mul(t, t)
 
+    def test_nonfinite_error_names_op(self):
+        big = np.full((2, 2), 1e30)
+        with tz.precision("float32"), np.errstate(over="ignore"):
+            with pytest.raises(tz.NumericsError, match=r"in matmul$"):
+                tz.matmul(tz.constant(big), tz.constant(big))
+
     def test_shape_mismatch(self):
         with pytest.raises(tz.ShapeError):
             tz.matmul(tz.constant(rand((2, 3))), tz.constant(rand((2, 3))))
