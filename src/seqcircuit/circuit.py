@@ -93,6 +93,21 @@ class CircuitGraph:
         return tuple(order)
 
     @cached_property
+    def levels(self) -> np.ndarray:
+        """Read-only combinational level of every node: 0 at PIs and FF
+        outputs, one above the deepest fanin at a gate.  Raises
+        ``CircuitError`` on a combinational loop."""
+        stuck = len(self.gates) - len(self.gate_order)
+        if stuck:
+            raise CircuitError(f"combinational loop through {stuck} nodes")
+        level = [0] * self.n
+        for v in self.gate_order:
+            level[v] = 1 + max(level[u] for u in self.fanins[v])
+        out = np.array(level, dtype=np.intp)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def id_to_name(self) -> dict[int, str]:
         return {i: name for name, i in self.name_map.items()}
 
@@ -155,6 +170,13 @@ def validate(g: CircuitGraph) -> list[Violation]:
         out.append(Violation(min(stuck), "acyclicity",
                              f"combinational loop through {len(stuck)} nodes"))
     return out
+
+
+def require_valid(g: CircuitGraph):
+    """Raise ``CircuitError`` naming every violation if ``g`` fails ``validate``."""
+    bad = validate(g)
+    if bad:
+        raise CircuitError("graph fails validation: " + "; ".join(map(str, bad)))
 
 
 class CircuitBuilder:

@@ -80,6 +80,18 @@ def write_manifest(out_dir: str, command: str, cfg: dict):
     return path
 
 
+def _emit(cfg, command: str, text: str):
+    """Write ``text`` to ``--out`` with the command's manifest beside it,
+    or to stdout without ``--out``."""
+    out = cfg.get("out")
+    if out:
+        with open(out, "w") as f:
+            f.write(text)
+        write_manifest(os.path.dirname(os.path.abspath(out)), command, cfg)
+    else:
+        sys.stdout.write(text)
+
+
 def boolean(text: str) -> bool:
     """Parse 1/true/yes/on or 0/false/no/off, in any case."""
     low = text.strip().lower()
@@ -184,15 +196,7 @@ def cmd_sim(cfg, log):
         stats = simulate(g, w, sim_cfg)
     doc = stats.to_json_dict(g)
     doc["workload"] = w.to_json_dict()
-    out = cfg.get("out")
-    if out:
-        with open(out, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
-        write_manifest(os.path.dirname(os.path.abspath(out)), "sim", cfg)
-    else:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _emit(cfg, "sim", json.dumps(doc, indent=2) + "\n")
     if cfg.get("saif"):
         duration = sim_cfg.n_patterns * sim_cfg.n_cycles
         with open(cfg["saif"], "w") as f:
@@ -269,15 +273,7 @@ def cmd_eval(cfg, log):
     params, extra = load_checkpoint(cfg["checkpoint"])
     mcfg, seed = _model_config_from_extra(extra)
     report = mdl.evaluate(params, records, mcfg, seed=seed)
-    out = cfg.get("out")
-    if out:
-        with open(out, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
-        write_manifest(os.path.dirname(os.path.abspath(out)), "eval", cfg)
-    else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _emit(cfg, "eval", json.dumps(report, indent=2) + "\n")
     log("eval", **report["pooled"])
     return 0
 
@@ -305,15 +301,7 @@ def cmd_power(cfg, log):
         duration = sim_cfg.n_patterns * sim_cfg.n_cycles
         with open(cfg["saif"], "w") as f:
             f.write(pw.export_saif(g, stats.p1, stats.ptr, duration))
-    out = cfg.get("out")
-    if out:
-        with open(out, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
-        write_manifest(os.path.dirname(os.path.abspath(out)), "power", cfg)
-    else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _emit(cfg, "power", json.dumps(report, indent=2) + "\n")
     log("power", **{k: v for k, v in report.items() if k != "per_workload"})
     return 0
 
@@ -323,22 +311,20 @@ def cmd_reliab(cfg, log):
     w = _load_workload(g, cfg)
     fc = rel.FaultConfig(flip_prob=cfg["flip_prob"], n_patterns=cfg["patterns"],
                          n_cycles=cfg["cycles"], seed=cfg["seed"])
-    labels = rel.reliability_labels(g, w, fc)
-    out = cfg.get("out")
-    if out:
-        with open(out, "w") as f:
-            f.write(labels.to_json_lines(g))
-        write_manifest(os.path.dirname(os.path.abspath(out)), "reliab", cfg)
-    else:
-        sys.stdout.write(labels.to_json_lines(g))
-    log("reliab", mean_p01=float(labels.p01.mean()),
-        mean_p10=float(labels.p10.mean()))
     if cfg.get("finetune"):
+        # Checked before labelling, so that a rejected option writes nothing.
         if not cfg.get("checkpoint"):
             raise CircuitError("--finetune needs --checkpoint")
+        if cfg["epochs"] < 1:
+            raise ValueError(f"epochs must be >= 1, got {cfg['epochs']}")
         params, extra = load_checkpoint(cfg["checkpoint"])
         mcfg, seed = _model_config_from_extra(extra)
         tcfg = mdl.TrainConfig(**asdict(mcfg), lr=cfg["lr"], seed=seed)
+    labels = rel.reliability_labels(g, w, fc)
+    _emit(cfg, "reliab", labels.to_json_lines(g))
+    log("reliab", mean_p01=float(labels.p01.mean()),
+        mean_p10=float(labels.p10.mean()))
+    if cfg.get("finetune"):
         tuned, history = rel.finetune_reliability(params, g, w, labels, tcfg,
                                                   epochs=cfg["epochs"])
         log("reliab_finetune", final_pe=history[-1]["pe_flip"])

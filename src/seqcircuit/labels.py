@@ -16,7 +16,8 @@ import numpy as np
 from .circuit import CircuitGraph, CircuitError, NodeKind
 from .schedule import _tarjan_sccs
 from .simulate import (WORD, WORD_BITS, SimConfig, SimStats, Workload,
-                       eval_levels, pack_patterns, simulate)
+                       eval_levels, gate_sweeps, gate_table, pack_patterns,
+                       simulate)
 
 MAX_PAIR_SUPPORT = 16
 # Working-set bound, in 64-bit words (about 1 MB), of one block of the F-pair
@@ -158,7 +159,8 @@ def truth_table_distance(g: CircuitGraph, i: int, j: int, sup=None) -> float:
         else:
             level[stack.pop()] = 1 + max(level[u] for u in g.fanins[v])
     rows = np.array(sorted(level), dtype=np.intp)
-    return _chunk_distances([(i, j)], sup, rows, _gate_rows(g, rows, level))[0]
+    table = gate_table(g, rows, [level[v] for v in rows])
+    return _chunk_distances([(i, j)], sup, rows, gate_sweeps(rows, table))[0]
 
 
 def _bits(mask: int) -> np.ndarray:
@@ -185,28 +187,6 @@ def _table_words(k: int) -> int:
     return max(1, (1 << k) // WORD_BITS)
 
 
-def _comb_levels(g: CircuitGraph) -> list[int]:
-    """Per-node combinational level: 0 at the sources (PIs, FF outputs), one
-    above the deepest fanin at a gate."""
-    if len(g.gate_order) < len(g.gates):
-        raise CircuitError("graph fails validation: combinational loop")
-    level = [0] * g.n
-    for v in g.gate_order:
-        level[v] = 1 + max(level[u] for u in g.fanins[v])
-    return level
-
-
-def _gate_rows(g: CircuitGraph, rows, level):
-    """(level, fanin a, fanin b, (m, 1) invert mask) of ``rows``, in the gate
-    encoding of ``compiled_order``; ``level`` maps node ids to levels."""
-    fi = [g.fanins[v] or (v,) for v in rows]
-    inv = [[g.kinds[v] == NodeKind.NOT] for v in rows]
-    return (np.array([level[v] for v in rows], dtype=np.intp),
-            np.array([f[0] for f in fi], dtype=np.intp),
-            np.array([f[-1] for f in fi], dtype=np.intp),
-            np.where(inv, np.iinfo(WORD).max, 0).astype(WORD))
-
-
 def pair_distances(g: CircuitGraph, pairs, sup) -> list[float]:
     """Truth-table distances of gate pairs, one ``eval_levels`` per chunk.
 
@@ -220,7 +200,7 @@ def pair_distances(g: CircuitGraph, pairs, sup) -> list[float]:
     support exceeds MAX_PAIR_SUPPORT sources raises ``LabelError``.
     """
     cones = combinational_cones(g)
-    gates = _gate_rows(g, range(g.n), _comb_levels(g))
+    table = gate_table(g, range(g.n), g.levels)
     out: list[float] = []
     start = 0
     while start < len(pairs):
@@ -235,29 +215,23 @@ def pair_distances(g: CircuitGraph, pairs, sup) -> list[float]:
             union, words, stop = grown, words + w, stop + 1
         rows = _bits(union)
         out += _chunk_distances(pairs[start:stop], sup, rows,
-                                [a[rows] for a in gates])
+                                gate_sweeps(rows, [a[rows] for a in table]))
         start = stop
     return out
 
 
-def _chunk_distances(pairs, sup, rows, gates) -> list[float]:
+def _chunk_distances(pairs, sup, rows, sweep) -> list[float]:
     """Distances of ``pairs`` over one packed sweep of ``rows``.
 
     ``rows`` are ascending node ids that cover every pair's cones, and
-    ``gates`` is their ``_gate_rows``.  Only the levels the rows sit on are
+    ``sweep`` is their ``gate_sweeps``: only the levels the rows sit on are
     swept.
     """
-    level, fa, fb, inv = gates
     srcs = [_bits(sup[i] | sup[j]) for i, j in pairs]
     ks = np.array([len(src) for src in srcs])
     if ks.max() > MAX_PAIR_SUPPORT:
         raise LabelError(f"joint support {ks.max()} exceeds {MAX_PAIR_SUPPORT}")
     widths = np.array([_table_words(k) for k in ks])
-    out = np.flatnonzero(level)
-    out = out[np.argsort(level[out], kind="stable")]
-    sweep = [(o, np.searchsorted(rows, fa[o]), np.searchsorted(rows, fb[o]),
-              inv[o])
-             for o in np.split(out, np.flatnonzero(np.diff(level[out])) + 1)]
     table = _standard_table()
     vals = np.zeros((len(rows), int(widths.sum())), dtype=WORD)
     col = 0

@@ -190,27 +190,41 @@ class _TensorState:
     hq = property(lambda self: self.tables[2].current)
 
 
-def _level_groups(g: CircuitGraph, nodes, neighbors) -> list[tuple]:
-    """Group same-level nodes by kind for batched updates.
+_KINDS = tuple(NodeKind)
 
-    A group is (kind, node ids, (neighbour ids, segment starts, owners)):
-    the neighbour lists of its nodes laid end to end, node i's list
-    starting at ``starts[i]``, and for each neighbour entry the position of
-    the node it serves.  Nodes without neighbours are left out.  Within a
-    level no gate feeds another, so batching gates cannot change values;
-    a group reads every neighbour row as it was before the group ran.
+
+def _groups(kinds, csr, nodes, keys, n_keys: int) -> list[list[tuple]]:
+    """``n_keys`` lists of batched update groups; node ``nodes[i]`` joins
+    list ``keys[i]``.
+
+    The nodes are sorted stably by (key, kind), so a list holds one group
+    per kind and a group keeps the given node order.  A group is (kind,
+    node ids, (neighbour ids, segment starts, owners)): the neighbour lists
+    of its nodes, cut from ``csr`` = (degrees, flat neighbour ids), laid
+    end to end, node i's list starting at ``starts[i]``, and for each
+    neighbour entry the position of the node it serves.  Nodes without
+    neighbours are left out.  Within a level no gate feeds another, so
+    batching gates cannot change values; a group reads every neighbour row
+    as it was before the group ran.
     """
-    buckets: dict[NodeKind, list[int]] = {}
-    for v in nodes:
-        if neighbors[v]:
-            buckets.setdefault(g.kinds[v], []).append(v)
-    groups = []
-    for kind, vids in sorted(buckets.items()):
-        sizes = [len(neighbors[v]) for v in vids]
-        nbrs = np.array([u for v in vids for u in neighbors[v]], dtype=np.int64)
-        starts = np.cumsum([0] + sizes[:-1], dtype=np.int64)
-        groups.append((kind, np.array(vids, dtype=np.int64),
-                       (nbrs, starts, tz.segment_owner(starts, len(nbrs)))))
+    deg, flat = csr
+    has = deg[nodes] > 0
+    key = keys[has] * len(NodeKind) + kinds[nodes[has]]
+    order = np.argsort(key, kind="stable")
+    nodes, key = nodes[has][order], key[order]
+    sizes = deg[nodes]
+    ends = np.cumsum(sizes)
+    first = ends - sizes
+    src = np.cumsum(deg) - deg  # each node's first entry in ``flat``
+    nbrs = flat[np.repeat(src[nodes] - first, sizes) + np.arange(sizes.sum())]
+    owner = np.repeat(np.arange(len(nodes)), sizes)
+    groups: list[list[tuple]] = [[] for _ in range(n_keys)]
+    cuts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    for a, b in zip(cuts, cuts[1:] + [len(nodes)]):
+        lo, hi = first[a], ends[b - 1]
+        k, kind = divmod(int(key[a]), len(NodeKind))
+        groups[k].append((_KINDS[kind], nodes[a:b],
+                          (nbrs[lo:hi], first[a:b] - lo, owner[lo:hi] - a)))
     return groups
 
 
@@ -222,25 +236,68 @@ def compile_schedule(g: CircuitGraph, plan: PropagationPlan, reverse: bool):
     region's nodes and ``waves`` the regions that run together, in order,
     each as (region ids, their levels merged).  A region's wave is its
     depth in the region contact graph (``_region_waves``), so regions that
-    share no edge run in one wave.
+    share no edge run in one wave.  ``nodes`` keeps the per-node arrays
+    the groups are cut from, for ``merge_schedules``.
     """
-    fwd = [_level_groups(g, level, g.fanins) for level in plan.levels[1:]]
-    regions = [
-        [_level_groups(g, level, g.fanins) for level in region.internal_levels]
-        for region in plan.cyclic_regions
-    ]
-    rev = ([_level_groups(g, level, g.fanouts)
-            for level in reversed(plan.levels[1:])] if reverse else [])
-    rows = [np.array(sorted(r.nodes), dtype=np.int64)
-            for r in plan.cyclic_regions]
-    waves = [(ids, _merge_levels([regions[k] for k in ids]))
-             for ids in _region_waves(g, plan.cyclic_regions)]
-    return {"fwd": fwd, "regions": regions, "rev": rev, "n": g.n,
-            "region_rows": rows, "waves": waves}
+    level = np.zeros(g.n, dtype=np.int64)
+    for i, nodes in enumerate(plan.levels):
+        level[list(nodes)] = i
+    entries = sorted((k, v, i + 1) for k, r in enumerate(plan.cyclic_regions)
+                     for i, nodes in enumerate(r.internal_levels)
+                     for v in nodes)
+    region, region_node, region_level = np.array(
+        entries, dtype=np.int64).reshape(-1, 3).T
+    nodes = {
+        "kind": np.array(g.kinds, dtype=np.int64), "level": level,
+        "fanin_deg": np.array([len(f) for f in g.fanins], dtype=np.int64),
+        "fanins": np.array([u for f in g.fanins for u in f], dtype=np.int64),
+        "fanout_deg": np.array([len(f) for f in g.fanouts], dtype=np.int64),
+        "fanouts": np.array([u for f in g.fanouts for u in f], dtype=np.int64),
+        "region": region, "region_node": region_node,
+        "region_level": region_level,
+        "wave": _region_waves(g, plan.cyclic_regions),
+    }
+    return _sweeps(nodes, reverse)
 
 
-def _region_waves(g: CircuitGraph, regions) -> list[list[int]]:
-    """Region ids grouped by depth in the region contact graph, shallowest first.
+def _sweeps(a: dict, reverse: bool) -> dict:
+    """The schedule of ``compile_schedule`` from its per-node arrays ``a``.
+
+    Every sweep is one ``_groups`` call.  ``fwd`` sorts by (level, kind,
+    node id) and ``rev`` by the same keys in descending level; region
+    levels sort by (region, internal level, kind, node id) and wave levels
+    by (wave, internal level, kind, region, node id).
+    """
+    kind, level, region, wave = a["kind"], a["level"], a["region"], a["wave"]
+    rows, inner = a["region_node"], a["region_level"] - 1
+    fanins = (a["fanin_deg"], a["fanins"])
+    live = np.flatnonzero(level)  # every node but the PIs
+    top = int(level.max(initial=0))
+    fwd = _groups(kind, fanins, live, level[live] - 1, top)
+    rev = (_groups(kind, (a["fanout_deg"], a["fanouts"]), live,
+                   top - level[live], top) if reverse else [])
+
+    depth = np.zeros(len(wave), dtype=np.int64)
+    np.maximum.at(depth, region, inner + 1)
+    first = np.cumsum(depth) - depth
+    flat = _groups(kind, fanins, rows, first[region] + inner, int(depth.sum()))
+    regions = [flat[f:f + d] for f, d in zip(first, depth)]
+    size = np.bincount(region, minlength=len(wave))
+    region_rows = np.split(rows, np.cumsum(size))[:-1]
+
+    wave_depth = np.zeros(int(wave.max(initial=-1)) + 1, dtype=np.int64)
+    np.maximum.at(wave_depth, wave, depth)
+    first = np.cumsum(wave_depth) - wave_depth
+    flat = _groups(kind, fanins, rows, first[wave[region]] + inner,
+                   int(wave_depth.sum()))
+    waves = [(np.flatnonzero(wave == w).tolist(), flat[f:f + d])
+             for w, (f, d) in enumerate(zip(first, wave_depth))]
+    return {"fwd": fwd, "regions": regions, "rev": rev, "n": len(kind),
+            "region_rows": region_rows, "waves": waves, "nodes": a}
+
+
+def _region_waves(g: CircuitGraph, regions) -> np.ndarray:
+    """Each region's wave: its depth in the region contact graph, from 0.
 
     Region k is one deeper than the deepest earlier region j < k that it
     reads or feeds (a node of k has a fanin or fanout in j).  A wave pass
@@ -255,80 +312,33 @@ def _region_waves(g: CircuitGraph, regions) -> list[list[int]]:
     for k, r in enumerate(regions):
         touched = {owner[u] for v in r.nodes
                    for u in (*g.fanins[v], *g.fanouts[v]) if u in owner}
-        depth.append(1 + max((depth[j] for j in touched if j < k), default=0))
-    waves: list[list[int]] = [[] for _ in range(max(depth, default=0))]
-    for k, d in enumerate(depth):
-        waves[d - 1].append(k)
-    return waves
-
-
-def _merge_levels(parts) -> list[list[tuple]]:
-    """Align level lists by index and regroup each level by kind.
-
-    Same-kind groups are joined: node ids and neighbour lists are
-    concatenated, each part's segment starts move by the neighbour count
-    of the parts before it, and its owners by their node count.
-    """
-    if len(parts) == 1:
-        return parts[0]
-    merged = []
-    for i in range(max(map(len, parts))):
-        buckets: dict[NodeKind, list] = {}
-        for levels in parts:
-            for kind, vids, csr in levels[i] if i < len(levels) else ():
-                buckets.setdefault(kind, []).append((vids, csr))
-        merged.append([(kind, *_join_groups(items))
-                       for kind, items in sorted(buckets.items())])
-    return merged
-
-
-def _join_groups(items):
-    """One group's (node ids, csr) from same-kind (node ids, csr) pairs."""
-    if len(items) == 1:
-        return items[0]
-    vids, csrs = zip(*items)
-    nbrs, starts, owners = zip(*csrs)
-    edge_off = np.cumsum([0] + [len(n) for n in nbrs[:-1]])
-    node_off = np.cumsum([0] + [len(v) for v in vids[:-1]])
-    return (np.concatenate(vids),
-            (np.concatenate(nbrs),
-             np.concatenate([s + e for s, e in zip(starts, edge_off)]),
-             np.concatenate([o + k for o, k in zip(owners, node_off)])))
-
-
-def _shift(levels, off: int) -> list[list[tuple]]:
-    return [[(kind, vids + off, (nbrs + off, starts, owner))
-             for kind, vids, (nbrs, starts, owner) in groups]
-            for groups in levels]
+        depth.append(1 + max((depth[j] for j in touched if j < k), default=-1))
+    return np.array(depth, dtype=np.int64)
 
 
 def merge_schedules(schedules) -> dict:
     """One schedule for the disjoint union of several circuits.
 
-    Node ids of each circuit are shifted by the node counts before it.
-    Forward and reverse levels are aligned by level index; wave k of every
-    circuit runs in wave k of the union, over levels merged here once.
+    The circuits' per-node arrays are joined, with node ids shifted by the
+    node counts before them and region ids by the region counts, and the
+    union's groups are cut from them in one ``_sweeps``.  So level k of
+    every circuit runs in level k of the union, and wave k in wave k.
     Circuits share no edge, so any such alignment keeps each circuit's
     values.  The regions are listed circuit by circuit, and so are the
-    forward report's ``region_iters``.
+    forward report's ``region_iters``.  The union of one circuit is its
+    own schedule.
     """
-    offsets = np.cumsum([0] + [s["n"] for s in schedules])
-    regions, rows, waves = [], [], []
-    for s, off in zip(schedules, offsets):
-        for k, (ids, levels) in enumerate(s["waves"]):
-            if k == len(waves):
-                waves.append(([], []))
-            waves[k][0].extend(len(regions) + r for r in ids)
-            waves[k][1].append(_shift(levels, off))
-        regions += [_shift(levels, off) for levels in s["regions"]]
-        rows += [r + off for r in s["region_rows"]]
-    fwd = _merge_levels([_shift(s["fwd"], off)
-                         for s, off in zip(schedules, offsets)])
-    rev = _merge_levels([_shift(s["rev"][::-1], off)
-                         for s, off in zip(schedules, offsets)])[::-1]
-    waves = [(ids, _merge_levels(parts)) for ids, parts in waves]
-    return {"fwd": fwd, "regions": regions, "rev": rev,
-            "n": int(offsets[-1]), "region_rows": rows, "waves": waves}
+    if len(schedules) == 1:
+        return schedules[0]
+    node = np.cumsum([0] + [s["n"] for s in schedules[:-1]])
+    region = np.cumsum([0] + [len(s["region_rows"]) for s in schedules[:-1]])
+    shift = {"fanins": node, "fanouts": node, "region_node": node,
+             "region": region}
+    parts = [s["nodes"] for s in schedules]
+    joined = {key: np.concatenate([p[key] + off for p, off in
+                                   zip(parts, shift.get(key, 0 * node))])
+              for key in parts[0]}
+    return _sweeps(joined, any(s["rev"] for s in schedules))
 
 
 def _update_group(st: _TensorState, params, kind: NodeKind, vids, csr,

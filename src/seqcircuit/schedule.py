@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .circuit import CircuitGraph, CircuitError, NodeKind, validate
+import numpy as np
+
+from .circuit import CircuitGraph, NodeKind, require_valid
 
 
 @dataclass(frozen=True)
@@ -44,32 +46,20 @@ class PropagationPlan:
         return json.dumps(doc, indent=2)
 
 
-def _source_level(g, levels, u):
-    # FF outputs and PIs feed consumers at level 0 regardless of their own
-    # scheduled update level.
-    if g.kinds[u] in (NodeKind.PI, NodeKind.FF):
-        return 0
-    return levels[u]
-
-
 def levelize(g: CircuitGraph) -> PropagationPlan:
-    """Build the full propagation plan (levels, FF order, cyclic regions)."""
+    """Build the full propagation plan (levels, FF order, cyclic regions).
+
+    Gates sit on their ``g.levels`` and PIs on level 0; an FF updates one
+    level after its D input settles, at ``1 + g.levels[D]``.
+    """
     regions = detect_cycles(g)  # validates g, once per plan
-    n = g.n
-    level = [0] * n
-    for v in (*g.gate_order, *g.ffs):
-        level[v] = 1 + max(_source_level(g, level, u) for u in g.fanins[v])
+    level = g.levels.copy()
+    level[g.ffs] = 1 + g.levels[[g.fanins[f][0] for f in g.ffs]]
+    order = np.argsort(level, kind="stable")
+    cuts = np.cumsum(np.bincount(level, minlength=1))[:-1]
+    levels = tuple(tuple(b.tolist()) for b in np.split(order, cuts))
 
-    max_level = max((level[v] for v in range(n) if g.kinds[v] != NodeKind.PI),
-                    default=0)
-    buckets: list[list[int]] = [[] for _ in range(max_level + 1)]
-    for v in range(n):
-        if g.kinds[v] == NodeKind.PI:
-            buckets[0].append(v)
-        else:
-            buckets[level[v]].append(v)
-    levels = tuple(tuple(sorted(b)) for b in buckets)
-
+    level = level.tolist()
     ffs_sorted = tuple(sorted(g.ffs, key=lambda f: (level[f], f)))
     regions = tuple(sorted(regions,
                            key=lambda r: (min(level[v] for v in r.nodes),
@@ -129,9 +119,7 @@ def detect_cycles(g: CircuitGraph) -> list[CyclicRegion]:
 
     Raises ``CircuitError`` if the graph fails validation.
     """
-    bad = validate(g)
-    if bad:
-        raise CircuitError("graph fails validation: " + "; ".join(map(str, bad)))
+    require_valid(g)
     sccs = _tarjan_sccs(g.n, g.fanouts)
     regions = []
     for comp in sccs:

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CircuitGraph, NodeKind
-from .schedule import levelize
+from .circuit import CircuitGraph, NodeKind, require_valid
 
 TRACE_MAGIC = b"SQTR"
 PI_STREAM = 0
@@ -137,24 +136,45 @@ PI_CHUNK = 4 * WORD_BITS
 TRACE_CHUNK_BYTES = 1 << 20
 
 
-def compiled_order(g: CircuitGraph):
-    """Per-level gate index arrays (outputs, fanin a, fanin b, invert mask).
+def gate_table(g: CircuitGraph, rows, level):
+    """(level, fanin a, fanin b, (m, 1) invert mask) arrays of ``rows``,
+    whose combinational levels (0 at the sources) are ``level``.
 
     A NOT is an AND of its fanin with itself, inverted: its mask row is all
-    ones where an AND's is zero.  Every fanin of a level's gates is a source
-    (PI or FF output) or lies on an earlier level, so each level evaluates in
-    one step.
+    ones where an AND's is zero.  A node without fanins stands in for its
+    own.
     """
-    out = []
-    for lvl in levelize(g).levels[1:]:
-        gates = [v for v in lvl if g.kinds[v] in (NodeKind.AND, NodeKind.NOT)]
-        if gates:
-            inv = np.array([[g.kinds[v] == NodeKind.NOT] for v in gates])
-            out.append((np.array(gates, dtype=np.intp),
-                        np.array([g.fanins[v][0] for v in gates], dtype=np.intp),
-                        np.array([g.fanins[v][-1] for v in gates], dtype=np.intp),
-                        np.where(inv, np.iinfo(WORD).max, 0).astype(WORD)))
-    return out
+    fanins = [g.fanins[v] or (v,) for v in rows]
+    inv = np.array([g.kinds[v] == NodeKind.NOT for v in rows], dtype=bool)
+    return (np.asarray(level),
+            np.array([f[0] for f in fanins], dtype=np.intp),
+            np.array([f[-1] for f in fanins], dtype=np.intp),
+            np.where(inv, np.iinfo(WORD).max, 0).astype(WORD)[:, None])
+
+
+def gate_sweeps(rows, table):
+    """Per-level gate index arrays (outputs, fanin a, fanin b, invert mask)
+    of the gates among ``rows``, shallowest level first.
+
+    ``rows`` are ascending node ids that hold every fanin of their gates,
+    ``table`` is their ``gate_table``, and every index is a position in
+    ``rows``.  Every fanin of a level's gates is a source or lies on an
+    earlier level, so each level evaluates in one step.
+    """
+    level, fa, fb, inv = table
+    out = np.flatnonzero(level)
+    out = out[np.argsort(level[out], kind="stable")]
+    cols = (out, np.searchsorted(rows, fa[out]), np.searchsorted(rows, fb[out]),
+            inv[out])
+    cuts = np.flatnonzero(np.diff(level[out], prepend=0)).tolist() + [len(out)]
+    return [tuple(c[a:b] for c in cols) for a, b in zip(cuts, cuts[1:])]
+
+
+def compiled_order(g: CircuitGraph):
+    """``gate_sweeps`` of the whole graph, which must pass ``validate``."""
+    require_valid(g)
+    rows = np.arange(g.n)
+    return gate_sweeps(rows, gate_table(g, rows, g.levels))
 
 
 def eval_levels(levels, vals, flip=None):
@@ -182,8 +202,7 @@ def run_cycles(g: CircuitGraph, levels, inputs, flips=None):
     pis = np.array(g.workload_pis(), dtype=np.intp)
     ffs = np.array(g.ffs, dtype=np.intp)
     nxt = np.array([g.fanins[ff][0] for ff in g.ffs], dtype=np.intp)
-    sources = np.array([v for v in range(g.n)
-                        if g.kinds[v] in (NodeKind.PI, NodeKind.FF)], dtype=np.intp)
+    sources = np.flatnonzero(g.levels == 0)  # PIs and FF outputs
     T, _, W = inputs.shape
     vals = np.zeros((g.n, W), dtype=WORD)
     state = np.zeros((len(ffs), W), dtype=WORD)

@@ -339,19 +339,26 @@ def test_train_rejects_out_of_range_option(tmp_path, corpus, capsys, flag,
     assert not run_dir.exists()
 
 
-@pytest.mark.parametrize("flag, field", [("epochs", "epochs_phase1"),
-                                         ("lr", "lr")])
+@pytest.mark.parametrize("flag, field, value", [
+    pytest.param("epochs", "epochs", "-1", id="epochs-epochs"),
+    pytest.param("lr", "lr", "-1", id="lr-lr"),
+    # zero epochs would leave no history row to report
+    pytest.param("epochs", "epochs", "0", id="epochs-zero")])
 def test_reliab_finetune_rejects_negative_option(tmp_path, corpus, capsys,
-                                                 flag, field):
+                                                 flag, field, value):
+    # The options are checked before labelling: nothing is written.
     aag = os.path.join(corpus, sorted(os.listdir(corpus))[0])
     ckpt = str(tmp_path / "m.bin")
     save_checkpoint(ckpt, mdl.init_params(8, seed=1),
                     extra={"dim": 8, "seed": 1})
+    out = tmp_path / "out" / "flips.jsonl"
     assert main(["reliab", "--aig", aag, "--workload-seed", "5",
                  "--patterns", "20", "--cycles", "5", "--finetune",
-                 "--checkpoint", ckpt, f"--{flag}", "-1",
-                 "--out", str(tmp_path / "flips.jsonl")]) == 2
-    assert f"\nerror: {field} must be" in capsys.readouterr().err
+                 "--checkpoint", ckpt, f"--{flag}", value,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert not out.exists()
+    assert not (out.parent / "reliab.manifest.json").exists()
 
 
 def test_checkpoint_with_cycle_tol_loads(tmp_path, corpus):

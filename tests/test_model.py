@@ -351,9 +351,9 @@ class TestBatchedSweep:
         schedule = mdl.merge_schedules([r.schedule for r in recs])
         assert any(len(ids) > 1 for ids, _ in schedule["waves"])
 
-        def no_merge(parts):
-            raise AssertionError("levels merged inside the forward pass")
-        monkeypatch.setattr(mdl, "_merge_levels", no_merge)
+        def no_merge(*args):
+            raise AssertionError("levels grouped inside the forward pass")
+        monkeypatch.setattr(mdl, "_groups", no_merge)
         emb = mdl.EmbeddingState(*(
             np.concatenate([getattr(r.emb0, f) for r in recs])
             for f in ("structure", "function", "sequential")))
@@ -470,18 +470,18 @@ def union_lists(recs):
 
 
 def check_level(groups, nodes, neighbours, kinds):
-    """At most one group per kind; together the groups hold exactly the
-    level's nodes with neighbours, each with its neighbour list in order."""
-    assert len({kind for kind, _, _ in groups}) == len(groups)
-    covered = []
+    """One group per kind, in kind order; each holds the level's nodes of
+    its kind that have neighbours, in the order of ``nodes``, each with its
+    neighbour list in order."""
+    live = [v for v in nodes if neighbours[v]]
+    want = [(kind, [v for v in live if kinds[v] == kind])
+            for kind in sorted({kinds[v] for v in live})]
+    assert [(kind, list(vids)) for kind, vids, _ in groups] == want
     for kind, vids, (nbrs, starts, owner) in groups:
-        assert all(kinds[v] == kind for v in vids)
         ends = list(starts[1:]) + [len(nbrs)]
         for v, lo, hi in zip(vids, starts, ends):
             assert list(nbrs[lo:hi]) == neighbours[v]
         assert np.array_equal(owner, tz.segment_owner(starts, len(nbrs)))
-        covered += list(vids)
-    assert sorted(covered) == sorted(v for v in nodes if neighbours[v])
 
 
 class TestSchedule:

@@ -3,8 +3,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcircuit import (CircuitBuilder, GenSpec, NodeKind, detect_cycles,
-                        generate, levelize, parse_bench)
+from seqcircuit import (CircuitBuilder, CircuitError, GenSpec, NodeKind,
+                        SimConfig, Workload, detect_cycles, generate, levelize,
+                        parse_bench, simulate)
 from tests.test_bench import S27
 from tests.conftest import toggle_ff
 
@@ -75,6 +76,81 @@ def test_levels_partition_non_sources():
                 src = 0 if g.kinds[u] in (NodeKind.PI, NodeKind.FF) \
                     else node_level[u]
                 assert node_level[v] > src
+
+
+def assert_exact_levels(g):
+    """Every non-PI node sits exactly one level above its deepest source,
+    where PIs and FF outputs count as 0, and ``g.levels`` holds the gates'
+    levels of the plan and 0 at the PIs and FFs."""
+    node_level = levelize(g).node_level()
+    for v in range(g.n):
+        if g.kinds[v] == NodeKind.PI:
+            assert node_level[v] == 0
+            continue
+        src = [0 if g.kinds[u] in (NodeKind.PI, NodeKind.FF) else node_level[u]
+               for u in g.fanins[v]]
+        assert node_level[v] == 1 + max(src)
+    gates = set(g.gates)
+    assert g.levels.tolist() == [node_level[v] if v in gates else 0
+                                 for v in range(g.n)]
+
+
+def test_levels_are_exact():
+    for seed in range(8):
+        assert_exact_levels(generate(GenSpec(n_pi=4, n_and=30, n_not=10,
+                                             n_ff=6, seed=seed,
+                                             feedback_prob=0.5)))
+    assert_exact_levels(parse_bench(S27))
+
+
+def test_ff_fed_by_ff_updates_at_level_one():
+    b = CircuitBuilder()
+    pi = b.add_pi()
+    f1, f2 = b.add_ff(), b.add_ff()
+    g1 = b.add_and(pi, f2)
+    g2 = b.add_not(g1)
+    b.set_ff_input(f1, g2)
+    b.set_ff_input(f2, f1)  # reads f1's output, not its update level
+    b.set_outputs([f2])
+    g = b.build()
+    assert_exact_levels(g)
+    assert levelize(g).levels == ((pi,), (f2, g1), (g2,), (f1,))
+
+
+def test_levels_are_read_only():
+    g = parse_bench(S27)
+    with pytest.raises(ValueError):
+        g.levels[0] = 1
+
+
+def _loop_graph():
+    b = CircuitBuilder()
+    a = b.add_pi()
+    g1 = b.add_and(a, a)
+    g2 = b.add_not(g1)
+    b.fanins[g1] = (a, g2)  # two-gate loop with no FF
+    b.set_outputs([g2])
+    return b.build(check=False)
+
+
+def _bad_arity_graph():
+    b = CircuitBuilder()
+    a = b.add_pi()
+    g1 = b.add_and(a, a)
+    b.fanins[g1] = (a,)
+    b.set_outputs([g1])
+    return b.build(check=False)
+
+
+@pytest.mark.parametrize("make, rule", [(_loop_graph, "acyclicity"),
+                                        (_bad_arity_graph, "arity")])
+def test_simulate_rejects_invalid_graph(make, rule):
+    g = make()
+    with pytest.raises(CircuitError, match=f"fails validation: .*{rule}"):
+        simulate(g, Workload.random(g, 0), SimConfig(n_patterns=8, n_cycles=2))
+    if rule == "acyclicity":
+        with pytest.raises(CircuitError, match="combinational loop"):
+            g.levels
 
 
 def test_pipeline_has_no_regions():
