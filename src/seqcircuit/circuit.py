@@ -96,12 +96,15 @@ class CircuitGraph:
     def levels(self) -> np.ndarray:
         """Read-only combinational level of every node: 0 at PIs and FF
         outputs, one above the deepest fanin at a gate.  Raises
-        ``CircuitError`` on a combinational loop."""
+        ``CircuitError`` on a combinational loop or a gate without fanins."""
         stuck = len(self.gates) - len(self.gate_order)
         if stuck:
             raise CircuitError(f"combinational loop through {stuck} nodes")
         level = [0] * self.n
         for v in self.gate_order:
+            if not self.fanins[v]:
+                raise CircuitError(str(Violation(
+                    v, "arity", f"{self.kinds[v].name} has no fanins")))
             level[v] = 1 + max(level[u] for u in self.fanins[v])
         out = np.array(level, dtype=np.intp)
         out.flags.writeable = False
@@ -333,22 +336,18 @@ def generate(spec: GenSpec, return_summary: bool = False):
 
     plan = ["AND"] * spec.n_and + ["NOT"] * spec.n_not
     rng.shuffle(plan)
-    inverted: set[int] = set()
+    # Nodes a NOT may still invert, in id order: every non-NOT node that no
+    # NOT reads yet.
+    invertible = pis + ffs
     skipped_not = 0
     for op in plan:
-        pool = list(range(len(b.kinds)))
         if op == "AND":
-            a, c = rng.choice(len(pool), size=2, replace=False)
-            b.add_and(pool[a], pool[c])
+            a, c = rng.choice(len(b.kinds), size=2, replace=False)
+            invertible.append(b.add_and(int(a), int(c)))
+        elif invertible:
+            b.add_not(invertible.pop(rng.integers(len(invertible))))
         else:
-            cand = [x for x in pool
-                    if b.kinds[x] != NodeKind.NOT and x not in inverted]
-            if not cand:
-                skipped_not += 1
-                continue
-            src = cand[rng.integers(len(cand))]
-            b.add_not(src)
-            inverted.add(src)
+            skipped_not += 1
 
     flags = list(rng.random(spec.n_ff) < spec.feedback_prob)
     if spec.feedback_prob > 0 and spec.n_ff > 0 and not any(flags):

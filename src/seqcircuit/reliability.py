@@ -8,6 +8,7 @@ labels are the observed 0-to-1 and 1-to-0 flip rates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,8 +18,12 @@ from . import tensor as tz
 from .circuit import CircuitGraph
 from .labels import LabelSet
 from .simulate import (FAULT_STREAM, WORD, WORD_BITS, SimConfig, Workload,
-                       compiled_order, count_ones, draw_words, pattern_mask,
-                       pattern_uniforms, pi_words, run_cycles, unpack_traces)
+                       compiled_order, count_ones, pattern_mask, pi_words,
+                       run_cycles, unpack_traces)
+
+# Most geometric gaps drawn at once, so that a fault draw's working memory
+# is bounded at any flip probability.
+FAULT_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,35 @@ class FlipLabels:
         return "\n".join(rows) + "\n"
 
 
+def fault_words(seed: int, flip_prob: float, shape, n_words: int):
+    """(*shape, n_words) packed XOR masks whose bits are set independently
+    with probability ``flip_prob`` in (0, 1).
+
+    Word w has its own stream, seeded [seed, w, FAULT_STREAM].  It draws the
+    Geometric(flip_prob) gaps between set bits over the flat (*shape,
+    pattern-in-word) index, at most ``FAULT_BATCH`` at a time, so the masks
+    of P patterns are the first P patterns of any longer run.
+    """
+    rows = math.prod(shape)
+    size = rows * WORD_BITS
+    masks = np.zeros(rows * n_words, dtype=WORD)
+    mean = size * flip_prob
+    batch = min(FAULT_BATCH, int(mean + 6.0 * math.sqrt(mean)) + 1)
+    for word in range(n_words):
+        rng = np.random.default_rng([seed, word, FAULT_STREAM])
+        last = -1
+        while last < size:
+            # A gap past the end ends the draw; clipping it keeps the sum
+            # from overflowing.
+            hits = last + np.cumsum(np.minimum(rng.geometric(flip_prob, batch),
+                                               size + 1))
+            last = int(hits[-1])
+            row, bit = np.divmod(hits[hits < size], WORD_BITS)
+            np.bitwise_or.at(masks, row * n_words + word,
+                             WORD.type(1) << bit.astype(WORD))
+    return masks.reshape(*shape, n_words)
+
+
 def reliability_labels(g: CircuitGraph, w: Workload, fc: FaultConfig,
                        return_traces: bool = False):
     """Estimate per-node flip rates from paired fault-free/faulty runs.
@@ -86,11 +120,7 @@ def reliability_labels(g: CircuitGraph, w: Workload, fc: FaultConfig,
     words = pi_words(g, w, fc.sim_config())
     flips = None
     if fc.flip_prob > 0.0:
-        # One word of patterns per chunk: its thresholded draws are a
-        # (cycles, nodes, 64) bool block.
-        flips = draw_words(P, lambda lo, hi: np.stack(
-            [pattern_uniforms(fc.seed, p, FAULT_STREAM, (T, g.n)) < fc.flip_prob
-             for p in range(lo, hi)], axis=-1), WORD_BITS)
+        flips = fault_words(fc.seed, fc.flip_prob, (T, g.n), words.shape[-1])
     mask = pattern_mask(P)
 
     n1, n01, n10 = (np.zeros(g.n, dtype=np.int64) for _ in range(3))

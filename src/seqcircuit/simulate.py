@@ -127,10 +127,6 @@ def pattern_uniforms(seed: int, pattern: int, stream: int, shape):
 
 WORD = np.dtype("<u8")
 WORD_BITS = 64
-# Patterns per stimulus draw: few enough that a chunk's (patterns, cycles,
-# inputs) uniforms stay small, many enough to amortise the per-cycle
-# Markov step over several words.
-PI_CHUNK = 4 * WORD_BITS
 # Bytes of bool traces unpacked at a time, so that unpacking never holds a
 # second copy of every FF's (patterns x cycles) trace.
 TRACE_CHUNK_BYTES = 1 << 20
@@ -246,39 +242,33 @@ def count_ones(words, mask):
     return np.bitwise_count(words & mask).sum(axis=1, dtype=np.int64)
 
 
-def draw_words(n_patterns: int, draw, chunk: int):
-    """Packed (..., W) words of per-pattern bits, drawn ``chunk`` patterns at
-    a time (a multiple of 64, so that chunks fill whole words).
-
-    ``draw(lo, hi)`` returns the bits (..., hi - lo) of patterns lo..hi-1.
-    """
-    return np.concatenate([pack_patterns(draw(lo, min(lo + chunk, n_patterns)))
-                           for lo in range(0, n_patterns, chunk)], axis=-1)
-
-
-def advance_pis(pi_state, u, a, b, p1, first_cycle):
-    if first_cycle:
-        return u < p1[:, None]
-    return np.where(pi_state, u >= b[:, None], u < a[:, None])
-
-
 def pi_words(g: CircuitGraph, w: Workload, cfg: SimConfig):
-    """(T, k, W) packed values of the workload PIs in every pattern and cycle."""
+    """(T, k, W) packed values of the workload PIs in every pattern and cycle.
+
+    Pattern p draws its (T, k) uniforms u from its own stream.  A word's
+    uniforms become two packed masks for every cycle at once, rise = u < a
+    (u < p1 at cycle 0) and stay = u >= b, and each chain then steps a whole
+    word per operation: s = (s & stay) | (rise & ~s), from s = 0.
+    """
     wl_pis = g.workload_pis()
     a, b = np.array([markov_params(*w.pi_probs[pi]) for pi in wl_pis]
                     ).reshape(-1, 2).T
     p1 = np.array([w.pi_probs[pi][0] for pi in wl_pis])
-    T, k = cfg.n_cycles, len(wl_pis)
-
-    def draw(lo, hi):
-        U = np.stack([pattern_uniforms(cfg.seed, p, PI_STREAM, (T, k))
-                      for p in range(lo, hi)])
-        bits = np.zeros((T, k, hi - lo), dtype=bool)
-        for t in range(T):
-            bits[t] = advance_pis(bits[t - 1], U[:, t, :].T, a, b, p1, t == 0)
-        return bits
-
-    return draw_words(cfg.n_patterns, draw, PI_CHUNK)
+    P, T, k = cfg.n_patterns, cfg.n_cycles, len(wl_pis)
+    rise_below = np.vstack([p1, np.broadcast_to(a, (T - 1, k))])
+    n_words = -(-P // WORD_BITS)
+    s = np.empty((T, k, n_words), dtype=WORD)  # rise masks, then the states
+    stay = np.empty_like(s)
+    for word in range(n_words):
+        # Stacked as (patterns, T, k), whole blocks at a time; the bool
+        # masks, not the floats, move the pattern axis last.
+        u = np.stack([pattern_uniforms(cfg.seed, p, PI_STREAM, (T, k)) for p in
+                      range(word * WORD_BITS, min(P, (word + 1) * WORD_BITS))])
+        s[..., word] = pack_patterns(np.moveaxis(u < rise_below, 0, -1).copy())[..., 0]
+        stay[..., word] = pack_patterns(np.moveaxis(u >= b, 0, -1).copy())[..., 0]
+    for t in range(1, T):
+        s[t] = (s[t - 1] & stay[t]) | (s[t] & ~s[t - 1])
+    return s
 
 
 def unpack_traces(ffs, ff_words, n_patterns: int) -> dict[int, np.ndarray]:

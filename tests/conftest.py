@@ -51,10 +51,10 @@ def mixed_circuit():
 def reference_run(g, w, n_patterns, n_cycles, seed, flip_prob=0.0):
     """Plain per-gate boolean simulation, one numpy call per gate (test oracle).
 
-    Draws the simulator's per-pattern PI and fault streams and returns node
-    values (T, n_nodes, P) and latched FF states (T, n_ffs, P); with
-    ``flip_prob`` > 0 these are the faulty run's, every node value flipped
-    as it is evaluated.
+    Draws the simulator's per-pattern PI streams and per-word fault streams
+    and returns node values (T, n_nodes, P) and latched FF states
+    (T, n_ffs, P); with ``flip_prob`` > 0 these are the faulty run's, every
+    node value flipped as it is evaluated.
     """
     P, T, n = n_patterns, n_cycles, g.n
     wl = g.workload_pis()
@@ -63,9 +63,17 @@ def reference_run(g, w, n_patterns, n_cycles, seed, flip_prob=0.0):
     U = np.stack([pattern_uniforms(seed, p, PI_STREAM, (T, len(wl)))
                   for p in range(P)])
     flips = np.zeros((P, T, n), dtype=bool)
-    if flip_prob > 0.0:
-        flips = np.stack([pattern_uniforms(seed, p, FAULT_STREAM, (T, n))
-                          for p in range(P)]) < flip_prob
+    for word in range(-(-P // 64) if flip_prob > 0.0 else 0):
+        # One fault per Geometric(flip_prob) step along the word's flat
+        # (cycle, node, pattern-in-word) index, drawn one at a time.
+        rng = np.random.default_rng([seed, word, FAULT_STREAM])
+        block = np.zeros(T * n * 64, dtype=bool)
+        pos = int(rng.geometric(flip_prob)) - 1
+        while pos < block.size:
+            block[pos] = True
+            pos += int(rng.geometric(flip_prob))
+        lo, hi = 64 * word, min(P, 64 * word + 64)
+        flips[lo:hi] = block.reshape(T, n, 64)[..., :hi - lo].transpose(2, 0, 1)
     gates = [v for lvl in levelize(g).levels[1:] for v in lvl
              if g.kinds[v] in (NodeKind.AND, NodeKind.NOT)]
     sources = [v for v in range(n) if g.kinds[v] in (NodeKind.PI, NodeKind.FF)]

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from seqcircuit import (CircuitBuilder, FaultConfig, GenSpec, SimConfig,
                         reliability_labels, simulate)
 from seqcircuit import model as mdl
 from seqcircuit import reliability as rel
+from seqcircuit.simulate import WORD_BITS, pattern_mask, pi_words, unpack_patterns
 from tests.conftest import mixed_circuit, reference_run, toggle_ff
 
 
@@ -174,3 +179,52 @@ def test_zero_labels_start_near_half_and_decrease():
                                            epochs=10)
     assert hist[0]["loss_flip"] == pytest.approx(0.5, abs=0.02)
     assert hist[-1]["loss_flip"] < hist[0]["loss_flip"]
+
+
+# --- fault draw -----------------------------------------------------------------
+
+@pytest.mark.parametrize("n_patterns", [1, 63, 64, 65, 250])
+def test_fault_and_pi_words_are_prefixes_of_a_longer_run(n_patterns):
+    g = generate(GenSpec(n_pi=5, n_and=20, n_not=6, n_ff=3, seed=8))
+    w = Workload.random(g, 1)
+    P, T, seed, full = n_patterns, 6, 3, 320
+    n_words = -(-P // WORD_BITS)
+    masks = rel.fault_words(seed, 0.05, (T, g.n), n_words)
+    long = rel.fault_words(seed, 0.05, (T, g.n), full // WORD_BITS)
+    assert np.array_equal(masks, long[..., :n_words])
+    assert unpack_patterns(masks, P).any()
+    assert np.array_equal(unpack_patterns(pi_words(g, w, SimConfig(P, T, seed)), P),
+                          unpack_patterns(pi_words(g, w, SimConfig(full, T, seed)),
+                                          full)[..., :P])
+
+
+@pytest.mark.parametrize("flip_prob", [5e-4, 0.05, 0.3, 0.5, 0.9])
+def test_fault_batch_bound_does_not_change_masks(monkeypatch, flip_prob):
+    ref = rel.fault_words(6, flip_prob, (5, 40), 3)
+    monkeypatch.setattr(rel, "FAULT_BATCH", 7)
+    assert np.array_equal(rel.fault_words(6, flip_prob, (5, 40), 3), ref)
+
+
+def test_fault_rate_within_bonferroni_limit():
+    shape, n_words, P = (4, 2000), 2, 100  # pattern 100..127 is padding
+    probs = (5e-4, 0.5, 0.99)
+    # The two high rates draw several gap batches per word.
+    assert math.prod(shape) * WORD_BITS * 0.5 > 3 * rel.FAULT_BATCH
+    z = NormalDist().inv_cdf(1 - 1e-6 / (2 * len(probs)))
+    n = math.prod(shape) * P
+    for p in probs:
+        masks = rel.fault_words(13, p, shape, n_words)
+        hits = int(np.bitwise_count(masks & pattern_mask(P)).sum())
+        assert abs(hits - n * p) < z * math.sqrt(n * p * (1 - p)), (p, hits)
+
+
+def test_fault_draw_memory_is_bounded():
+    shape = (16, 2000)
+    tracemalloc.start()
+    try:
+        masks = rel.fault_words(5, 0.99, shape, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = math.prod(shape) * WORD_BITS * 8  # one float64 per potential flip
+    assert peak < masks.nbytes + 8 * rel.FAULT_BATCH * 8 < dense / 3

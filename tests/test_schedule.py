@@ -153,6 +153,17 @@ def test_simulate_rejects_invalid_graph(make, rule):
             g.levels
 
 
+def test_levels_name_a_gate_without_fanins():
+    b = CircuitBuilder()
+    a = b.add_pi()
+    g1 = b.add_and(a, a)
+    b.fanins[g1] = ()
+    b.set_outputs([b.add_not(g1)])
+    g = b.build(check=False)
+    with pytest.raises(CircuitError, match=f"node {g1}: arity .*AND has no fanins"):
+        g.levels
+
+
 def test_pipeline_has_no_regions():
     b = CircuitBuilder()
     pi = b.add_pi()
