@@ -3,10 +3,12 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion.  Budgets are wall-clock seconds on a laptop-class machine.
 """
+import importlib
 import itertools
 import json
 import os
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from seqcircuit.labels import LabelSet, support_masks
 from seqcircuit.circuit import NodeKind
 from tests.conftest import eval_graph, forward_arrays
 
+# The package exports the function ``simulate`` under the module's name.
+sim_module = importlib.import_module("seqcircuit.simulate")
+
 
 def report(num, name):
     print(f"\n[ACCEPTANCE] criterion {num} ({name}): PASS")
@@ -27,11 +32,15 @@ def report(num, name):
 
 # --- 1. simulation oracle ----------------------------------------------------
 
-def test_criterion_1_simulation_oracle():
-    t0 = time.time()
-    rng = np.random.default_rng(13)
-    n_circuits = 50
-    checked = 0
+# Chance that a correct simulator fails criterion 1 on one seed: the limit is
+# Bonferroni-corrected for every comparison the test makes.
+FALSE_ALARM = 1e-6
+
+
+def oracle_circuits(n_circuits, seed=13):
+    """(graph, workload, config) of random circuits small enough for
+    ``exhaustive_stats``."""
+    rng = np.random.default_rng(seed)
     for _ in range(n_circuits):
         spec = sq.GenSpec(n_pi=int(rng.integers(2, 7)),
                           n_and=int(rng.integers(3, 11)),
@@ -44,9 +53,17 @@ def test_criterion_1_simulation_oracle():
                                p1_range=(0.2, 0.8), ptr_frac_range=(0.15, 0.9))
         cfg = sq.SimConfig(n_patterns=1000, n_cycles=100,
                            seed=int(rng.integers(2 ** 62)))
-        stats = sq.simulate(g, w, cfg, keep_pattern_counts=True)
-        exact = sq.exhaustive_stats(g, w, cfg)
-        M, T = cfg.n_patterns, cfg.n_cycles
+        yield g, w, cfg
+
+
+def oracle_worst_z(runs):
+    """Largest distance, in standard errors, of a simulated p1 or ptr from
+    its exact value over ``runs`` (pairs of ``simulate`` stats with pattern
+    counts and ``exhaustive_stats``), and the limit that every one of those
+    comparisons stays within with probability 1 - FALSE_ALARM."""
+    z = []
+    for stats, exact in runs:
+        M, T = stats.n_patterns, stats.n_cycles
         # Patterns are the i.i.d. sampling units, so the standard error of
         # each estimate comes from the spread of per-pattern means, floored
         # at one-count resolution.
@@ -56,13 +73,39 @@ def test_criterion_1_simulation_oracle():
         se_tr = np.maximum(
             (stats.pattern_tr_counts / (T - 1)).std(axis=1, ddof=1) / np.sqrt(M),
             1.0 / (M * (T - 1)))
-        assert (np.abs(stats.p1 - exact.p1) <= 3.0 * se_p1).all()
-        assert (np.abs(stats.ptr - exact.ptr) <= 3.0 * se_tr).all()
-        checked += g.n
+        z += [np.abs(stats.p1 - exact.p1) / se_p1,
+              np.abs(stats.ptr - exact.ptr) / se_tr]
+    z = np.concatenate(z)
+    return float(z.max()), NormalDist().inv_cdf(1 - FALSE_ALARM / (2 * z.size))
+
+
+def test_criterion_1_simulation_oracle():
+    t0 = time.time()
+    worst, limit = oracle_worst_z(
+        (sq.simulate(g, w, cfg, keep_pattern_counts=True),
+         sq.exhaustive_stats(g, w, cfg)) for g, w, cfg in oracle_circuits(50))
+    assert worst <= limit, f"off the exact value by {worst:.2f} > {limit:.2f} SE"
     elapsed = time.time() - t0
     assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds 2 min"
-    assert checked > 0
     report(1, "simulation oracle")
+
+
+def test_criterion_1_rejects_a_fast_fall_rate(monkeypatch):
+    """A simulator whose inputs fall 1 -> 0 5% too often fails the oracle."""
+    real = sim_module.markov_params
+
+    def biased(p1, ptr):
+        a, b = real(p1, ptr)
+        return a, 1.05 * b
+
+    runs = []
+    for g, w, cfg in oracle_circuits(4):
+        exact = sq.exhaustive_stats(g, w, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(sim_module, "markov_params", biased)
+            runs.append((sq.simulate(g, w, cfg, keep_pattern_counts=True), exact))
+    worst, limit = oracle_worst_z(runs)
+    assert worst > limit
 
 
 # --- 2. label oracles ---------------------------------------------------------
