@@ -114,11 +114,6 @@ def markov_params(p1: float, ptr: float) -> tuple[float, float]:
     return (ptr / (2.0 * (1.0 - p1)), ptr / (2.0 * p1))
 
 
-def pattern_uniforms(seed: int, pattern: int, stream: int, shape):
-    """Counter-style RNG: one independent stream per (pattern, stream) pair."""
-    return np.random.default_rng([seed, pattern, stream]).random(shape)
-
-
 # --- bit-parallel level kernel ----------------------------------------------
 #
 # Pattern p of a run is bit p % 64 of word p // 64, so one numpy operation
@@ -245,27 +240,30 @@ def count_ones(words, mask):
 def pi_words(g: CircuitGraph, w: Workload, cfg: SimConfig):
     """(T, k, W) packed values of the workload PIs in every pattern and cycle.
 
-    Pattern p draws its (T, k) uniforms u from its own stream.  A word's
-    uniforms become two packed masks for every cycle at once, rise = u < a
-    (u < p1 at cycle 0) and stay = u >= b, and each chain then steps a whole
-    word per operation: s = (s & stay) | (rise & ~s), from s = 0.
+    Word ``word`` draws the (T, k, 64) uniforms u of its patterns from its
+    own stream, ``default_rng([seed, word, PI_STREAM])``, with pattern p in
+    lane p % 64 of word p // 64.  A last partial word draws all 64 lanes, so
+    the inputs of P patterns are the first P patterns of any longer run.
+    A word's uniforms become two packed masks for every cycle at once,
+    rise = u < a (u < p1 at cycle 0) and stay = u >= b, and each chain then
+    steps a whole word per operation: s = (s & stay) | (rise & ~s), from
+    s = 0.
     """
     wl_pis = g.workload_pis()
     a, b = np.array([markov_params(*w.pi_probs[pi]) for pi in wl_pis]
                     ).reshape(-1, 2).T
     p1 = np.array([w.pi_probs[pi][0] for pi in wl_pis])
     P, T, k = cfg.n_patterns, cfg.n_cycles, len(wl_pis)
-    rise_below = np.vstack([p1, np.broadcast_to(a, (T - 1, k))])
+    rise_below = np.vstack([p1, np.broadcast_to(a, (T - 1, k))])[..., None]
+    stay_from = b[:, None]
     n_words = -(-P // WORD_BITS)
     s = np.empty((T, k, n_words), dtype=WORD)  # rise masks, then the states
     stay = np.empty_like(s)
+    u = np.empty((T, k, WORD_BITS))
     for word in range(n_words):
-        # Stacked as (patterns, T, k), whole blocks at a time; the bool
-        # masks, not the floats, move the pattern axis last.
-        u = np.stack([pattern_uniforms(cfg.seed, p, PI_STREAM, (T, k)) for p in
-                      range(word * WORD_BITS, min(P, (word + 1) * WORD_BITS))])
-        s[..., word] = pack_patterns(np.moveaxis(u < rise_below, 0, -1).copy())[..., 0]
-        stay[..., word] = pack_patterns(np.moveaxis(u >= b, 0, -1).copy())[..., 0]
+        np.random.default_rng([cfg.seed, word, PI_STREAM]).random(out=u)
+        s[..., word] = pack_patterns(u < rise_below)[..., 0]
+        stay[..., word] = pack_patterns(u >= stay_from)[..., 0]
     for t in range(1, T):
         s[t] = (s[t - 1] & stay[t]) | (s[t] & ~s[t - 1])
     return s
@@ -289,7 +287,8 @@ def unpack_traces(ffs, ff_words, n_patterns: int) -> dict[int, np.ndarray]:
 def simulate(g: CircuitGraph, w: Workload, cfg: SimConfig = SimConfig(),
              keep_pattern_counts: bool = False) -> SimStats:
     """Monte Carlo statistics under the workload; bit-deterministic in the seed:
-    counters are integers and every pattern has its own RNG stream.
+    counters are integers and every 64-pattern word of inputs has its own
+    RNG stream (see ``pi_words``).
     """
     cfg.check()
     w.check(g)

@@ -3,8 +3,7 @@ import pytest
 
 from seqcircuit import CircuitBuilder, NodeKind
 from seqcircuit.schedule import levelize
-from seqcircuit.simulate import (FAULT_STREAM, PI_STREAM, markov_params,
-                                 pattern_uniforms)
+from seqcircuit.simulate import FAULT_STREAM, PI_STREAM, markov_params
 
 
 def toggle_ff():
@@ -51,17 +50,18 @@ def mixed_circuit():
 def reference_run(g, w, n_patterns, n_cycles, seed, flip_prob=0.0):
     """Plain per-gate boolean simulation, one numpy call per gate (test oracle).
 
-    Draws the simulator's per-pattern PI streams and per-word fault streams
-    and returns node values (T, n_nodes, P) and latched FF states
-    (T, n_ffs, P); with ``flip_prob`` > 0 these are the faulty run's, every
-    node value flipped as it is evaluated.
+    Draws the simulator's per-word PI and fault streams and returns node
+    values (T, n_nodes, P) and latched FF states (T, n_ffs, P); with
+    ``flip_prob`` > 0 these are the faulty run's, every node value flipped
+    as it is evaluated.
     """
     P, T, n = n_patterns, n_cycles, g.n
     wl = g.workload_pis()
     p1 = np.array([w.pi_probs[pi][0] for pi in wl])
     rates = np.array([markov_params(*w.pi_probs[pi]) for pi in wl]).reshape(-1, 2)
-    U = np.stack([pattern_uniforms(seed, p, PI_STREAM, (T, len(wl)))
-                  for p in range(P)])
+    # (T, k, P) input uniforms: word w draws lanes 64w .. 64w + 63.
+    U = np.concatenate([np.random.default_rng([seed, word, PI_STREAM]).random(
+        (T, len(wl), 64)) for word in range(-(-P // 64))], axis=-1)[..., :P]
     flips = np.zeros((P, T, n), dtype=bool)
     for word in range(-(-P // 64) if flip_prob > 0.0 else 0):
         # One fault per Geometric(flip_prob) step along the word's flat
@@ -82,7 +82,7 @@ def reference_run(g, w, n_patterns, n_cycles, seed, flip_prob=0.0):
     pi = np.zeros((len(wl), P), dtype=bool)
     values, states = [], []
     for t in range(T):
-        u = U[:, t, :].T
+        u = U[t]
         if t == 0:
             pi = u < p1[:, None]
         else:

@@ -1,6 +1,8 @@
 import importlib
 import os
+import tracemalloc
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -193,6 +195,87 @@ class TestKernel:
                 bits = {v: bool(idx >> i & 1) for i, v in enumerate(src)}
                 ev = eval_graph(g, bits)
                 assert all(vals[v, idx] == ev(v) for v in g.gates)
+
+
+def inputs_only(probs):
+    """A circuit of one output per input, and the workload ``probs``."""
+    b = CircuitBuilder()
+    pis = [b.add_pi() for _ in probs]
+    b.set_outputs(pis)
+    return b.build(), Workload(dict(zip(pis, probs)))
+
+
+class TestInputStream:
+    """``pi_words``: one RNG stream per 64-pattern word."""
+
+    def test_same_seed_same_words(self):
+        g = generate(GenSpec(n_pi=5, n_and=10, n_not=4, n_ff=2, seed=3))
+        w = Workload.random(g, 4)
+        cfg = SimConfig(200, 30, 9)
+        assert np.array_equal(sim.pi_words(g, w, cfg), sim.pi_words(g, w, cfg))
+
+    def test_words_differ(self):
+        g, w = inputs_only([(0.5, 0.5)] * 4)
+        words = sim.pi_words(g, w, SimConfig(128, 20, 1))
+        assert not np.array_equal(words[..., 0], words[..., 1])
+
+    @pytest.mark.parametrize("word", [0, 1, 2])
+    def test_word_draw_is_its_lanes(self, word):
+        # 150 patterns: the last word holds 22 patterns and 42 padding lanes,
+        # which carry the rest of that word's draw.
+        probs = [(0.4, 0.3), (0.8, 0.1), (0.5, 1.0), (0.0, 0.0)]
+        g, w = inputs_only(probs)
+        cfg = SimConfig(150, 12, 5)
+        words = sim.pi_words(g, w, cfg)
+        lanes = sim.unpack_patterns(words, 64 * words.shape[-1])
+        u = np.random.default_rng([cfg.seed, word, sim.PI_STREAM]).random(
+            (cfg.n_cycles, len(probs), 64))
+        p1 = np.array([p for p, _ in probs])[:, None]
+        a, b = np.array([markov_params(*p) for p in probs]).T[..., None]
+        x = u[0] < p1
+        expect = [x]
+        for t in range(1, cfg.n_cycles):
+            x = np.where(x, u[t] >= b, u[t] < a)
+            expect.append(x)
+        assert np.array_equal(lanes[..., 64 * word:64 * word + 64],
+                              np.array(expect))
+
+    def test_pooled_rates_within_bonferroni_limit(self):
+        # Constant inputs, an ordinary one, and ptr at its bound
+        # 2 * min(p1, 1 - p1), where every 1 (or 0) flips the next cycle.
+        probs = [(0.0, 0.0), (1.0, 0.0), (0.4, 0.3), (0.3, 0.6), (0.7, 0.6),
+                 (0.5, 1.0), (0.15, 0.05)]
+        g, w = inputs_only(probs)
+        P, T = 1000, 100
+        bits = sim.unpack_patterns(sim.pi_words(g, w, SimConfig(P, T, 17)), P)
+        changed = bits[1:] != bits[:-1]
+        limit = NormalDist().inv_cdf(1 - 1e-6 / (2 * 2 * len(probs)))
+        for est, n, target in ((bits, T, [p for p, _ in probs]),
+                               (changed, T - 1, [r for _, r in probs])):
+            per_pattern = est.mean(axis=0)  # (k, P)
+            se = np.maximum(per_pattern.std(axis=1, ddof=1) / np.sqrt(P),
+                            1.0 / (P * n))
+            z = np.abs(per_pattern.mean(axis=1) - target) / se
+            assert (z <= limit).all(), z
+        assert not bits[:, 0].any() and bits[:, 1].all()
+        assert not (bits[1:, 3] & bits[:-1, 3]).any()
+        assert (bits[1:, 4] | bits[:-1, 4]).all()
+        assert changed[:, 5].all()
+
+    def test_memory_is_one_word_block(self):
+        g, w = inputs_only([(0.4, 0.3)] * 8)
+        P, T, k = 1000, 100, 8
+        # The first draw in a process allocates about 0.8 MB once.
+        sim.pi_words(g, w, SimConfig(1, 2, 3))
+        tracemalloc.start()
+        try:
+            words = sim.pi_words(g, w, SimConfig(P, T, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = T * k * 64 * 8  # one word's float64 draw
+        dense = P * T * k * 8   # a float64 draw of every pattern at once
+        assert peak < 2 * words.nbytes + 2 * block < dense / 4
 
 
 class TestExhaustive:
