@@ -249,6 +249,7 @@ class TestInputStream:
         P, T = 1000, 100
         bits = sim.unpack_patterns(sim.pi_words(g, w, SimConfig(P, T, 17)), P)
         changed = bits[1:] != bits[:-1]
+        # Bonferroni over two rates per input, at a 1e-6 false alarm.
         limit = NormalDist().inv_cdf(1 - 1e-6 / (2 * 2 * len(probs)))
         for est, n, target in ((bits, T, [p for p, _ in probs]),
                                (changed, T - 1, [r for _, r in probs])):
@@ -262,7 +263,7 @@ class TestInputStream:
         assert (bits[1:, 4] | bits[:-1, 4]).all()
         assert changed[:, 5].all()
 
-    def test_memory_is_one_word_block(self):
+    def test_draw_memory_is_per_word(self):
         g, w = inputs_only([(0.4, 0.3)] * 8)
         P, T, k = 1000, 100, 8
         # The first draw in a process allocates about 0.8 MB once.
