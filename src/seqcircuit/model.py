@@ -8,7 +8,8 @@ forward sweep walks the level plan; the feedback regions are then re-swept
 a fixed number of times (``cycle_max_iters``) with no convergence test, in
 waves of regions that share no edge; an optional mirrored sweep over
 reversed edges follows.
-The sweep updates in-place row tables, and training runs each mini-batch
+The embeddings live in one in-place (n, 3d) row table, and a level group is
+one fused tape node (``tensor.space_update``); training runs each mini-batch
 as one sweep over the disjoint union of its circuits.
 """
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .tensor import ParamStore, Tensor
 STRUCT_KINDS = (NodeKind.AND, NodeKind.NOT)
 UPDATE_KINDS = (NodeKind.AND, NodeKind.NOT, NodeKind.FF)
 TASKS = ("recon", "logic", "trans", "func", "ff_sim", "flip")
+STRUCTURE, FUNCTION, SEQUENTIAL = range(3)  # column blocks of the embedding table
 
 
 @dataclass(frozen=True)
@@ -179,15 +181,19 @@ def add_reliability_head(store: ParamStore, dim: int, seed: int = 0):
 # --- forward pass -------------------------------------------------------------
 
 class _TensorState:
-    """Whole-graph embedding tables during a differentiable sweep."""
+    """The whole-graph (n, 3d) embedding table of a differentiable sweep,
+    with columns [structure | function | sequential]."""
 
     def __init__(self, emb: EmbeddingState):
-        self.tables = (tz.RowTable(emb.structure), tz.RowTable(emb.function),
-                       tz.RowTable(emb.sequential))
+        self.dim = emb.structure.shape[1]
+        self.table = tz.RowTable(np.concatenate(
+            [emb.structure, emb.function, emb.sequential], axis=1))
 
-    hs = property(lambda self: self.tables[0].current)
-    hf = property(lambda self: self.tables[1].current)
-    hq = property(lambda self: self.tables[2].current)
+    def read(self, rows, space: int | None = None) -> Tensor:
+        """Current ``rows`` of the table: one space's columns, or all."""
+        cols = slice(None) if space is None else slice(space * self.dim,
+                                                       (space + 1) * self.dim)
+        return tz.take_rows(self.table.current, rows, cols)
 
 
 _KINDS = tuple(NodeKind)
@@ -341,54 +347,40 @@ def merge_schedules(schedules) -> dict:
     return _sweeps(joined, any(s["rev"] for s in schedules))
 
 
-def _update_group(st: _TensorState, params, kind: NodeKind, vids, csr,
-                  side: str):
-    """Batched refresh of one node group from its CSR neighbour rows.
+def _cells(params: ParamStore, side: str) -> dict:
+    """Each kind's per-space (attention w2, GRU wx, wh, b) on one side; None
+    pins the structure space of FFs."""
+    names = ("attn.w2", "gru.wx", "gru.wh", "gru.b")
+    return {kind: [None if space == "struct" and kind not in STRUCT_KINDS else
+                   tuple(params[f"{side}.{space}.{_kind_tag(kind)}.{k}"]
+                         for k in names) for space in ("struct", "func", "seq")]
+            for kind in UPDATE_KINDS}
 
-    Each table is read once over the neighbour list, before the group
-    writes it.  The function attention sees [structure | function] rows
-    and the sequence attention [structure | function | sequence] rows.
-    """
+
+def _update_group(st: _TensorState, cells, vids, csr):
+    """Batched refresh of one node group from its CSR neighbour rows: its
+    neighbour rows and own rows are read before ``space_update`` refreshes
+    every space in one tape node and the group writes its rows."""
     nbrs, starts, owner = csr
-    tag = _kind_tag(kind)
-    ts, tf, tq = st.tables
-    hs_n = tz.take_rows(ts.current, nbrs)
-    if kind in STRUCT_KINDS:
-        base = f"{side}.struct.{tag}"
-        msg = tz.attn_aggregate_groups(hs_n, starts, params[f"{base}.attn.w2"],
-                                       owner)
-        ts.scatter(vids, tz.gru_cell(msg, tz.take_rows(ts.current, vids),
-                                     params, f"{base}.gru"))
-
-    preds_f = tz.concat_cols([hs_n, tz.take_rows(tf.current, nbrs)])
-    base = f"{side}.func.{tag}"
-    msg_f = tz.attn_aggregate_groups(preds_f, starts, params[f"{base}.attn.w2"],
-                                     owner)
-    tf.scatter(vids, tz.gru_cell(msg_f, tz.take_rows(tf.current, vids),
-                                 params, f"{base}.gru"))
-
-    preds_q = tz.concat_cols([preds_f, tz.take_rows(tq.current, nbrs)])
-    base = f"{side}.seq.{tag}"
-    msg_q = tz.attn_aggregate_groups(preds_q, starts, params[f"{base}.attn.w2"],
-                                     owner)
-    tq.scatter(vids, tz.gru_cell(msg_q, tz.take_rows(tq.current, vids),
-                                 params, f"{base}.gru"))
+    current = st.table.current
+    st.table.scatter(vids, tz.space_update(
+        tz.take_rows(current, nbrs), tz.take_rows(current, vids), starts,
+        owner, cells))
 
 
-def _sweep_level(st, params, groups, side: str, updates: np.ndarray):
+def _sweep_level(st, cells, groups, updates: np.ndarray):
     for kind, vids, csr in groups:
-        _update_group(st, params, kind, vids, csr, side)
+        _update_group(st, cells[kind], vids, csr)
         updates[vids] += 1
 
 
 def _region_residual(st, old, rows) -> float:
-    """Worst relative row change of a region against its snapshot ``old``."""
-    res = 0.0
-    for table, before in zip(st.tables, old):
-        num = np.linalg.norm(table.data[rows] - before, axis=1)
-        den = np.linalg.norm(before, axis=1) + 1e-12
-        res = max(res, float((num / den).max()))
-    return res
+    """Worst relative change of a region row in any one space against its
+    snapshot ``old``."""
+    shape = (len(rows), -1, st.dim)
+    num = np.linalg.norm((st.table.data[rows] - old).reshape(shape), axis=2)
+    den = np.linalg.norm(old.reshape(shape), axis=2) + 1e-12
+    return float((num / den).max())
 
 
 def forward_tensors(params: ParamStore, emb: EmbeddingState, cfg: ModelConfig,
@@ -403,25 +395,27 @@ def forward_tensors(params: ParamStore, emb: EmbeddingState, cfg: ModelConfig,
     report = ForwardReport(forward_updates=np.zeros(n, dtype=np.int64),
                            reverse_updates=np.zeros(n, dtype=np.int64))
 
+    fwd = _cells(params, "fwd")
     for groups in schedule["fwd"]:
-        _sweep_level(st, params, groups, "fwd", report.forward_updates)
+        _sweep_level(st, fwd, groups, report.forward_updates)
 
     # Each pass's residual is a diagnostic only; the pass count is fixed.
     region_rows = schedule["region_rows"]
     report.region_residuals = [[] for _ in region_rows]
     for ids, levels in schedule["waves"]:
         for _ in range(cfg.cycle_max_iters):
-            # Snapshot first: the tables are overwritten in place.
-            old = [[t.data[region_rows[r]] for t in st.tables] for r in ids]
+            # Snapshot first: the table is overwritten in place.
+            old = [st.table.data[region_rows[r]] for r in ids]
             for groups in levels:
-                _sweep_level(st, params, groups, "fwd", report.forward_updates)
+                _sweep_level(st, fwd, groups, report.forward_updates)
             for r, before in zip(ids, old):
                 report.region_residuals[r].append(
                     _region_residual(st, before, region_rows[r]))
     report.region_iters = [len(res) for res in report.region_residuals]
 
+    rev = _cells(params, "rev") if schedule["rev"] else None
     for groups in schedule["rev"]:
-        _sweep_level(st, params, groups, "rev", report.reverse_updates)
+        _sweep_level(st, rev, groups, report.reverse_updates)
     return st, report
 
 
@@ -436,37 +430,36 @@ def _cosine_rows(a: Tensor, b: Tensor) -> Tensor:
 
 def flip_head(st: _TensorState, params: ParamStore, rows) -> Tensor:
     """(len(rows), 2) flip rates from the three spaces of the given table rows."""
-    parts = [tz.take_rows(t, rows) for t in (st.hs, st.hf, st.hq)]
-    return tz.mlp3(tz.concat_cols(parts), params, "head.flip")
+    return tz.mlp3(st.read(rows), params, "head.flip")
 
 
 def predict_heads(g: CircuitGraph, st: _TensorState, params: ParamStore,
                   labels: LabelSet, offset: int = 0) -> dict[str, Tensor]:
     """Task predictions aligned with the label arrays.
 
-    The circuit's node ``v`` is row ``offset + v`` of the embedding tables.
+    The circuit's node ``v`` is row ``offset + v`` of the embedding table.
     """
-    def take(table, ids):
-        return tz.take_rows(table, np.asarray(ids, dtype=np.int64) + offset)
+    def take(space, ids):
+        return st.read(np.asarray(ids, dtype=np.int64) + offset, space)
 
     out: dict[str, Tensor] = {}
     if labels.rc_pairs:
         lo = [min(a, b) for a, b, _, _ in labels.rc_pairs]
         hi = [max(a, b) for a, b, _, _ in labels.rc_pairs]
-        rows = tz.concat_cols([take(st.hs, lo), take(st.hs, hi)])
+        rows = tz.concat_cols([take(STRUCTURE, lo), take(STRUCTURE, hi)])
         out["recon"] = tz.mlp3(rows, params, "head.recon")
     sup = supervised_nodes(g)
     if sup:
-        out["logic"] = tz.mlp3(take(st.hf, sup), params, "head.logic")
-        out["trans"] = tz.mlp3(take(st.hq, sup), params, "head.trans")
+        out["logic"] = tz.mlp3(take(FUNCTION, sup), params, "head.logic")
+        out["trans"] = tz.mlp3(take(SEQUENTIAL, sup), params, "head.trans")
     if labels.f_pairs:
-        hi = take(st.hf, [i for i, _, _ in labels.f_pairs])
-        hj = take(st.hf, [j for _, j, _ in labels.f_pairs])
+        hi = take(FUNCTION, [i for i, _, _ in labels.f_pairs])
+        hj = take(FUNCTION, [j for _, j, _ in labels.f_pairs])
         cos = _cosine_rows(hi, hj)
         out["func"] = tz.scale(tz.add_const(tz.scale(cos, -1.0), 1.0), 0.5)
     if labels.ffsim_pairs:
-        qi = take(st.hq, [i for i, _, _ in labels.ffsim_pairs])
-        qj = take(st.hq, [j for _, j, _ in labels.ffsim_pairs])
+        qi = take(SEQUENTIAL, [i for i, _, _ in labels.ffsim_pairs])
+        qj = take(SEQUENTIAL, [j for _, j, _ in labels.ffsim_pairs])
         cos = tz.add_const(_cosine_rows(qi, qj), 1.0)
         out["ff_sim"] = tz.scale(cos, 0.5)
     if labels.flip is not None:
@@ -618,7 +611,7 @@ def forward_records(records: list[CircuitRecord], params: ParamStore,
     the diagnostics of the merged sweep.
     """
     schedule = merge_schedules([r.schedule for r in records])
-    emb = EmbeddingState(*(
+    emb = records[0].emb0 if len(records) == 1 else EmbeddingState(*(
         np.concatenate([getattr(r.emb0, f) for r in records])
         for f in ("structure", "function", "sequential")))
     offsets = np.cumsum([0] + [r.graph.n for r in records[:-1]])

@@ -156,7 +156,7 @@ def predicted_transitions(params: tz.ParamStore, g: CircuitGraph, w: Workload,
     sup = mdl.supervised_nodes(g)
     with tz.no_grad():
         st, _, _ = mdl.forward_records([rec], params, cfg)
-        pred = tz.mlp3(tz.take_rows(st.hq, sup), params, "head.trans")
+        pred = tz.mlp3(st.read(sup, mdl.SEQUENTIAL), params, "head.trans")
     tr = np.zeros(g.n)
     tr[sup] = pred.data.ravel()
     for pi in g.workload_pis():

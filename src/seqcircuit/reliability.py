@@ -38,6 +38,8 @@ class FaultConfig:
             raise ValueError("flip probability outside [0, 1)")
         if self.n_patterns < 1 or self.n_cycles < 2:
             raise ValueError("need n_patterns >= 1 and n_cycles >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def sim_config(self) -> SimConfig:
         return SimConfig(n_patterns=self.n_patterns, n_cycles=self.n_cycles,

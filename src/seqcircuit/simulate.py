@@ -66,6 +66,8 @@ class SimConfig:
     def check(self):
         if self.n_patterns < 1 or self.n_cycles < 2:
             raise SimulationError("need n_patterns >= 1 and n_cycles >= 2")
+        if self.seed < 0:
+            raise SimulationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

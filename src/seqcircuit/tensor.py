@@ -1,9 +1,9 @@
 """Minimal dense reverse-mode autodiff core.
 
 Eager 2-D float tensors with a taped backward pass: enough machinery for
-MLPs, GRU cells, attention aggregation over predecessor sets, in-place row
-tables for message passing, and an Adam optimizer.  Training runs in
-float32; a float64 mode exists for tight gradient verification.
+MLPs, a fused attention-and-GRU update of a node group's embedding spaces,
+in-place row tables for message passing, and an Adam optimizer.  Training
+runs in float32; a float64 mode exists for tight gradient verification.
 """
 from __future__ import annotations
 
@@ -106,11 +106,11 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    def accumulate_rows(self, idx, g):
-        """Add ``g`` into gradient rows ``idx``; repeated indices add up."""
+    def accumulate_rows(self, idx, g, cols: slice = slice(None)):
+        """Add ``g`` into gradient rows ``idx`` (their ``cols``); repeats add up."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        np.add.at(self.grad, idx, g)
+        np.add.at(self.grad[:, cols], idx, g)
 
     def backward(self):
         """Seed a scalar output with gradient 1 and sweep the tape.
@@ -327,12 +327,13 @@ def concat_cols(parts) -> Tensor:
     return _out(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bwd)
 
 
-def take_rows(a: Tensor, idx) -> Tensor:
+def take_rows(a: Tensor, idx, cols: slice = slice(None)) -> Tensor:
+    """Rows ``idx`` of ``a``, or only their ``cols`` columns."""
     idx = np.asarray(idx, dtype=np.int64)
 
     def bwd(g):
-        a.accumulate_rows(idx, g)
-    return _out(a.data[idx], (a,), bwd)
+        a.accumulate_rows(idx, g, cols)
+    return _out(a.data[idx, cols], (a,), bwd)
 
 
 class RowTable:
@@ -412,8 +413,8 @@ class _TableVersion(Tensor):
     def accumulate(self, g):
         self._buffer()[...] += g
 
-    def accumulate_rows(self, idx, g):
-        np.add.at(self._buffer(), idx, g)
+    def accumulate_rows(self, idx, g, cols: slice = slice(None)):
+        np.add.at(self._buffer()[:, cols], idx, g)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -549,41 +550,6 @@ def init_gru(store: ParamStore, prefix: str, d_in: int, d_state: int,
     store.create(f"{prefix}.b", rng.uniform(-std, std, size=(1, 3 * d_state)))
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    """Standard GRU update, recorded as one tape node.
-
-    z and r gates from input and previous state; the candidate applies the
-    reset gate to the recurrent term; new state is (1-z)*n + z*h_prev.
-    Gate columns of ``wx``, ``wh`` and ``b`` are laid out as [z | r | n].
-    """
-    wx, wh, b = (store[f"{prefix}.{k}"] for k in ("wx", "wh", "b"))
-    rows, d = h_prev.shape
-    if (x.shape[0] != rows or wx.shape != (x.shape[1], 3 * d)
-            or wh.shape != (d, 3 * d) or b.shape != (1, 3 * d)):
-        raise ShapeError(f"gru_cell x {x.shape}, h {h_prev.shape}, wx {wx.shape}, "
-                         f"wh {wh.shape}, b {b.shape}")
-    gx = x.data @ wx.data + b.data
-    gh = h_prev.data @ wh.data
-    _require_finite("gru_cell", gx, gh)
-    zr = _sigmoid(gx[:, :2 * d] + gh[:, :2 * d])
-    z, r = zr[:, :d], zr[:, d:]
-    hn = gh[:, 2 * d:]
-    n = np.tanh(gx[:, 2 * d:] + r * hn)
-
-    def bwd(g):
-        dpre_n = g * (1.0 - z) * (1.0 - n * n)
-        dzr = np.concatenate([g * (h_prev.data - n), dpre_n * hn], axis=1)
-        dzr *= zr * (1.0 - zr)
-        dgx = np.concatenate([dzr, dpre_n], axis=1)
-        dgh = np.concatenate([dzr, dpre_n * r], axis=1)
-        x.accumulate(dgx @ wx.data.T)
-        h_prev.accumulate(g * z + dgh @ wh.data.T)
-        wx.accumulate(x.data.T @ dgx)
-        wh.accumulate(h_prev.data.T @ dgh)
-        b.accumulate(dgx.sum(axis=0, keepdims=True))
-    return _out((1.0 - z) * n + z * h_prev.data, (x, h_prev, wx, wh, b), bwd)
-
-
 def init_attention(store: ParamStore, prefix: str, dim: int,
                    rng: np.random.Generator):
     std = 1.0 / np.sqrt(dim)
@@ -599,39 +565,76 @@ def segment_owner(starts, n_rows: int) -> np.ndarray:
     return np.repeat(np.arange(len(starts)), np.diff(starts, append=n_rows))
 
 
-def attn_aggregate_groups(preds: Tensor, starts, w2: Tensor,
-                          owner=None) -> Tensor:
-    """Segment-softmax attention over ragged neighbour sets (CSR layout).
+def space_update(preds: Tensor, h_prev: Tensor, starts, owner, cells) -> Tensor:
+    """One node group's update of all S embedding spaces, as one tape node.
 
-    ``preds`` is (E, d); segment i is rows ``starts[i]`` up to the next
-    start (or E), and a row may repeat across segments.  Row i of the
-    (len(starts), d) result is the attention-weighted sum of segment i's
-    rows, with scores w2'pred normalized by a softmax within the segment.
-    ``owner`` is ``segment_owner(starts, E)``; callers that reuse one
-    layout pass it precomputed.  The whole op is one tape node.
+    ``h_prev`` (G, S d) holds the group's rows, one d-column block per space;
+    ``preds`` (E, S d) its neighbour rows in CSR layout: segment i is rows
+    ``starts[i]`` up to the next start (or E), and ``owner`` is
+    ``segment_owner(starts, E)`` or None.  Space s with cell (w2, wx, wh, b)
+    attends over the first (s + 1) d columns of ``preds`` (softmax of
+    w2'pred within each segment weights a sum of its rows), then a GRU with
+    that sum as input and block s as state makes the new block: z, r gates,
+    a candidate that resets the recurrent term, (1-z)*n + z*h; gate columns
+    are [z | r | n].  A space whose cell is None keeps its block.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    n_rows, d = preds.shape
-    if (starts.ndim != 1 or not len(starts) or starts[0] != 0
-            or starts[-1] >= n_rows or (starts[1:] <= starts[:-1]).any()
-            or w2.shape != (d, 1)
+    n_rows, width = preds.shape
+    d = width // max(len(cells), 1)
+    if (h_prev.shape != (len(starts), width) or not cells
+            or width != d * len(cells) or starts.ndim != 1 or not len(starts)
+            or starts[0] != 0 or starts[-1] >= n_rows
+            or (starts[1:] <= starts[:-1]).any()
             or (owner is not None and owner.shape != (n_rows,))):
-        raise ShapeError(f"attn_aggregate_groups preds {preds.shape}, "
-                         f"starts {starts.tolist()}, w2 {w2.shape}")
+        raise ShapeError(f"space_update preds {preds.shape}, h {h_prev.shape}, "
+                         f"starts {starts.tolist()}, {len(cells)} cells")
     if owner is None:
         owner = segment_owner(starts, n_rows)
-    scores = (preds.data @ w2.data).ravel()
-    _require_finite("attn_aggregate_groups", scores)
-    alpha = _segment_softmax(scores, starts, owner)
-    out = np.add.reduceat(alpha[:, None] * preds.data, starts, axis=0)
+    out = h_prev.data.copy()
+    saved = []
+    for s, (w2, wx, wh, b) in ((s, c) for s, c in enumerate(cells) if c):
+        k = (s + 1) * d
+        shapes = (w2.shape, wx.shape, wh.shape, b.shape)
+        if shapes != ((k, 1), (k, 3 * d), (d, 3 * d), (1, 3 * d)):
+            raise ShapeError(f"space_update cell {s} of d = {d}: {shapes}")
+        p, h = preds.data[:, :k], h_prev.data[:, s * d:(s + 1) * d]
+        scores = (p @ w2.data).ravel()
+        _require_finite("space_update", scores)
+        alpha = _segment_softmax(scores, starts, owner)
+        x = np.add.reduceat(alpha[:, None] * p, starts, axis=0)
+        gx, gh = x @ wx.data + b.data, h @ wh.data
+        _require_finite("space_update", gx, gh)
+        zr = _sigmoid(gx[:, :2 * d] + gh[:, :2 * d])
+        z, r = zr[:, :d], zr[:, d:]
+        hn = gh[:, 2 * d:]
+        n = np.tanh(gx[:, 2 * d:] + r * hn)
+        out[:, s * d:(s + 1) * d] = (1.0 - z) * n + z * h
+        saved.append((s, (w2, wx, wh, b), p, h, alpha, x, zr, z, r, hn, n))
 
     def bwd(g):
-        g_rows = g[owner]
-        dalpha = (g_rows * preds.data).sum(axis=1)
-        ds = alpha * (dalpha - np.add.reduceat(dalpha * alpha, starts)[owner])
-        preds.accumulate(alpha[:, None] * g_rows + ds[:, None] * w2.data.T)
-        w2.accumulate(preds.data.T @ ds[:, None])
-    return _out(out, (preds, w2), bwd)
+        dpreds = np.zeros_like(preds.data)
+        dh = g.copy()  # a kept block passes its gradient through
+        # Later spaces first, so that a neighbour column sums its gradient
+        # in the order of separate per-space ops.
+        for s, (w2, wx, wh, b), p, h, alpha, x, zr, z, r, hn, n in reversed(saved):
+            gs = g[:, s * d:(s + 1) * d]
+            dpre_n = gs * (1.0 - z) * (1.0 - n * n)
+            dzr = np.concatenate([gs * (h - n), dpre_n * hn], axis=1)
+            dzr *= zr * (1.0 - zr)
+            dgx = np.concatenate([dzr, dpre_n], axis=1)
+            dgh = np.concatenate([dzr, dpre_n * r], axis=1)
+            dh[:, s * d:(s + 1) * d] = gs * z + dgh @ wh.data.T
+            wx.accumulate(x.T @ dgx)
+            wh.accumulate(h.T @ dgh)
+            b.accumulate(dgx.sum(axis=0, keepdims=True))
+            dx = (dgx @ wx.data.T)[owner]
+            dalpha = (dx * p).sum(axis=1)
+            ds = alpha * (dalpha - np.add.reduceat(dalpha * alpha, starts)[owner])
+            dpreds[:, :(s + 1) * d] += alpha[:, None] * dx + ds[:, None] * w2.data.T
+            w2.accumulate(p.T @ ds[:, None])
+        preds.accumulate(dpreds)
+        h_prev.accumulate(dh)
+    return _out(out, (preds, h_prev, *(t for c in cells if c for t in c)), bwd)
 
 
 # --- checkpoint io ------------------------------------------------------------

@@ -138,7 +138,73 @@ def forward_arrays(g, plan, params, emb0, cfg):
 
     schedule = mdl.compile_schedule(g, plan, cfg.reverse_layer)
     st, report = mdl.forward_tensors(params, emb0, cfg, schedule=schedule)
-    return mdl.EmbeddingState(*(t.data for t in st.tables)), report
+    return mdl.EmbeddingState(*np.split(st.table.data, 3, axis=1)), report
+
+
+def group_update_reference(spaces, params, side, kind, vids, nbrs, starts):
+    """One level group's update of three separate arrays, node by node, in
+    plain numpy (test oracle).
+
+    ``spaces`` are the (n, d) structure, function and sequential arrays,
+    updated in place.  For node ``vids[i]`` with neighbours
+    ``nbrs[starts[i]:starts[i + 1]]``, space s attends over its neighbours'
+    first s + 1 spaces, laid side by side, with weights softmax(w2'pred),
+    and a GRU with gates z = sigmoid(x wx_z + h wh_z + b_z), r likewise,
+    n = tanh(x wx_n + b_n + r * (h wh_n)) makes its new row
+    (1 - z) * n + z * h.  FFs keep their structure rows.  Every row is read
+    before the group writes any.
+    """
+    names = ("struct", "func", "seq")
+    bounds = list(starts) + [len(nbrs)]
+    new = []
+    for s, name in enumerate(names):
+        if s == 0 and kind == NodeKind.FF:
+            continue
+        base = f"{side}.{name}.{kind.name.lower()}"
+        w2 = params[f"{base}.attn.w2"].data
+        wx, wh, b = (params[f"{base}.gru.{k}"].data for k in ("wx", "wh", "b"))
+        d = spaces[s].shape[1]
+        for i, v in enumerate(vids):
+            rows = nbrs[bounds[i]:bounds[i + 1]]
+            preds = np.concatenate([a[rows] for a in spaces[:s + 1]], axis=1)
+            x = attn_reference(np.zeros(1), preds, np.zeros((1, 1)), w2)
+            h = spaces[s][v]
+            gx, gh = x @ wx + b[0], h @ wh
+            z = 1.0 / (1.0 + np.exp(-(gx[:d] + gh[:d])))
+            r = 1.0 / (1.0 + np.exp(-(gx[d:2 * d] + gh[d:2 * d])))
+            n = np.tanh(gx[2 * d:] + r * gh[2 * d:])
+            new.append((s, v, (1.0 - z) * n + z * h))
+    for s, v, row in new:
+        spaces[s][v] = row
+
+
+def forward_reference(params, emb, cfg, schedule):
+    """The forward sweep of ``schedule`` over three plain arrays, one
+    ``group_update_reference`` per group, and each region's residual per
+    pass: the largest relative change of a region row in any one space
+    (test oracle)."""
+    spaces = [emb.structure.copy(), emb.function.copy(), emb.sequential.copy()]
+    residuals = [[] for _ in schedule["region_rows"]]
+
+    def sweep(levels, side):
+        for groups in levels:
+            for kind, vids, (nbrs, starts, _) in groups:
+                group_update_reference(spaces, params, side, kind, vids,
+                                       nbrs, starts)
+    sweep(schedule["fwd"], "fwd")
+    for ids, levels in schedule["waves"]:
+        for _ in range(cfg.cycle_max_iters):
+            before = {r: [a[schedule["region_rows"][r]].copy() for a in spaces]
+                      for r in ids}
+            sweep(levels, "fwd")
+            for r in ids:
+                rows = schedule["region_rows"][r]
+                residuals[r].append(max(
+                    float(np.max(np.linalg.norm(a[rows] - old, axis=1)
+                                 / (np.linalg.norm(old, axis=1) + 1e-12)))
+                    for a, old in zip(spaces, before[r])))
+    sweep(schedule["rev"], "rev")
+    return spaces, residuals
 
 
 def numeric_gradients(build_loss, store, h=1e-5, names=None):

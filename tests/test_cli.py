@@ -361,6 +361,17 @@ def test_reliab_finetune_rejects_negative_option(tmp_path, corpus, capsys,
     assert not (out.parent / "reliab.manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["sim", "reliab"])
+def test_negative_seed_names_field(tmp_path, corpus, capsys, command):
+    aag = os.path.join(corpus, sorted(os.listdir(corpus))[0])
+    out = tmp_path / "out.json"
+    assert main([command, "--aig", aag, "--patterns", "20", "--cycles", "5",
+                 "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "error: seed must be >= 0, got -1", err
+    assert not out.exists()
+
+
 def test_checkpoint_with_cycle_tol_loads(tmp_path, corpus):
     # Checkpoints written while the forward pass had a convergence
     # tolerance still carry it in their header.

@@ -12,8 +12,8 @@ from seqcircuit import model as mdl
 from seqcircuit import tensor as tz
 from seqcircuit.bench import parse_bench
 from seqcircuit.labels import LabelSet
-from tests.conftest import (forward_arrays, numeric_gradients, relative_errors,
-                            toggle_ff)
+from tests.conftest import (forward_arrays, forward_reference, numeric_gradients,
+                            relative_errors, toggle_ff)
 
 
 def small_record(seed=0, feedback=0.5, **gen):
@@ -127,6 +127,26 @@ class TestForward:
                 assert rep.reverse_updates[v] == 0
             else:
                 assert rep.reverse_updates[v] == (1 if g.fanouts[v] else 0)
+
+
+    def test_matches_plain_group_reference(self):
+        # The fused one-table forward against three arrays updated node by
+        # node from the attention and GRU formulas, over the forward sweep,
+        # the region passes and the reverse sweep.
+        with tz.precision("float64"):
+            cfg = mdl.ModelConfig(dim=6, cycle_max_iters=2, reverse_layer=True)
+            rec = small_record(seed=3, feedback=0.8).prepare(cfg, 0, 0)
+            assert rec.plan.cyclic_regions and rec.schedule["rev"]
+            params = mdl.init_params(6, seed=4)
+            emb, rep = forward_arrays(rec.graph, rec.plan, params, rec.emb0, cfg)
+            want, residuals = forward_reference(params, rec.emb0, cfg,
+                                                rec.schedule)
+            got = (emb.structure, emb.function, emb.sequential)
+            for a, b, a0 in zip(got, want, (rec.emb0.structure, rec.emb0.function,
+                                            rec.emb0.sequential)):
+                assert not np.array_equal(a, a0)
+                assert np.abs(a - b).max() < 1e-12
+            assert np.allclose(rep.region_residuals, residuals, rtol=1e-12, atol=0)
 
 
 class TestHeadsAndLoss:
@@ -325,8 +345,7 @@ class TestBatchedSweep:
                 one, one_rep = mdl.forward_tensors(params, rec.emb0, cfg,
                                                    schedule=rec.schedule)
                 rows = slice(off, off + rec.graph.n)
-                for a, b in ((one.hs, st.hs), (one.hf, st.hf), (one.hq, st.hq)):
-                    assert np.abs(a.data - b.data[rows]).max() < 1e-12
+                assert np.abs(one.table.data - st.table.data[rows]).max() < 1e-12
                 k = len(one_rep.region_iters)
                 assert merged_iters[:k] == one_rep.region_iters
                 merged_iters = merged_iters[k:]
@@ -362,9 +381,9 @@ class TestBatchedSweep:
         assert rep.region_iters == [cfg.cycle_max_iters] * len(schedule["regions"])
 
     def test_dropped_forward_frees_tables_without_gc(self):
-        # No reference cycle holds a forward's tables: with the cyclic
-        # collector off, dropping the result frees its (n, d) buffers and
-        # their gradient buffer.
+        # No reference cycle holds a forward's table: with the cyclic
+        # collector off, dropping the result frees its (n, 3d) buffer and
+        # its gradient buffer.
         cfg = mdl.ModelConfig(**self.CFG)
         recs = feedback_records(cfg)
         params = mdl.init_params(6, seed=1)
@@ -372,12 +391,14 @@ class TestBatchedSweep:
         gc.disable()
         try:
             st, _, _ = mdl.forward_records(recs, params, cfg)
-            loss = tz.add(tz.sum_all(tz.mul(st.hf, st.hf)), tz.sum_all(st.hq))
+            rows = np.arange(st.table.data.shape[0])
+            hf = st.read(rows, mdl.FUNCTION)
+            loss = tz.add(tz.sum_all(tz.mul(hf, hf)),
+                          tz.sum_all(st.read(rows, mdl.SEQUENTIAL)))
             loss.backward()
-            refs = [weakref.ref(t.data) for t in st.tables]
-            refs.append(weakref.ref(st.tables[1]._grad.buf))
-            del st, loss
-            assert [r() for r in refs] == [None] * 4
+            refs = [weakref.ref(st.table.data), weakref.ref(st.table._grad.buf)]
+            del st, hf, loss
+            assert [r() for r in refs] == [None] * 2
         finally:
             gc.enable()
 
@@ -527,11 +548,14 @@ class TestSchedule:
         assert report.region_iters == []
         loss = tz.add(*(mdl.weighted_loss(losses, {t: 1.0 for t in mdl.TASKS})
                         for _, losses in results))
+        # Each group is one tape node that holds all its attentions' w2.
         w2 = {id(params[n]) for n in params.names() if n.endswith(".attn.w2")}
-        seen, stack, attn_nodes = {id(loss)}, [loss], 0
+        seen, stack, attn_nodes, group_nodes = {id(loss)}, [loss], 0, 0
         while stack:
             t = stack.pop()
-            attn_nodes += bool(t.parents) and id(t.parents[-1]) in w2
+            held = sum(id(p) in w2 for p in t.parents)
+            attn_nodes += held
+            group_nodes += held > 0
             for p in t.parents:
                 if id(p) not in seen:
                     seen.add(id(p))
@@ -540,14 +564,16 @@ class TestSchedule:
         def attentions(kind):
             return 3 if kind in mdl.STRUCT_KINDS else 2
         fanins, fanouts, kinds, levels = union_lists(recs)
-        expected = by_arity = 0
+        expected = by_arity = groups = 0
         for neighbours in (fanins, fanouts):
             for nodes in levels:
                 keys = {(kinds[v], len(neighbours[v])) for v in nodes
                         if neighbours[v]}
                 expected += sum(attentions(k) for k in {k for k, _ in keys})
                 by_arity += sum(attentions(k) for k, _ in keys)
+                groups += len({k for k, _ in keys})
         assert attn_nodes == expected
+        assert group_nodes == groups
         assert by_arity > expected
 
 
@@ -582,8 +608,7 @@ def assert_waves_match_serial(g):
         params = mdl.init_params(6, seed=3)
         got, got_rep = mdl.forward_tensors(params, emb0, cfg, schedule=schedule)
         want, want_rep = mdl.forward_tensors(params, emb0, cfg, schedule=serial)
-        for a, b in zip(got.tables, want.tables):
-            assert np.abs(a.data - b.data).max() < 1e-12
+        assert np.abs(got.table.data - want.table.data).max() < 1e-12
         assert got_rep.region_iters == want_rep.region_iters
         assert np.allclose(got_rep.region_residuals, want_rep.region_residuals,
                            rtol=1e-12, atol=0)

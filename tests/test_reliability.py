@@ -116,6 +116,8 @@ def test_flip_config_validation():
         FaultConfig(flip_prob=1.0).check()
     with pytest.raises(ValueError):
         FaultConfig(n_cycles=1).check()
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        FaultConfig(seed=-1).check()
 
 
 def test_json_lines_export():

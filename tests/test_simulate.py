@@ -94,6 +94,12 @@ class TestSimulate:
         for ff in g.ffs:
             assert np.array_equal(s1.traces[ff], s2.traces[ff])
 
+    def test_negative_seed_rejected(self):
+        g, ids = and2()
+        w = Workload({ids["a"]: (0.5, 0.5), ids["b"]: (0.5, 0.5)})
+        with pytest.raises(SimulationError, match=r"^seed must be >= 0, got -1$"):
+            simulate(g, w, SimConfig(10, 5, -1))
+
     def test_missing_pi_rejected(self):
         g, ids = and2()
         with pytest.raises(SimulationError):

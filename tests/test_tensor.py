@@ -117,11 +117,12 @@ class TestGradients:
     def test_softmax_and_concat(self):
         # One set of six predecessors, the rows of m, mixed by attention.
         store = tz.ParamStore()
-        w2 = store.create("w2", rand((3, 1), 7))
+        cell = make_cell(store, "c", 3, 3, 7)
         m = store.create("m", rand((6, 3), 8))
+        h = tz.constant(rand((1, 3), 9))
 
         def build():
-            mixed = tz.attn_aggregate_groups(tz.take_rows(m, range(6)), [0], w2)
+            mixed = tz.space_update(tz.take_rows(m, range(6)), h, [0], None, [cell])
             stacked = tz.concat_cols([mixed, tz.scale(mixed, -0.5)])
             return tz.sum_all(tz.absolute(stacked))
         self._check(build, store)
@@ -153,13 +154,14 @@ class TestGradients:
         # segment i holds rows i, 3 - i and 2 * row i of s.
         store = tz.ParamStore()
         s = store.create("s", rand((4, 3), 13))
-        w2 = store.create("w2", rand((3, 1), 15))
+        cell = make_cell(store, "c", 3, 3, 15)
+        h = tz.constant(rand((4, 3), 16))
         idx = [j for i in range(4) for j in (i, 3 - i, i)]
         factor = tz.constant(np.tile([[1.0], [1.0], [2.0]], (4, 1)))
 
         def build():
             preds = tz.mul(tz.take_rows(s, idx), factor)
-            out = tz.attn_aggregate_groups(preds, [0, 3, 6, 9], w2)
+            out = tz.space_update(preds, h, [0, 3, 6, 9], None, [cell])
             return tz.mean_all(tz.mul(out, s))
         self._check(build, store)
 
@@ -217,6 +219,29 @@ class TestRowTable:
             loss = tz.add(loss, tz.sum_all(tz.mul(side, side)))
             return tz.add(loss, tz.mean_all(tz.mul(t.current, t.current)))
         self._fd_check(build, store)
+
+    def test_column_block_reads_gradcheck(self):
+        # Column blocks of a table version and of a plain tensor, repeated
+        # rows included, beside a whole-row read.
+        store = tz.ParamStore()
+        m = store.create("m", rand((4, 6), 30))
+        r = store.create("r", rand((2, 6), 31))
+        c = tz.constant(rand((3, 2), 32))
+
+        def build():
+            t = tz.RowTable(rand((5, 6), 33))
+            t.scatter([1, 3], tz.tanh(r))
+            blocks = [tz.take_rows(t.current, [3, 1, 3], slice(lo, lo + 2))
+                      for lo in (0, 2, 4)]
+            blocks.append(tz.take_rows(m, [0, 2, 2], slice(2, 4)))
+            loss = tz.sum_all(tz.mul(tz.take_rows(t.current, [1, 4]),
+                                     tz.take_rows(m, [3, 0])))
+            for k, block in enumerate(blocks):
+                loss = tz.add(loss, tz.sum_all(tz.mul(tz.scale(block, k + 1.0), c)))
+            return loss
+        self._fd_check(build, store)
+        assert np.array_equal(tz.take_rows(tz.constant(rand((4, 6), 34)), [2],
+                                           slice(4, 6)).data, rand((4, 6), 34)[[2], 4:])
 
     def test_scatter_in_place_over_a_private_copy(self):
         init = rand((4, 2), 24)
@@ -290,81 +315,147 @@ class TestMlp3:
             assert relative_errors(store[name].grad, fd[name]).max() < 1e-8
 
 
+def make_cell(store, prefix, width, d, seed):
+    """One space's (w2, wx, wh, b): attention over ``width`` columns and a
+    GRU of state size ``d``."""
+    rng = np.random.default_rng(seed)
+    tz.init_attention(store, f"{prefix}.attn", width, rng)
+    tz.init_gru(store, f"{prefix}.gru", width, d, rng)
+    return tuple(store[f"{prefix}.{k}"] for k in ("attn.w2", "gru.wx", "gru.wh", "gru.b"))
+
+
+def make_cells(store, d, seed, pinned=False):
+    """Cells of a three-space group (AND/NOT), or with its first space
+    pinned (FF): space s attends over (s + 1) d columns."""
+    return [None if pinned and s == 0 else
+            make_cell(store, f"s{s}", (s + 1) * d, d, seed + s) for s in range(3)]
+
+
+def readout_cell(w2, d):
+    """A one-space cell whose output is exactly tanh of the attention sum
+    when the state is zero: z = 0 (to 2e-22), r = 1, no recurrence, and the
+    candidate's input weights are the identity."""
+    wx = np.zeros((d, 3 * d))
+    wx[:, 2 * d:] = np.eye(d)
+    b = np.concatenate([np.full(d, -50.0), np.full(d, 50.0), np.zeros(d)])
+    return (tz.constant(w2), tz.constant(wx), tz.constant(np.zeros((d, 3 * d))),
+            tz.constant(b.reshape(1, -1)))
+
+
+def attend(preds, starts, w2):
+    """tanh of the op's attention sums, read through ``readout_cell``."""
+    d = preds.shape[1]
+    h = tz.constant(np.zeros((len(starts), d)))
+    return tz.space_update(tz.constant(preds), h, starts, None,
+                           [readout_cell(w2, d)])
+
+
 class TestGru:
+    """The GRU half of ``space_update``: one space, one predecessor per
+    node, so that the GRU input is that predecessor's row."""
+
     def test_update_gate_one_passes_state_through(self):
         store = tz.ParamStore()
-        tz.init_gru(store, "g", 3, 4, np.random.default_rng(1))
-        store.params["g.b"].data = np.concatenate(
+        cell = make_cell(store, "g", 4, 4, 1)
+        store.params["g.gru.b"].data = np.concatenate(
             [np.full((1, 4), 50.0), np.zeros((1, 8))], axis=1)
         h = tz.constant(rand((1, 4), 2))
-        out = tz.gru_cell(tz.constant(rand((1, 3), 3)), h, store, "g")
+        out = tz.space_update(tz.constant(rand((1, 4), 3)), h, [0], None, [cell])
         assert np.allclose(out.data, h.data, atol=1e-6)
 
     def test_no_reset_no_recurrence_is_tanh_of_input(self):
         store = tz.ParamStore()
-        tz.init_gru(store, "g", 3, 4, np.random.default_rng(4))
+        cell = make_cell(store, "g", 4, 4, 4)
         b = np.zeros((1, 12))
         b[0, :4] = -50.0   # z = 0
         b[0, 4:8] = 50.0   # r = 1
-        store.params["g.b"].data = b
-        store.params["g.wh"].data = np.zeros((4, 12))
-        x = rand((1, 3), 5)
-        wx = store.params["g.wx"].data
-        out = tz.gru_cell(tz.constant(x), tz.constant(rand((1, 4), 6)),
-                          store, "g")
+        store.params["g.gru.b"].data = b
+        store.params["g.gru.wh"].data = np.zeros((4, 12))
+        x = rand((1, 4), 5)
+        wx = store.params["g.gru.wx"].data
+        out = tz.space_update(tz.constant(x), tz.constant(rand((1, 4), 6)),
+                              [0], None, [cell])
         assert np.allclose(out.data, np.tanh(x @ wx[:, 8:]), atol=1e-6)
 
     def test_gradcheck(self):
-        store = tz.ParamStore()
-        tz.init_gru(store, "g", 3, 4, np.random.default_rng(7))
-        x = tz.constant(rand((2, 3), 8))
-        h = tz.constant(rand((2, 4), 9))
+        # Every space's w2, wx, wh and b, in a three-space group and in one
+        # whose structure space is pinned.
+        for pinned in (False, True):
+            store = tz.ParamStore()
+            cells = make_cells(store, 2, 7, pinned)
+            preds = tz.constant(rand((5, 6), 8))
+            h = tz.constant(rand((2, 6), 9))
 
-        def build():
-            return tz.mean_all(tz.gru_cell(x, h, store, "g"))
-        build().backward()
-        fd = numeric_gradients(build, store)
-        for name in store.names():
-            assert relative_errors(store[name].grad, fd[name]).max() < 1e-8
+            def build():
+                return tz.mean_all(tz.space_update(preds, h, [0, 3], None, cells))
+            build().backward()
+            fd = numeric_gradients(build, store)
+            assert len(store.names()) == (8 if pinned else 12)
+            for name in store.names():
+                assert relative_errors(store[name].grad, fd[name]).max() < 1e-8
 
     def test_gradcheck_inputs(self):
-        store = tz.ParamStore()
-        tz.init_gru(store, "g", 3, 4, np.random.default_rng(10))
-        x = store.create("x", rand((2, 3), 11))
-        h = store.create("h", rand((2, 4), 12))
-        c = tz.constant(rand((2, 4), 13))
+        # Gradients with respect to the neighbour rows and the own rows; a
+        # pinned space passes its gradient through.
+        for pinned in (False, True):
+            store = tz.ParamStore()
+            cells = make_cells(store, 2, 10, pinned)
+            x = store.create("x", rand((5, 6), 11))
+            h = store.create("h", rand((2, 6), 12))
+            c = tz.constant(rand((2, 6), 13))
 
-        def build():
-            return tz.sum_all(tz.mul(tz.gru_cell(x, h, store, "g"), c))
-        build().backward()
-        fd = numeric_gradients(build, store, names=["x", "h"])
-        for name in ("x", "h"):
-            assert relative_errors(store[name].grad, fd[name]).max() < 1e-8
+            def build():
+                return tz.sum_all(tz.mul(tz.space_update(x, h, [0, 2], None, cells), c))
+            build().backward()
+            fd = numeric_gradients(build, store, names=["x", "h"])
+            for name in ("x", "h"):
+                assert relative_errors(store[name].grad, fd[name]).max() < 1e-8
+            if pinned:
+                assert np.array_equal(h.grad[:, :2], c.data[:, :2])
+
+    def test_pinned_space_keeps_its_columns(self):
+        store = tz.ParamStore()
+        cells = make_cells(store, 3, 20, pinned=True)
+        h = tz.constant(rand((2, 9), 21))
+        out = tz.space_update(tz.constant(rand((4, 9), 22)), h, [0, 1], None, cells)
+        assert np.array_equal(out.data[:, :3], h.data[:, :3])
+        assert not np.array_equal(out.data[:, 3:], h.data[:, 3:])
 
     def test_one_tape_node(self):
         store = tz.ParamStore()
-        tz.init_gru(store, "g", 3, 4, np.random.default_rng(14))
-        x = store.create("x", rand((2, 3), 15))
-        h = store.create("h", rand((2, 4), 16))
-        out = tz.gru_cell(x, h, store, "g")
-        assert out.parents == (x, h, store["g.wx"], store["g.wh"], store["g.b"])
+        cells = make_cells(store, 2, 14)
+        x = store.create("x", rand((2, 6), 15))
+        h = store.create("h", rand((2, 6), 16))
+        out = tz.space_update(x, h, [0, 1], None, cells)
+        assert out.parents == (x, h) + cells[0] + cells[1] + cells[2]
 
     def test_overflowing_preactivation_trips(self):
         # Saturated gates would hide an infinite preactivation in the output.
         with tz.precision("float32"), np.errstate(over="ignore"):
             store = tz.ParamStore()
-            tz.init_gru(store, "g", 3, 4, np.random.default_rng(18))
-            store.params["g.wx"].data = np.full((3, 12), 1e10, dtype=np.float32)
+            cell = make_cell(store, "g", 3, 3, 18)
+            store.params["g.gru.wx"].data = np.full((3, 9), 1e10, dtype=np.float32)
             x = tz.constant(np.full((1, 3), 1e30))
-            with pytest.raises(tz.NumericsError):
-                tz.gru_cell(x, tz.constant(rand((1, 4), 19)), store, "g")
+            with pytest.raises(tz.NumericsError,
+                               match=r"^non-finite intermediate value in space_update$"):
+                tz.space_update(x, tz.constant(rand((1, 3), 19)), [0], None, [cell])
+            # An overflowing attention score trips too.
+            store.params["g.attn.w2"].data = np.full((3, 1), 1e10, dtype=np.float32)
+            with pytest.raises(tz.NumericsError, match=r"in space_update$"):
+                tz.space_update(x, tz.constant(rand((1, 3), 19)), [0], None, [cell])
 
     def test_shape_mismatch(self):
         store = tz.ParamStore()
-        tz.init_gru(store, "g", 3, 4, np.random.default_rng(17))
-        with pytest.raises(tz.ShapeError):
-            tz.gru_cell(tz.constant(rand((2, 3))), tz.constant(rand((3, 4))),
-                        store, "g")
+        cells = make_cells(store, 2, 17)
+        with pytest.raises(tz.ShapeError, match="space_update"):
+            tz.space_update(tz.constant(rand((2, 6))), tz.constant(rand((3, 6))),
+                            [0, 1], None, cells)
+        with pytest.raises(tz.ShapeError):  # state width is not 3 d
+            tz.space_update(tz.constant(rand((2, 6))), tz.constant(rand((2, 4))),
+                            [0, 1], None, cells)
+        with pytest.raises(tz.ShapeError):  # cells of another width
+            tz.space_update(tz.constant(rand((2, 9))), tz.constant(rand((2, 9))),
+                            [0, 1], None, cells)
 
 
 def csr(sizes):
@@ -376,65 +467,63 @@ RAGGED = [3, 1, 9, 2, 7, 1, 4, 5, 8, 6]
 
 
 class TestAttention:
+    """The attention half of ``space_update``, read through a GRU whose
+    output is tanh of its input (``readout_cell``), and its gradients."""
+
     def test_zero_weights_uniform(self):
         preds = rand((2, 4), 2)
-        zero = tz.constant(np.zeros((4, 1)))
-        out = tz.attn_aggregate_groups(tz.constant(preds), [0], zero)
-        assert np.allclose(out.data, preds.mean(axis=0, keepdims=True))
+        out = attend(preds, [0], np.zeros((4, 1)))
+        assert np.allclose(out.data, np.tanh(preds.mean(axis=0, keepdims=True)))
 
     def test_single_predecessor_identity(self):
-        pred = tz.constant(rand((1, 4), 4))
-        w2 = tz.constant(rand((4, 1), 6))
-        out = tz.attn_aggregate_groups(pred, [0], w2)
-        assert np.array_equal(out.data, pred.data)
+        pred = rand((1, 4), 4)
+        out = attend(pred, [0], rand((4, 1), 6))
+        assert np.array_equal(out.data, np.tanh(pred))
 
     def test_grouped_matches_set_version(self):
         # Five sets of three; the reference adds a query term the op lacks.
         rng = np.random.default_rng(7)
-        store = tz.ParamStore()
-        w1 = store.create("w1", rng.standard_normal((4, 1)))
-        w2 = store.create("w2", rng.standard_normal((3, 1)))
+        w1 = rng.standard_normal((4, 1))
+        w2 = rng.standard_normal((3, 1))
         q_rows = rng.standard_normal((5, 4))
         ps = rng.standard_normal((15, 3))
-        grouped = tz.attn_aggregate_groups(tz.constant(ps), csr([3] * 5), w2)
+        grouped = attend(ps, csr([3] * 5), w2)
         for r in range(5):
-            single = attn_reference(q_rows[r], ps[3 * r:3 * r + 3],
-                                    w1.data, w2.data)
-            assert np.allclose(grouped.data[r], single, atol=1e-12)
+            single = attn_reference(q_rows[r], ps[3 * r:3 * r + 3], w1, w2)
+            assert np.allclose(grouped.data[r], np.tanh(single), atol=1e-12)
 
     def test_query_term_cancels_on_ragged_sets(self):
         rng = np.random.default_rng(11)
         preds = rng.standard_normal((sum(RAGGED), 5))
         w2 = rng.standard_normal((5, 1))
         starts = csr(RAGGED)
-        out = tz.attn_aggregate_groups(tz.constant(preds), starts, tz.constant(w2))
+        out = attend(preds, starts, w2)
         for r, (lo, k) in enumerate(zip(starts, RAGGED)):
             query, w1 = rng.standard_normal(7) * 10, rng.standard_normal((7, 1))
             ref = attn_reference(query, preds[lo:lo + k], w1, w2)
-            assert np.abs(out.data[r] - ref).max() < 1e-12
+            assert np.abs(out.data[r] - np.tanh(ref)).max() < 1e-12
 
     def test_grouped_single_pred_exact(self):
         rng = np.random.default_rng(8)
         p0 = rng.standard_normal((6, 3))
-        out = tz.attn_aggregate_groups(
-            tz.constant(p0), np.arange(6),
-            tz.constant(rng.standard_normal((3, 1))))
-        assert np.array_equal(out.data, p0)
+        out = attend(p0, np.arange(6), rng.standard_normal((3, 1)))
+        assert np.array_equal(out.data, np.tanh(p0))
 
     def test_empty_predecessors_rejected(self):
-        w2 = tz.constant(rand((4, 1)))
+        w2 = rand((4, 1))
         for rows, starts in ((1, []), (2, [0, 1, 1]), (2, [0, 2]), (0, [0])):
             with pytest.raises(tz.ShapeError):
-                tz.attn_aggregate_groups(tz.constant(rand((rows, 4))), starts, w2)
+                attend(rand((rows, 4)), starts, w2)
 
     def test_gradcheck_three_predecessors(self):
         store = tz.ParamStore()
-        w2 = store.create("w2", rand((4, 1), 10))
+        cell = make_cell(store, "c", 4, 4, 10)
         m = store.create("m", rand((3, 4), 11))
+        h = tz.constant(rand((1, 4), 12))
 
         def build():
             preds = tz.take_rows(m, [0, 1, 2])
-            return tz.mean_all(tz.attn_aggregate_groups(preds, [0], w2))
+            return tz.mean_all(tz.space_update(preds, h, [0], None, [cell]))
         build().backward()
         fd = numeric_gradients(build, store)
         for name in store.names():
@@ -442,13 +531,16 @@ class TestAttention:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_grouped_gradcheck(self, k):
+        # Segments of k in a three-space group: the neighbour rows, the own
+        # rows and every cell parameter.
         store = tz.ParamStore()
-        preds = store.create("p", rand((4 * k, 3), 21 + k))
-        w2 = store.create("w2", rand((3, 1), 31))
-        c = tz.constant(rand((4, 3), 32))
+        cells = make_cells(store, 2, 30)
+        preds = store.create("p", rand((4 * k, 6), 21 + k))
+        h = store.create("h", rand((4, 6), 31))
+        c = tz.constant(rand((4, 6), 32))
 
         def build():
-            out = tz.attn_aggregate_groups(preds, csr([k] * 4), w2)
+            out = tz.space_update(preds, h, csr([k] * 4), None, cells)
             return tz.sum_all(tz.mul(out, c))
         build().backward()
         fd = numeric_gradients(build, store)
@@ -456,15 +548,16 @@ class TestAttention:
             assert relative_errors(store[name].grad, fd[name]).max() < 1e-8, name
 
     def test_ragged_gradcheck(self):
-        # Sets of sizes 1 to 9; every pred row and w2 against central
-        # differences.
+        # Sets of sizes 1 to 9, with the structure space pinned; every pred
+        # row, own row and cell parameter against central differences.
         store = tz.ParamStore()
-        preds = store.create("p", rand((sum(RAGGED), 4), 50))
-        w2 = store.create("w2", rand((4, 1), 51))
-        c = tz.constant(rand((len(RAGGED), 4), 52))
+        cells = make_cells(store, 2, 50, pinned=True)
+        preds = store.create("p", rand((sum(RAGGED), 6), 50))
+        h = store.create("h", rand((len(RAGGED), 6), 51))
+        c = tz.constant(rand((len(RAGGED), 6), 52))
 
         def build():
-            out = tz.attn_aggregate_groups(preds, csr(RAGGED), w2)
+            out = tz.space_update(preds, h, csr(RAGGED), None, cells)
             return tz.sum_all(tz.mul(out, c))
         build().backward()
         fd = numeric_gradients(build, store, h=1e-6)
@@ -475,13 +568,14 @@ class TestAttention:
         # Row 1 of m is a neighbour of both segments; its gradient is the
         # sum of both uses, gathered by take_rows.
         store = tz.ParamStore()
+        cell = make_cell(store, "c", 4, 4, 61)
         m = store.create("m", rand((3, 4), 60))
-        w2 = store.create("w2", rand((4, 1), 61))
+        h = tz.constant(rand((2, 4), 63))
         c = tz.constant(rand((2, 4), 62))
 
         def build():
             preds = tz.take_rows(m, [0, 1, 1, 2])
-            out = tz.attn_aggregate_groups(preds, [0, 2], w2)
+            out = tz.space_update(preds, h, [0, 2], None, [cell])
             return tz.sum_all(tz.mul(out, c))
         build().backward()
         fd = numeric_gradients(build, store, h=1e-6)
@@ -491,22 +585,22 @@ class TestAttention:
 
     def test_grouped_one_tape_node(self):
         store = tz.ParamStore()
+        cells = make_cells(store, 1, 44)
         preds = store.create("p", rand((6, 3), 41))
-        w2 = store.create("w2", rand((3, 1), 44))
-        out = tz.attn_aggregate_groups(preds, [0, 2, 5], w2)
-        assert out.parents == (preds, w2)
+        h = store.create("h", rand((3, 3), 42))
+        out = tz.space_update(preds, h, [0, 2, 5], None, cells)
+        assert out.parents == (preds, h) + cells[0] + cells[1] + cells[2]
         assert out.shape == (3, 3)
 
     def test_grouped_shape_mismatch(self):
         with pytest.raises(tz.ShapeError):
-            tz.attn_aggregate_groups(tz.constant(rand((3, 4))), [0],
-                                     tz.constant(rand((3, 1))))
+            attend(rand((3, 4)), [0], rand((3, 1)))
 
     def test_unordered_starts_rejected(self):
-        w2 = tz.constant(rand((4, 1)))
+        w2 = rand((4, 1))
         for starts in ([0, 3, 1], [1, 2], [0, 2, 2]):
             with pytest.raises(tz.ShapeError):
-                tz.attn_aggregate_groups(tz.constant(rand((4, 4))), starts, w2)
+                attend(rand((4, 4)), starts, w2)
 
 
 class TestAdam:
