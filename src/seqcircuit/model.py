@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as tz
 from .circuit import CircuitGraph, NodeKind
 from .labels import LabelSet
-from .schedule import PropagationPlan, levelize
+from .schedule import node_plan
 from .simulate import Workload
 from .tensor import ParamStore, Tensor
 
@@ -86,10 +86,6 @@ class EmbeddingState:
     structure: np.ndarray
     function: np.ndarray
     sequential: np.ndarray
-
-    def copy(self) -> "EmbeddingState":
-        return EmbeddingState(self.structure.copy(), self.function.copy(),
-                              self.sequential.copy())
 
 
 @dataclass
@@ -234,34 +230,29 @@ def _groups(kinds, csr, nodes, keys, n_keys: int) -> list[list[tuple]]:
     return groups
 
 
-def compile_schedule(g: CircuitGraph, plan: PropagationPlan, reverse: bool):
+def compile_schedule(g: CircuitGraph, reverse: bool):
     """Precompute batched update groups for every sweep the forward pass runs.
 
     ``fwd`` and ``rev`` hold one group list per level and ``regions`` one
     list of internal levels per feedback region.  ``region_rows`` are each
     region's nodes and ``waves`` the regions that run together, in order,
-    each as (region ids, their levels merged).  A region's wave is its
-    depth in the region contact graph (``_region_waves``), so regions that
-    share no edge run in one wave.  ``nodes`` keeps the per-node arrays
-    the groups are cut from, for ``merge_schedules``.
+    each as (region ids, their levels merged).  The groups are cut from the
+    per-node arrays of ``schedule.node_plan``, whose waves let regions that
+    share no edge run together.  ``nodes`` keeps those arrays, with the
+    region nodes listed by (region, node id), for ``merge_schedules``.
     """
-    level = np.zeros(g.n, dtype=np.int64)
-    for i, nodes in enumerate(plan.levels):
-        level[list(nodes)] = i
-    entries = sorted((k, v, i + 1) for k, r in enumerate(plan.cyclic_regions)
-                     for i, nodes in enumerate(r.internal_levels)
-                     for v in nodes)
-    region, region_node, region_level = np.array(
-        entries, dtype=np.int64).reshape(-1, 3).T
+    plan = node_plan(g)
+    region = plan["region"]
+    rows = np.flatnonzero(region >= 0)
+    rows = rows[np.argsort(region[rows], kind="stable")]
     nodes = {
-        "kind": np.array(g.kinds, dtype=np.int64), "level": level,
+        "kind": np.array(g.kinds, dtype=np.int64), "level": plan["level"],
         "fanin_deg": np.array([len(f) for f in g.fanins], dtype=np.int64),
         "fanins": np.array([u for f in g.fanins for u in f], dtype=np.int64),
         "fanout_deg": np.array([len(f) for f in g.fanouts], dtype=np.int64),
         "fanouts": np.array([u for f in g.fanouts for u in f], dtype=np.int64),
-        "region": region, "region_node": region_node,
-        "region_level": region_level,
-        "wave": _region_waves(g, plan.cyclic_regions),
+        "region": region[rows], "region_node": rows,
+        "region_level": plan["region_level"][rows], "wave": plan["wave"],
     }
     return _sweeps(nodes, reverse)
 
@@ -298,28 +289,9 @@ def _sweeps(a: dict, reverse: bool) -> dict:
                    int(wave_depth.sum()))
     waves = [(np.flatnonzero(wave == w).tolist(), flat[f:f + d])
              for w, (f, d) in enumerate(zip(first, wave_depth))]
-    return {"fwd": fwd, "regions": regions, "rev": rev, "n": len(kind),
-            "region_rows": region_rows, "waves": waves, "nodes": a}
-
-
-def _region_waves(g: CircuitGraph, regions) -> np.ndarray:
-    """Each region's wave: its depth in the region contact graph, from 0.
-
-    Region k is one deeper than the deepest earlier region j < k that it
-    reads or feeds (a node of k has a fanin or fanout in j).  A wave pass
-    rewrites only region rows, and a region reads only its own rows, rows
-    outside every region and rows of the regions it touches.  So regions of
-    one depth share no edge and cannot see each other's updates, while
-    regions that touch keep their index order: the waves give the values of
-    running the regions one by one in index order.
-    """
-    owner = {v: k for k, r in enumerate(regions) for v in r.nodes}
-    depth: list[int] = []
-    for k, r in enumerate(regions):
-        touched = {owner[u] for v in r.nodes
-                   for u in (*g.fanins[v], *g.fanouts[v]) if u in owner}
-        depth.append(1 + max((depth[j] for j in touched if j < k), default=-1))
-    return np.array(depth, dtype=np.int64)
+    return {"fwd": fwd, "regions": regions, "rev": rev, "reverse": reverse,
+            "n": len(kind), "region_rows": region_rows, "waves": waves,
+            "nodes": a}
 
 
 def merge_schedules(schedules) -> dict:
@@ -344,7 +316,7 @@ def merge_schedules(schedules) -> dict:
     joined = {key: np.concatenate([p[key] + off for p, off in
                                    zip(parts, shift.get(key, 0 * node))])
               for key in parts[0]}
-    return _sweeps(joined, any(s["rev"] for s in schedules))
+    return _sweeps(joined, any(s["reverse"] for s in schedules))
 
 
 def _cells(params: ParamStore, side: str) -> dict:
@@ -563,19 +535,18 @@ class CircuitRecord:
     workload: Workload
     labels: LabelSet
     path: str = ""
-    plan: PropagationPlan | None = None
     emb0: EmbeddingState | None = None
+    emb0_key: tuple | None = None  # the (dim, *seed, index) emb0 was drawn for
     schedule: dict | None = None
 
     def prepare(self, cfg: ModelConfig, seed, index: int):
-        if self.plan is None:
-            self.plan = levelize(self.graph)
-        if self.schedule is None or bool(self.schedule["rev"]) != cfg.reverse_layer:
-            self.schedule = compile_schedule(self.graph, self.plan,
-                                             cfg.reverse_layer)
-        if self.emb0 is None or self.emb0.structure.shape[1] != cfg.dim:
+        if self.schedule is None or self.schedule["reverse"] != cfg.reverse_layer:
+            self.schedule = compile_schedule(self.graph, cfg.reverse_layer)
+        key = (cfg.dim, *_seed_list(seed), index)
+        if self.emb0_key != key:
             self.emb0 = init_embeddings(self.graph, self.workload, cfg.dim,
-                                        seed=_seed_list(seed) + [index])
+                                        seed=list(key[1:]))
+            self.emb0_key = key
         return self
 
 

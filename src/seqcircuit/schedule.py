@@ -4,6 +4,9 @@ FF outputs are treated as level-0 sources, which makes the remaining graph
 acyclic and yields a topological level order.  Feedback shows up as strongly
 connected components of the full graph; each becomes a cyclic region with
 its own internal level order so that consumers can re-sweep it.
+``node_plan`` computes the plan as per-node arrays, which the model cuts
+its node groups from; ``levelize`` and ``detect_cycles`` view the same
+arrays as tuples.
 """
 from __future__ import annotations
 
@@ -30,9 +33,6 @@ class PropagationPlan:
     ff_update_points: tuple[int, ...]
     cyclic_regions: tuple[CyclicRegion, ...]
 
-    def node_level(self) -> dict[int, int]:
-        return {v: i for i, lvl in enumerate(self.levels) for v in lvl}
-
     def to_json(self) -> str:
         doc = {
             "levels": [list(l) for l in self.levels],
@@ -46,26 +46,91 @@ class PropagationPlan:
         return json.dumps(doc, indent=2)
 
 
-def levelize(g: CircuitGraph) -> PropagationPlan:
-    """Build the full propagation plan (levels, FF order, cyclic regions).
+def node_plan(g: CircuitGraph) -> dict[str, np.ndarray]:
+    """Where every node runs in the sweep, as per-node arrays.
 
-    Gates sit on their ``g.levels`` and PIs on level 0; an FF updates one
-    level after its D input settles, at ``1 + g.levels[D]``.
+    ``level`` is the sweep level: ``g.levels`` at PIs and gates, and
+    ``1 + g.levels[D]`` at an FF, which updates one level after its D input
+    settles.  ``region`` numbers the feedback regions, the multi-node
+    strongly connected components of the full graph, by (lowest level,
+    lowest node id); it is -1 outside every region.  ``region_level`` is a
+    region node's level inside its region, from 1, where member FF outputs
+    and nodes outside the region count as level 0; it is 0 outside every
+    region.  ``wave`` holds each region's wave (``_region_waves``).
+
+    Raises ``CircuitError`` if the graph fails validation.
     """
-    regions = detect_cycles(g)  # validates g, once per plan
-    level = g.levels.copy()
+    require_valid(g)
+    level = g.levels.astype(np.int64)
     level[g.ffs] = 1 + g.levels[[g.fanins[f][0] for f in g.ffs]]
+    lv = level.tolist()
+    sccs = sorted((c for c in _tarjan_sccs(g.n, g.fanouts) if len(c) > 1),
+                  key=lambda c: (min(lv[v] for v in c), min(c)))
+    region = np.full(g.n, -1, dtype=np.int64)
+    for k, comp in enumerate(sccs):
+        region[comp] = k
+
+    # One pass: gates in topological order, then the FFs, which read no
+    # FF's inner level.
+    kinds, reg = g.kinds, region.tolist()
+    inner = [0] * g.n
+    for v in (*g.gate_order, *g.ffs):
+        k = reg[v]
+        if k >= 0:
+            inner[v] = 1 + max((inner[u] for u in g.fanins[v]
+                                if reg[u] == k and kinds[u] != NodeKind.FF),
+                               default=0)
+    return {"level": level, "region": region,
+            "region_level": np.array(inner, dtype=np.int64),
+            "wave": _region_waves(g, reg, len(sccs))}
+
+
+def _region_waves(g: CircuitGraph, reg: list[int], count: int) -> np.ndarray:
+    """Each region's wave: its depth in the region contact graph, from 0.
+
+    Region k is one deeper than the deepest earlier region j < k that it
+    reads or feeds (a node of k has a fanin or fanout in j).  A wave pass
+    rewrites only region rows, and a region reads only its own rows, rows
+    outside every region and rows of the regions it touches.  So regions of
+    one depth share no edge and cannot see each other's updates, while
+    regions that touch keep their index order: the waves give the values of
+    running the regions one by one in index order.
+    """
+    # Every contact is a fanin edge of some region node; (later, earlier).
+    contacts = {(max(k, j), min(k, j)) for v, k in enumerate(reg) if k >= 0
+                for j in (reg[u] for u in g.fanins[v]) if j >= 0 and j != k}
+    wave = [0] * count
+    for k, j in sorted(contacts):  # j's wave is final before k's first pair
+        wave[k] = max(wave[k], wave[j] + 1)
+    return np.array(wave, dtype=np.int64)
+
+
+def levelize(g: CircuitGraph) -> PropagationPlan:
+    """The plan of ``node_plan`` as tuples: each level's nodes, the FFs in
+    update order and the cyclic regions in id order."""
+    plan = node_plan(g)
+    level = plan["level"]
     order = np.argsort(level, kind="stable")
     cuts = np.cumsum(np.bincount(level, minlength=1))[:-1]
     levels = tuple(tuple(b.tolist()) for b in np.split(order, cuts))
-
     level = level.tolist()
     ffs_sorted = tuple(sorted(g.ffs, key=lambda f: (level[f], f)))
-    regions = tuple(sorted(regions,
-                           key=lambda r: (min(level[v] for v in r.nodes),
-                                          min(r.nodes))))
+
+    inner = plan["region_level"].tolist()
+    members: list[list[int]] = [[] for _ in plan["wave"]]
+    for v, k in enumerate(plan["region"].tolist()):
+        if k >= 0:
+            members[k].append(v)
+    regions = []
+    for nodes in members:
+        inside: list[list[int]] = [[] for _ in range(max(inner[v] for v in nodes))]
+        for v in nodes:
+            inside[inner[v] - 1].append(v)
+        regions.append(CyclicRegion(
+            ffs=tuple(v for v in nodes if g.kinds[v] == NodeKind.FF),
+            nodes=frozenset(nodes), internal_levels=tuple(map(tuple, inside))))
     return PropagationPlan(levels=levels, ff_update_points=ffs_sorted,
-                           cyclic_regions=regions)
+                           cyclic_regions=tuple(regions))
 
 
 def _tarjan_sccs(n, succ):
@@ -115,43 +180,9 @@ def _tarjan_sccs(n, succ):
 
 
 def detect_cycles(g: CircuitGraph) -> list[CyclicRegion]:
-    """One region per multi-node strongly connected component of the full graph.
+    """One region per multi-node strongly connected component of the full
+    graph, by lowest node id.
 
     Raises ``CircuitError`` if the graph fails validation.
     """
-    require_valid(g)
-    sccs = _tarjan_sccs(g.n, g.fanouts)
-    regions = []
-    for comp in sccs:
-        if len(comp) < 2:
-            continue
-        ffs = tuple(sorted(v for v in comp if g.kinds[v] == NodeKind.FF))
-        if not ffs:
-            continue  # unreachable for validate-clean graphs
-        nodes = frozenset(comp)
-        regions.append(CyclicRegion(ffs=ffs, nodes=nodes,
-                                    internal_levels=_region_levels(g, nodes)))
-    regions.sort(key=lambda r: min(r.nodes))
-    return regions
-
-
-def _region_levels(g: CircuitGraph, nodes: frozenset[int]):
-    """Levelize a region: member FF outputs and external fanins count as level 0."""
-    level: dict[int, int] = {}
-
-    def src_level(u):
-        if u not in nodes or g.kinds[u] in (NodeKind.PI, NodeKind.FF):
-            return 0
-        return level[u]
-
-    for v in g.gate_order:
-        if v in nodes:
-            level[v] = 1 + max(src_level(u) for u in g.fanins[v])
-    for v in sorted(nodes):
-        if g.kinds[v] == NodeKind.FF:
-            level[v] = 1 + max(src_level(u) for u in g.fanins[v])
-    top = max(level.values(), default=0)
-    buckets: list[list[int]] = [[] for _ in range(top)]
-    for v, l in level.items():
-        buckets[l - 1].append(v)
-    return tuple(tuple(sorted(b)) for b in buckets)
+    return sorted(levelize(g).cyclic_regions, key=lambda r: min(r.nodes))

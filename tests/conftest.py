@@ -105,6 +105,21 @@ def reference_run(g, w, n_patterns, n_cycles, seed, flip_prob=0.0):
     return np.array(values), np.array(states).reshape(T, len(g.ffs), P)
 
 
+def accumulator_bench(width):
+    """BENCH text of a ripple-carry accumulator q <= q + in + cin: each bit's
+    FF closes its own feedback region, and no edge joins two regions."""
+    rows = ["INPUT(cin)"] + [f"INPUT(in{i})" for i in range(width)]
+    rows += [f"OUTPUT(q{i})" for i in range(width)]
+    for i in range(width):
+        q, x, c = f"q{i}", f"in{i}", f"c{i}" if i else "cin"
+        rows += [f"o{i} = OR({q}, {x})", f"n{i} = NAND({q}, {x})",
+                 f"h{i} = AND(o{i}, n{i})", f"r{i} = NOR(h{i}, {c})",
+                 f"a{i} = AND(h{i}, {c})", f"s{i} = NOR(r{i}, a{i})",
+                 f"g{i} = AND({q}, {x})", f"c{i + 1} = OR(g{i}, a{i})",
+                 f"{q} = DFF(s{i})"]
+    return "\n".join(rows) + "\n"
+
+
 def eval_graph(g, source_vals, ff_vals=None):
     """Independent recursive evaluator used as a test oracle.
 
@@ -132,13 +147,48 @@ def eval_graph(g, source_vals, ff_vals=None):
     return ev
 
 
-def forward_arrays(g, plan, params, emb0, cfg):
+def forward_arrays(g, params, emb0, cfg):
     """Embedding arrays and diagnostics of one circuit's forward pass."""
     from seqcircuit import model as mdl
 
-    schedule = mdl.compile_schedule(g, plan, cfg.reverse_layer)
+    schedule = mdl.compile_schedule(g, cfg.reverse_layer)
     st, report = mdl.forward_tensors(params, emb0, cfg, schedule=schedule)
     return mdl.EmbeddingState(*np.split(st.table.data, 3, axis=1)), report
+
+
+def region_levels_reference(g, nodes):
+    """A region's internal levels by walking every gate in topological
+    order, one region at a time: member FF outputs and nodes outside the
+    region count as level 0 (test oracle)."""
+    level = {}
+
+    def src_level(u):
+        if u not in nodes or g.kinds[u] in (NodeKind.PI, NodeKind.FF):
+            return 0
+        return level[u]
+
+    for v in g.gate_order:
+        if v in nodes:
+            level[v] = 1 + max(src_level(u) for u in g.fanins[v])
+    for v in sorted(nodes):
+        if g.kinds[v] == NodeKind.FF:
+            level[v] = 1 + max(src_level(u) for u in g.fanins[v])
+    buckets = [[] for _ in range(max(level.values(), default=0))]
+    for v, l in level.items():
+        buckets[l - 1].append(v)
+    return tuple(tuple(sorted(b)) for b in buckets)
+
+
+def region_waves_reference(g, regions):
+    """Each region's depth in the region contact graph: one more than the
+    deepest earlier region it has a fanin or fanout in (test oracle)."""
+    owner = {v: k for k, r in enumerate(regions) for v in r.nodes}
+    depth = []
+    for k, r in enumerate(regions):
+        touched = {owner[u] for v in r.nodes
+                   for u in (*g.fanins[v], *g.fanouts[v]) if u in owner}
+        depth.append(1 + max((depth[j] for j in touched if j < k), default=-1))
+    return depth
 
 
 def group_update_reference(spaces, params, side, kind, vids, nbrs, starts):

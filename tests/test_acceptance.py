@@ -214,7 +214,7 @@ def test_criterion_3_gradient_correctness():
 
     with tz.precision("float64"):
         cfg, params64, rec = build_ctx()
-        assert rec.plan.cyclic_regions  # the pass exercises a cyclic region
+        assert sq.levelize(g).cyclic_regions  # the pass exercises a cyclic region
 
         def loss64():
             _, losses, _ = mdl.run_record(rec, params64, cfg)
@@ -311,7 +311,7 @@ def test_criterion_4_disentanglement():
     for rec, (hs0, hf0, hq0) in zip(records, frozen_before):
         gg = rec.graph
         src = sorted(gg.pis + gg.ffs)
-        emb_after, _ = forward_arrays(gg, rec.plan, params, rec.emb0, mcfg)
+        emb_after, _ = forward_arrays(gg, params, rec.emb0, mcfg)
         assert np.array_equal(rec.emb0.structure[src], hs0)
         assert np.array_equal(emb_after.structure[src], hs0)
         assert np.array_equal(emb_after.function[gg.pis], hf0)
@@ -332,13 +332,13 @@ def test_criterion_5_single_pass():
             cfg = mdl.ModelConfig(dim=8, reverse_layer=reverse)
             emb0 = mdl.init_embeddings(g, w, 8, seed=seed)
             params = mdl.init_params(8, seed=seed, reverse_layer=True)
-            emb1, rep1 = forward_arrays(g, plan, params, emb0, cfg)
+            emb1, rep1 = forward_arrays(g, params, emb0, cfg)
             for v in range(g.n):
                 expect = 0 if g.kinds[v] == NodeKind.PI else 1
                 assert rep1.forward_updates[v] == expect
             if not reverse:
                 assert rep1.reverse_updates.sum() == 0
-            emb2, _ = forward_arrays(g, plan, params, emb0, cfg)
+            emb2, _ = forward_arrays(g, params, emb0, cfg)
             assert np.array_equal(emb1.structure, emb2.structure)
             assert np.array_equal(emb1.function, emb2.function)
             assert np.array_equal(emb1.sequential, emb2.sequential)

@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import weakref
@@ -12,8 +13,8 @@ from seqcircuit import model as mdl
 from seqcircuit import tensor as tz
 from seqcircuit.bench import parse_bench
 from seqcircuit.labels import LabelSet
-from tests.conftest import (forward_arrays, forward_reference, numeric_gradients,
-                            relative_errors, toggle_ff)
+from tests.conftest import (accumulator_bench, forward_arrays, forward_reference,
+                            numeric_gradients, relative_errors, toggle_ff)
 
 
 def small_record(seed=0, feedback=0.5, **gen):
@@ -73,13 +74,13 @@ class TestForward:
         cfg = mdl.ModelConfig(dim=8)
         rec.prepare(cfg, 0, 0)
         params = mdl.init_params(8, seed=1)
-        emb1, rep1 = forward_arrays(rec.graph, rec.plan, params, rec.emb0, cfg)
+        emb1, rep1 = forward_arrays(rec.graph, params, rec.emb0, cfg)
         g = rec.graph
         for v in range(g.n):
             expect = 0 if v in g.pis else 1
             assert rep1.forward_updates[v] == expect
         assert rep1.region_iters == []
-        emb2, rep2 = forward_arrays(rec.graph, rec.plan, params, rec.emb0, cfg)
+        emb2, rep2 = forward_arrays(rec.graph, params, rec.emb0, cfg)
         assert np.array_equal(emb1.structure, emb2.structure)
         assert np.array_equal(emb1.function, emb2.function)
         assert np.array_equal(emb1.sequential, emb2.sequential)
@@ -87,13 +88,12 @@ class TestForward:
     def test_region_updates_bounded(self):
         # A region runs exactly cycle_max_iters passes, also when that is 0.
         g, ids = toggle_ff()
-        plan = levelize(g)
         w = Workload({ids["pi"]: (0.5, 0.5)})
         emb0 = mdl.init_embeddings(g, w, 8, seed=2)
         params = mdl.init_params(8, seed=3)
         for passes in (0, 1, 3):
             cfg = mdl.ModelConfig(dim=8, cycle_max_iters=passes)
-            _, rep = forward_arrays(g, plan, params, emb0, cfg)
+            _, rep = forward_arrays(g, params, emb0, cfg)
             assert rep.forward_updates[ids["ff"]] == 1 + passes
             assert rep.region_iters == [passes]
             assert len(rep.region_residuals[0]) == passes
@@ -103,7 +103,7 @@ class TestForward:
         cfg = mdl.ModelConfig(dim=8)
         rec.prepare(cfg, 0, 0)
         params = mdl.init_params(8, seed=2)
-        emb, _ = forward_arrays(rec.graph, rec.plan, params, rec.emb0, cfg)
+        emb, _ = forward_arrays(rec.graph, params, rec.emb0, cfg)
         g = rec.graph
         sources = sorted(g.pis + g.ffs)
         assert np.array_equal(emb.structure[sources],
@@ -120,7 +120,7 @@ class TestForward:
         cfg = mdl.ModelConfig(dim=8, reverse_layer=True)
         rec.prepare(cfg, 0, 0)
         params = mdl.init_params(8, seed=2)
-        _, rep = forward_arrays(rec.graph, rec.plan, params, rec.emb0, cfg)
+        _, rep = forward_arrays(rec.graph, params, rec.emb0, cfg)
         g = rec.graph
         for v in range(g.n):
             if v in g.pis:
@@ -136,9 +136,9 @@ class TestForward:
         with tz.precision("float64"):
             cfg = mdl.ModelConfig(dim=6, cycle_max_iters=2, reverse_layer=True)
             rec = small_record(seed=3, feedback=0.8).prepare(cfg, 0, 0)
-            assert rec.plan.cyclic_regions and rec.schedule["rev"]
+            assert levelize(rec.graph).cyclic_regions and rec.schedule["rev"]
             params = mdl.init_params(6, seed=4)
-            emb, rep = forward_arrays(rec.graph, rec.plan, params, rec.emb0, cfg)
+            emb, rep = forward_arrays(rec.graph, params, rec.emb0, cfg)
             want, residuals = forward_reference(params, rec.emb0, cfg,
                                                 rec.schedule)
             got = (emb.structure, emb.function, emb.sequential)
@@ -255,8 +255,7 @@ class TestTraining:
                               lr=2e-3, seed=2, batch_size=1)
         params, _ = mdl.train([rec], cfg)
         g = rec.graph
-        emb, _ = forward_arrays(g, rec.plan, params, rec.emb0,
-                                cfg.model_config())
+        emb, _ = forward_arrays(g, params, rec.emb0, cfg.model_config())
         sources = sorted(g.pis + g.ffs)
         assert np.array_equal(emb.structure[sources],
                               rec.emb0.structure[sources])
@@ -279,7 +278,7 @@ class TestTraining:
         struct_grads = [params[n].grad for n in params.names()
                         if ".struct." in n and params[n].grad is not None]
         assert any(np.abs(g).max() > 0 for g in struct_grads)
-        emb, _ = forward_arrays(rec.graph, rec.plan, params, rec.emb0, mcfg)
+        emb, _ = forward_arrays(rec.graph, params, rec.emb0, mcfg)
         sources = sorted(rec.graph.pis + rec.graph.ffs)
         assert np.array_equal(emb.structure[sources],
                               rec.emb0.structure[sources])
@@ -435,7 +434,7 @@ class TestBatchedSweep:
         mcfg = cfg.model_config()
         for i, rec in enumerate(recs):
             rec.prepare(mcfg, cfg.seed, i)
-        before = [rec.emb0.copy() for rec in recs]
+        before = [copy.deepcopy(rec.emb0) for rec in recs]
         mdl.train(recs, cfg)
         for rec, emb in zip(recs, before):
             assert np.array_equal(rec.emb0.structure, emb.structure)
@@ -454,6 +453,36 @@ class TestBatchedSweep:
             for key in b:
                 if key != "path":
                     assert a[key] == pytest.approx(b[key], abs=1e-12)
+
+    def test_evaluate_draws_emb0_for_its_own_seed(self):
+        # Records that training prepared with seed 1 evaluate under seed 2
+        # as fresh records do: emb0 is cached on (dim, seed, index).
+        cfg = mdl.TrainConfig(dim=8, epochs_phase1=1, epochs_phase2=0,
+                              lr=1e-3, seed=1, batch_size=2)
+        trained = [small_record(seed=s) for s in (40, 41)]
+        params, _ = mdl.train(trained, cfg)
+        fresh = [small_record(seed=s) for s in (40, 41)]
+        mcfg = cfg.model_config()
+        assert (mdl.evaluate(params, trained, mcfg, seed=2)
+                == mdl.evaluate(params, fresh, mcfg, seed=2))
+        rec = trained[0].prepare(mcfg, 3, 5)
+        want = mdl.init_embeddings(rec.graph, rec.workload, 8, seed=[3, 5])
+        assert np.array_equal(rec.emb0.function, want.function)
+
+    def test_prepare_keys_schedule_on_reverse_flag(self):
+        # A circuit of inputs only has no reverse levels, yet its schedule
+        # keeps the flag it was compiled for and is not compiled again.
+        b = CircuitBuilder()
+        b.set_outputs([b.add_pi()])
+        g = b.build()
+        rec = mdl.CircuitRecord(graph=g, workload=Workload.random(g, 0),
+                                labels=LabelSet.empty(g.n))
+        cfg = mdl.ModelConfig(dim=4, reverse_layer=True)
+        schedule = rec.prepare(cfg, 0, 0).schedule
+        assert schedule["reverse"] is True and schedule["rev"] == []
+        assert rec.prepare(cfg, 0, 0).schedule is schedule
+        off = rec.prepare(replace(cfg, reverse_layer=False), 0, 0).schedule
+        assert off["reverse"] is False
 
     def test_continued_training_with_fixed_weights(self):
         recs = [small_record(seed=s) for s in (36, 37)]
@@ -482,7 +511,7 @@ def union_lists(recs):
         fanins += [[u + off for u in g.fanins[v]] for v in range(g.n)]
         fanouts += [[u + off for u in g.fanouts[v]] for v in range(g.n)]
         kinds += list(g.kinds)
-        for i, level in enumerate(rec.plan.levels[1:]):
+        for i, level in enumerate(levelize(g).levels[1:]):
             if i == len(levels):
                 levels.append([])
             levels[i] += [v + off for v in level]
@@ -520,7 +549,7 @@ class TestSchedule:
             offsets = np.cumsum([0] + [r.graph.n for r in part])
             regions = [[[v + off for v in level] for level in region.internal_levels]
                        for rec, off in zip(part, offsets)
-                       for region in rec.plan.cyclic_regions]
+                       for region in levelize(rec.graph).cyclic_regions]
             assert len(schedule["regions"]) == len(regions)
             for got, want in zip(schedule["regions"], regions):
                 assert len(got) == len(want)
@@ -577,21 +606,6 @@ class TestSchedule:
         assert by_arity > expected
 
 
-def accumulator_bench(width):
-    """BENCH text of a ripple-carry accumulator q <= q + in + cin: each bit's
-    FF closes its own feedback region, and no edge joins two regions."""
-    rows = ["INPUT(cin)"] + [f"INPUT(in{i})" for i in range(width)]
-    rows += [f"OUTPUT(q{i})" for i in range(width)]
-    for i in range(width):
-        q, x, c = f"q{i}", f"in{i}", f"c{i}" if i else "cin"
-        rows += [f"o{i} = OR({q}, {x})", f"n{i} = NAND({q}, {x})",
-                 f"h{i} = AND(o{i}, n{i})", f"r{i} = NOR(h{i}, {c})",
-                 f"a{i} = AND(h{i}, {c})", f"s{i} = NOR(r{i}, a{i})",
-                 f"g{i} = AND({q}, {x})", f"c{i + 1} = OR(g{i}, a{i})",
-                 f"{q} = DFF(s{i})"]
-    return "\n".join(rows) + "\n"
-
-
 def wave_ids(schedule):
     return [ids for ids, _ in schedule["waves"]]
 
@@ -601,7 +615,7 @@ def assert_waves_match_serial(g):
     schedule that runs the regions one by one in index order."""
     with tz.precision("float64"):
         cfg = mdl.ModelConfig(dim=6, cycle_max_iters=3)
-        schedule = mdl.compile_schedule(g, levelize(g), True)
+        schedule = mdl.compile_schedule(g, True)
         serial = {**schedule, "waves": [([k], levels) for k, levels
                                         in enumerate(schedule["regions"])]}
         emb0 = mdl.init_embeddings(g, Workload.random(g, 1), 6, seed=2)
@@ -687,7 +701,7 @@ class TestRegionWaves:
         # reverse sweeps grow with the carry chain.
         g = parse_bench(accumulator_bench(width))
         cfg = mdl.ModelConfig(dim=4)
-        schedule = mdl.compile_schedule(g, levelize(g), cfg.reverse_layer)
+        schedule = mdl.compile_schedule(g, cfg.reverse_layer)
         calls = []
         update = mdl._update_group
         monkeypatch.setattr(mdl, "_update_group",

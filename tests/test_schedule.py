@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from seqcircuit import (CircuitBuilder, CircuitError, GenSpec, NodeKind,
                         SimConfig, Workload, detect_cycles, generate, levelize,
                         parse_bench, simulate)
+from seqcircuit.schedule import node_plan
 from tests.test_bench import S27
-from tests.conftest import toggle_ff
+from tests.conftest import (accumulator_bench, region_levels_reference,
+                            region_waves_reference, toggle_ff)
 
 
 def test_two_pi_and_levels():
@@ -54,6 +56,10 @@ def _longest_path_levels(g):
     return max(depth(v) for v in range(g.n) if g.kinds[v] != NodeKind.PI)
 
 
+def _node_level(plan):
+    return {v: i for i, lvl in enumerate(plan.levels) for v in lvl}
+
+
 def test_s27_level_count_matches_longest_path():
     g = parse_bench(S27)
     plan = levelize(g)
@@ -70,7 +76,7 @@ def test_levels_partition_non_sources():
         assert sorted(rest) == sorted(v for v in range(g.n)
                                       if g.kinds[v] != NodeKind.PI)
         assert len(rest) == len(set(rest))
-        node_level = plan.node_level()
+        node_level = _node_level(plan)
         for v in rest:
             for u in g.fanins[v]:
                 src = 0 if g.kinds[u] in (NodeKind.PI, NodeKind.FF) \
@@ -82,7 +88,7 @@ def assert_exact_levels(g):
     """Every non-PI node sits exactly one level above its deepest source,
     where PIs and FF outputs count as 0, and ``g.levels`` holds the gates'
     levels of the plan and 0 at the PIs and FFs."""
-    node_level = levelize(g).node_level()
+    node_level = _node_level(levelize(g))
     for v in range(g.n):
         if g.kinds[v] == NodeKind.PI:
             assert node_level[v] == 0
@@ -103,7 +109,8 @@ def test_levels_are_exact():
     assert_exact_levels(parse_bench(S27))
 
 
-def test_ff_fed_by_ff_updates_at_level_one():
+def ff_fed_by_ff():
+    """One region f2 -> g1 -> g2 -> f1 -> f2, where FF f2 reads FF f1."""
     b = CircuitBuilder()
     pi = b.add_pi()
     f1, f2 = b.add_ff(), b.add_ff()
@@ -112,7 +119,11 @@ def test_ff_fed_by_ff_updates_at_level_one():
     b.set_ff_input(f1, g2)
     b.set_ff_input(f2, f1)  # reads f1's output, not its update level
     b.set_outputs([f2])
-    g = b.build()
+    return b.build(), (pi, f1, f2, g1, g2)
+
+
+def test_ff_fed_by_ff_updates_at_level_one():
+    g, (pi, f1, f2, g1, g2) = ff_fed_by_ff()
     assert_exact_levels(g)
     assert levelize(g).levels == ((pi,), (f2, g1), (g2,), (f1,))
 
@@ -252,6 +263,57 @@ def test_region_internal_levels_cover_region():
     flat = [v for lvl in region.internal_levels for v in lvl]
     assert sorted(flat) == sorted(region.nodes)
     assert flat.index(ids["inv"]) < flat.index(ids["ff"])
+
+
+def assert_plan_matches_region_walk(g):
+    """``node_plan``'s arrays and ``levelize``'s JSON against a walk of
+    every gate per region; regions run by (lowest level, lowest node id)."""
+    plan = node_plan(g)
+    regions = levelize(g).cyclic_regions
+    assert sorted(regions, key=lambda r: min(r.nodes)) == detect_cycles(g)
+    level = plan["level"].tolist()
+    keys = [(min(level[v] for v in r.nodes), min(r.nodes)) for r in regions]
+    assert keys == sorted(keys)
+    want = [region_levels_reference(g, r.nodes) for r in regions]
+    region, inner = [-1] * g.n, [0] * g.n
+    for k, levels in enumerate(want):
+        for i, nodes in enumerate(levels):
+            for v in nodes:
+                region[v], inner[v] = k, i + 1
+    assert plan["region"].tolist() == region
+    assert plan["region_level"].tolist() == inner
+    assert plan["wave"].tolist() == region_waves_reference(g, regions)
+    doc = json.loads(levelize(g).to_json())
+    assert [r["internal_levels"] for r in doc["cyclic_regions"]] == [
+        [list(nodes) for nodes in levels] for levels in want]
+    return len(regions)
+
+
+def test_plan_matches_region_walk_on_feedback_circuits():
+    counts = [assert_plan_matches_region_walk(generate(GenSpec(
+        n_pi=4, n_and=30, n_not=10, n_ff=8, seed=seed, feedback_prob=0.7)))
+        for seed in range(12)]
+    assert sum(c > 1 for c in counts) >= 6
+
+
+def test_plan_matches_region_walk_on_accumulator():
+    assert assert_plan_matches_region_walk(parse_bench(accumulator_bench(16))) == 16
+
+
+def test_plan_matches_region_walk_when_an_ff_reads_an_ff():
+    g, (_, f1, f2, g1, g2) = ff_fed_by_ff()
+    assert assert_plan_matches_region_walk(g) == 1
+    assert levelize(g).cyclic_regions[0].internal_levels == ((f2, g1), (g2,), (f1,))
+
+
+def test_node_plan_names_violations():
+    b = CircuitBuilder()
+    a = b.add_pi()
+    g1 = b.add_and(a, a)
+    b.fanins[g1] = (a,)
+    b.set_outputs([g1])
+    with pytest.raises(CircuitError, match=f"fails validation: node {g1}: arity"):
+        node_plan(b.build(check=False))
 
 
 def test_plan_json_dump():
