@@ -111,6 +111,56 @@ class CircuitGraph:
         return out
 
     @cached_property
+    def sccs(self) -> tuple[tuple[int, ...], ...]:
+        """Strongly connected components of the fanin graph, FF edges
+        included, in the order Tarjan's algorithm closes them: each after
+        the components of its fanins.  Fanins must be in range."""
+        succ = self.fanins
+        index = [-1] * self.n
+        low = [0] * self.n
+        on_stack = [False] * self.n
+        stack: list[int] = []
+        sccs = []
+        counter = 0
+        for root in range(self.n):
+            if index[root] != -1:
+                continue
+            work = [(root, 0)]
+            while work:
+                v, pi = work[-1]
+                if pi == 0:
+                    index[v] = low[v] = counter
+                    counter += 1
+                    stack.append(v)
+                    on_stack[v] = True
+                advanced = False
+                for j in range(pi, len(succ[v])):
+                    w = succ[v][j]
+                    if index[w] == -1:
+                        work[-1] = (v, j + 1)
+                        work.append((w, 0))
+                        advanced = True
+                        break
+                    if on_stack[w]:
+                        low[v] = min(low[v], index[w])
+                if advanced:
+                    continue
+                work.pop()
+                if work:
+                    p = work[-1][0]
+                    low[p] = min(low[p], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(tuple(comp))
+        return tuple(sccs)
+
+    @cached_property
     def id_to_name(self) -> dict[int, str]:
         return {i: name for name, i in self.name_map.items()}
 

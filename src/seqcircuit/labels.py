@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitGraph, CircuitError, NodeKind
-from .schedule import _tarjan_sccs
 from .simulate import (WORD, WORD_BITS, SimConfig, SimStats, Workload,
                        eval_levels, gate_sweeps, gate_table, pack_patterns,
-                       simulate)
+                       pattern_mask, simulate)
 
 MAX_PAIR_SUPPORT = 16
 # Working-set bound, in 64-bit words (about 1 MB), of one block of the F-pair
@@ -332,12 +331,11 @@ def sample_f_pairs(g: CircuitGraph, target_count: int | None, seed: int
 def transitive_pi_support(g: CircuitGraph) -> list[int]:
     """Per-node bitmask of PIs reachable backward through gates and FFs.
 
-    One pass over the strongly connected components of the fanin graph,
-    in the order Tarjan's algorithm closes them (each after the components
-    of its fanins); the nodes of a component share one mask.
+    One pass over ``g.sccs``, each component after those of its fanins;
+    the nodes of a component share one mask.
     """
     sup = [0] * g.n
-    for comp in _tarjan_sccs(g.n, g.fanins):
+    for comp in g.sccs:
         m = 0
         for v in comp:
             if g.kinds[v] == NodeKind.PI:
@@ -388,23 +386,26 @@ def ff_pair_eligible(g: CircuitGraph, i: int, j: int,
     return depth[i] == depth[j] != float("inf")
 
 
-def ff_similarity(trace_i: np.ndarray, trace_j: np.ndarray) -> float | None:
+def ff_similarity(states_i: np.ndarray, states_j: np.ndarray,
+                  n_patterns: int) -> float | None:
     """Ratio of matching state transitions to matching states.
 
-    Per pattern and per cycle t >= 1: a cycle counts toward the denominator
-    when both FFs held the same state at t-1, and toward the numerator when
-    they additionally agree at t.  Returns None when the FFs never share a
-    state (the pair carries no signal).
+    ``states_i`` and ``states_j`` are two FFs' (T, W) packed state words
+    over ``n_patterns`` patterns (``FFTraces.states``).  Per pattern and per
+    cycle t >= 1: a cycle counts toward the denominator when both FFs held
+    the same state at t-1, and toward the numerator when they additionally
+    agree at t.  The padding lanes of a last partial word are masked.
+    Returns None when the FFs never share a state (the pair carries no
+    signal).
     """
-    if trace_i.shape != trace_j.shape:
+    if states_i.shape != states_j.shape:
         raise LabelError("traces not aligned")
-    same = trace_i == trace_j
-    state = same[:, :-1]
-    trans = state & same[:, 1:]
-    denom = int(state.sum())
+    same = ~(states_i ^ states_j)
+    state = same[:-1] & pattern_mask(n_patterns)
+    denom = int(np.bitwise_count(state).sum())
     if denom == 0:
         return None
-    return float(trans.sum() / denom)
+    return int(np.bitwise_count(state & same[1:]).sum()) / denom
 
 
 def sample_ffsim_pairs(g: CircuitGraph, stats: SimStats,
@@ -440,7 +441,8 @@ def sample_ffsim_pairs(g: CircuitGraph, stats: SimStats,
     for c, r in zip(chosen, np.searchsorted(ends, chosen, side="right")):
         i, members, p = place[r]
         j = members[p + 1 + int(c - (ends[r] - counts[r]))]
-        sim = ff_similarity(stats.traces[i], stats.traces[j])
+        sim = ff_similarity(stats.traces.states(i), stats.traces.states(j),
+                            stats.n_patterns)
         if sim is None:
             skipped += 1
         else:

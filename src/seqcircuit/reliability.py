@@ -17,9 +17,9 @@ from . import model as mdl
 from . import tensor as tz
 from .circuit import CircuitGraph
 from .labels import LabelSet
-from .simulate import (FAULT_STREAM, WORD, WORD_BITS, SimConfig, Workload,
-                       compiled_order, count_ones, pattern_mask, pi_words,
-                       run_cycles, unpack_traces)
+from .simulate import (FAULT_STREAM, WORD, WORD_BITS, FFTraces, SimConfig,
+                       Workload, compiled_order, count_ones, pattern_mask,
+                       pi_words, run_cycles)
 
 # Most geometric gaps drawn at once, so that a fault draw's working memory
 # is bounded at any flip probability.
@@ -113,7 +113,8 @@ def reliability_labels(g: CircuitGraph, w: Workload, fc: FaultConfig,
     """Estimate per-node flip rates from paired fault-free/faulty runs.
 
     Deterministic in the seed; with ``flip_prob == 0`` the faulty run is
-    observationally identical to the fault-free one.
+    observationally identical to the fault-free one.  ``return_traces``
+    adds the fault-free and faulty FF traces, as ``FFTraces`` views.
     """
     fc.check()
     w.check(g)
@@ -126,11 +127,11 @@ def reliability_labels(g: CircuitGraph, w: Workload, fc: FaultConfig,
     mask = pattern_mask(P)
 
     n1, n01, n10 = (np.zeros(g.n, dtype=np.int64) for _ in range(3))
-    shape = (T, len(g.ffs), words.shape[-1])
-    ff_words, fff_words = np.empty(shape, dtype=WORD), np.empty(shape, dtype=WORD)
+    states = []  # (fault-free, faulty) FF state words, kept only if asked
     pairs = zip(run_cycles(g, levels, words), run_cycles(g, levels, words, flips))
-    for t, ((state, vals), (fstate, fvals)) in enumerate(pairs):
-        ff_words[t], fff_words[t] = state, fstate
+    for (state, vals), (fstate, fvals) in pairs:
+        if return_traces:
+            states.append((state, fstate))
         n1 += count_ones(vals, mask)
         n01 += count_ones(fvals & ~vals, mask)
         n10 += count_ones(vals & ~fvals, mask)
@@ -141,8 +142,7 @@ def reliability_labels(g: CircuitGraph, w: Workload, fc: FaultConfig,
         p10=np.divide(n10, n1, out=np.zeros(g.n), where=n1 > 0),
         n0=n0, n1=n1)
     if return_traces:
-        return (labels, unpack_traces(g.ffs, ff_words, P),
-                unpack_traces(g.ffs, fff_words, P))
+        return (labels, *(FFTraces(g.ffs, np.stack(s), P) for s in zip(*states)))
     return labels
 
 

@@ -64,11 +64,11 @@ def node_plan(g: CircuitGraph) -> dict[str, np.ndarray]:
     level = g.levels.astype(np.int64)
     level[g.ffs] = 1 + g.levels[[g.fanins[f][0] for f in g.ffs]]
     lv = level.tolist()
-    sccs = sorted((c for c in _tarjan_sccs(g.n, g.fanouts) if len(c) > 1),
+    sccs = sorted((c for c in g.sccs if len(c) > 1),
                   key=lambda c: (min(lv[v] for v in c), min(c)))
     region = np.full(g.n, -1, dtype=np.int64)
     for k, comp in enumerate(sccs):
-        region[comp] = k
+        region[list(comp)] = k
 
     # One pass: gates in topological order, then the FFs, which read no
     # FF's inner level.
@@ -131,52 +131,6 @@ def levelize(g: CircuitGraph) -> PropagationPlan:
             nodes=frozenset(nodes), internal_levels=tuple(map(tuple, inside))))
     return PropagationPlan(levels=levels, ff_update_points=ffs_sorted,
                            cyclic_regions=tuple(regions))
-
-
-def _tarjan_sccs(n, succ):
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for j in range(pi, len(succ[v])):
-                w = succ[v][j]
-                if index[w] == -1:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
 
 
 def detect_cycles(g: CircuitGraph) -> list[CyclicRegion]:

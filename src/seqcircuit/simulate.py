@@ -9,6 +9,7 @@ aggregated over all (pattern, cycle) evaluations.
 from __future__ import annotations
 
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,11 @@ class SimConfig:
 
 @dataclass
 class SimStats:
-    """Aggregated per-node statistics (and per-FF traces when simulated)."""
+    """Aggregated per-node statistics (and per-FF traces when simulated).
+
+    ``traces`` of a simulation is an ``FFTraces`` over the packed state
+    words; exact statistics carry none.
+    """
 
     p1: np.ndarray
     ptr: np.ndarray
@@ -80,7 +85,7 @@ class SimStats:
     n_cycles: int
     p1_counts: np.ndarray | None = None
     tr_counts: np.ndarray | None = None
-    traces: dict[int, np.ndarray] = field(default_factory=dict)
+    traces: Mapping[int, np.ndarray] = field(default_factory=dict)
     pattern_p1_counts: np.ndarray | None = None
     pattern_tr_counts: np.ndarray | None = None
 
@@ -124,9 +129,6 @@ def markov_params(p1: float, ptr: float) -> tuple[float, float]:
 
 WORD = np.dtype("<u8")
 WORD_BITS = 64
-# Bytes of bool traces unpacked at a time, so that unpacking never holds a
-# second copy of every FF's (patterns x cycles) trace.
-TRACE_CHUNK_BYTES = 1 << 20
 
 
 def gate_table(g: CircuitGraph, rows, level):
@@ -271,19 +273,27 @@ def pi_words(g: CircuitGraph, w: Workload, cfg: SimConfig):
     return s
 
 
-def unpack_traces(ffs, ff_words, n_patterns: int) -> dict[int, np.ndarray]:
-    """(T, n_ff, W) per-cycle FF state words -> {ff: (P, T) bool}.
+class FFTraces(Mapping):
+    """Read-only {FF id: (P, T) bool trace} over (T, n_ff, W) packed FF
+    state words; a trace is unpacked only when it is read."""
 
-    The traces are rows of one (n_ff, P, T) array, filled a chunk of FFs
-    at a time.
-    """
-    T, n_ff, _ = ff_words.shape
-    out = np.empty((n_ff, n_patterns, T), dtype=bool)
-    step = max(1, TRACE_CHUNK_BYTES // (n_patterns * T))
-    for lo in range(0, n_ff, step):
-        out[lo:lo + step] = unpack_patterns(ff_words[:, lo:lo + step],
-                                            n_patterns).transpose(1, 2, 0)
-    return dict(zip(ffs, out))
+    def __init__(self, ffs, words, n_patterns: int):
+        self.words = words
+        self.n_patterns = n_patterns
+        self._col = {ff: k for k, ff in enumerate(ffs)}
+
+    def states(self, ff):
+        """(T, W) state words of one FF."""
+        return self.words[:, self._col[ff]]
+
+    def __getitem__(self, ff):
+        return unpack_patterns(self.states(ff), self.n_patterns).T
+
+    def __iter__(self):
+        return iter(self._col)
+
+    def __len__(self):
+        return len(self._col)
 
 
 def simulate(g: CircuitGraph, w: Workload, cfg: SimConfig = SimConfig(),
@@ -320,7 +330,7 @@ def simulate(g: CircuitGraph, w: Workload, cfg: SimConfig = SimConfig(),
     return SimStats(p1=p1c / total, ptr=trc / total_tr,
                     n_patterns=P, n_cycles=T,
                     p1_counts=p1c, tr_counts=trc,
-                    traces=unpack_traces(g.ffs, ff_words, P),
+                    traces=FFTraces(g.ffs, ff_words, P),
                     pattern_p1_counts=pp1, pattern_tr_counts=ptr_pp)
 
 
@@ -441,28 +451,50 @@ def exhaustive_stats(g: CircuitGraph, w: Workload,
 # --- binary trace file ------------------------------------------------------
 
 def write_trace_file(path, stats: SimStats):
-    """Pack FF traces as little-endian 64-bit words, bits filled LSB first."""
+    """Pack FF traces as little-endian 64-bit words, bits filled LSB first.
+
+    The traces of the FFs in id order, each flattened (pattern, cycle), form
+    one bit stream; one FF is unpacked at a time.
+    """
     ffs = sorted(stats.traces)
     P, T = stats.n_patterns, stats.n_cycles
-    bits = (np.concatenate([stats.traces[ff].reshape(-1) for ff in ffs])
-            if ffs else np.zeros(0, dtype=bool))
     with open(path, "wb") as f:
         f.write(TRACE_MAGIC)
         f.write(struct.pack("<III", len(ffs), P, T))
         f.write(struct.pack(f"<{len(ffs)}I", *ffs))
-        f.write(pack_patterns(bits).tobytes())
+        carry = np.zeros(0, dtype=bool)  # bits past the last whole word
+        for ff in ffs:
+            bits = np.concatenate([carry, stats.traces[ff].reshape(-1)])
+            cut = len(bits) - len(bits) % WORD_BITS
+            f.write(pack_patterns(bits[:cut]).tobytes())
+            carry = bits[cut:]
+        f.write(pack_patterns(carry).tobytes())
 
 
 def read_trace_file(path):
+    """({FF id: (P, T) bool trace}, P, T) of a ``write_trace_file`` file;
+    the traces are views of one unpacked bit stream.
+
+    Raises ``SimulationError`` unless the file holds exactly the bytes its
+    header calls for.
+    """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != TRACE_MAGIC:
-            raise SimulationError(f"bad trace magic {magic!r}")
-        n_ff, P, T = struct.unpack("<III", f.read(12))
-        ffs = struct.unpack(f"<{n_ff}I", f.read(4 * n_ff))
-        words = np.frombuffer(f.read(), dtype=WORD)
-    bits = unpack_patterns(words, n_ff * P * T)
-    traces = {}
-    for j, ff in enumerate(ffs):
-        traces[ff] = bits[j * P * T:(j + 1) * P * T].reshape(P, T).copy()
+        data = f.read()
+    if data[:4] != TRACE_MAGIC:
+        raise SimulationError(f"bad trace magic {data[:4]!r}")
+    if len(data) < 16:
+        raise SimulationError(f"trace file has {len(data)} bytes, "
+                              "expected at least 16 for its header")
+    n_ff, P, T = struct.unpack_from("<III", data, 4)
+    per_ff = P * T
+    want = 16 + 4 * n_ff + 8 * -(-n_ff * per_ff // WORD_BITS)
+    if len(data) != want:
+        raise SimulationError(f"trace file of {n_ff} FFs x {P} patterns x "
+                              f"{T} cycles has {len(data)} bytes, "
+                              f"expected {want}")
+    ffs = struct.unpack_from(f"<{n_ff}I", data, 16)
+    words = np.frombuffer(data, dtype=WORD, offset=16 + 4 * n_ff)
+    stream = unpack_patterns(words, n_ff * per_ff)
+    traces = {ff: stream[j * per_ff:(j + 1) * per_ff].reshape(P, T)
+              for j, ff in enumerate(ffs)}
     return traces, P, T

@@ -391,7 +391,8 @@ def sample_ffsim_pairs_reference(g, stats, target_count, seed):
     out, skipped = [], 0
     for c in sorted(chosen):
         i, j = elig[c]
-        sim = ff_similarity(stats.traces[i], stats.traces[j])
+        sim = ff_similarity(stats.traces.states(i), stats.traces.states(j),
+                            stats.n_patterns)
         if sim is None:
             skipped += 1
         else:

@@ -169,7 +169,8 @@ def test_criterion_2_label_oracles():
                     den += state
                     num += state and int(ti[p, t] == tj[p, t])
             expect = (num / den) if den else None
-            assert sq.ff_similarity(ti, tj) == expect
+            assert sq.ff_similarity(stats.traces.states(i),
+                                    stats.traces.states(j), 50) == expect
     report(2, "label oracles")
 
 

@@ -58,6 +58,32 @@ def test_gate_order_is_topological():
     assert with_feedback
 
 
+def test_sccs_are_closed_in_fanin_order():
+    # Against plain reachability: nodes share a component iff each reaches
+    # the other over fanins, and every fanin's component closes first.
+    multi = 0
+    for seed in range(6):
+        g = generate(GenSpec(n_pi=3, n_and=14, n_not=5, n_ff=4, seed=seed,
+                             feedback_prob=0.8))
+        reach = []
+        for v in range(g.n):
+            seen, stack = {v}, [v]
+            while stack:
+                for u in g.fanins[stack.pop()]:
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            reach.append(seen)
+        comp_of = {v: k for k, comp in enumerate(g.sccs) for v in comp}
+        assert sorted(comp_of) == list(range(g.n))
+        for v in range(g.n):
+            assert {u for u in reach[v] if v in reach[u]} == \
+                set(g.sccs[comp_of[v]])
+            assert all(comp_of[u] <= comp_of[v] for u in g.fanins[v])
+        multi += sum(len(c) > 1 for c in g.sccs)
+    assert multi
+
+
 def test_ff_cycle_is_legal():
     b = CircuitBuilder()
     ff = b.add_ff()

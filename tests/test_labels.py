@@ -14,7 +14,7 @@ from seqcircuit import labels
 from seqcircuit.labels import (LabelError, LabelSet, pair_distances,
                                sample_ffsim_pairs, sequential_depths,
                                support_masks, transitive_pi_support)
-from seqcircuit.simulate import simulate
+from seqcircuit.simulate import pack_patterns, simulate, unpack_patterns
 from tests.conftest import (eval_graph, f_pair_list, sample_f_pairs_reference,
                             sample_ffsim_pairs_reference,
                             transitive_pi_support_reference,
@@ -409,47 +409,57 @@ class TestFFPairs:
                 assert sample_ffsim_pairs(g, stats, target, seed) == want
 
 
+def bool_similarity(a, b):
+    """``ff_similarity`` of two (P, T) bool traces."""
+    return ff_similarity(pack_patterns(a.T), pack_patterns(b.T), a.shape[0])
+
+
 class TestFFSimilarity:
     def test_identical_traces(self):
         t = np.array([[0, 1, 1, 0, 1]], dtype=bool)
-        assert ff_similarity(t, t) == 1.0
+        assert bool_similarity(t, t) == 1.0
 
     def test_hand_worked_example(self):
         # A = 0,1,1,0 and B = 0,1,0,0: states match at t-1 for t in {1, 2};
         # the transition also matches only for t = 1, so the ratio is 1/2.
         a = np.array([[0, 1, 1, 0]], dtype=bool)
         b = np.array([[0, 1, 0, 0]], dtype=bool)
-        assert ff_similarity(a, b) == 0.5
+        assert bool_similarity(a, b) == 0.5
 
     def test_complementary_traces_skipped(self):
         a = np.array([[0, 1, 0, 1]], dtype=bool)
-        assert ff_similarity(a, ~a) is None
+        assert bool_similarity(a, ~a) is None
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             a = rng.random((4, 9)) < 0.5
             b = rng.random((4, 9)) < 0.5
-            assert ff_similarity(a, b) == ff_similarity(b, a)
+            assert bool_similarity(a, b) == bool_similarity(b, a)
 
     def test_matches_indicator_oracle(self):
+        # Random state words fill every lane, as a simulation's last partial
+        # word does, so the padding lanes past P must be masked out.
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            a = rng.random((3, 12)) < 0.5
-            b = rng.random((3, 12)) < 0.5
-            num = den = 0
-            for p in range(3):
-                for t in range(1, 12):
-                    phi_state = int(a[p, t - 1] == b[p, t - 1])
-                    phi_trans = phi_state and int(a[p, t] == b[p, t])
-                    den += phi_state
-                    num += phi_trans
-            expect = num / den if den else None
-            assert ff_similarity(a, b) == expect
+        for P in (1, 3, 63, 65, 1000):
+            for _ in range(3):
+                words = rng.integers(0, 2 ** 64, size=(2, 12, -(-P // 64)),
+                                     dtype=np.uint64)
+                a, b = (unpack_patterns(x, P).T for x in words)
+                num = den = 0
+                for p in range(P):
+                    for t in range(1, 12):
+                        phi_state = int(a[p, t - 1] == b[p, t - 1])
+                        phi_trans = phi_state and int(a[p, t] == b[p, t])
+                        den += phi_state
+                        num += phi_trans
+                expect = num / den if den else None
+                assert ff_similarity(words[0], words[1], P) == expect
 
     def test_misaligned_traces_rejected(self):
         with pytest.raises(LabelError):
-            ff_similarity(np.zeros((2, 5), bool), np.zeros((2, 6), bool))
+            ff_similarity(np.zeros((5, 1), np.uint64),
+                          np.zeros((6, 1), np.uint64), 2)
 
 
 class TestBuildLabelset:

@@ -21,6 +21,8 @@ def test_flip_zero_is_observationally_absent():
     fc = FaultConfig(flip_prob=0.0, n_patterns=150, n_cycles=40, seed=9)
     labels, traces, ftraces = reliability_labels(g, w, fc, return_traces=True)
     sim = simulate(g, w, SimConfig(150, 40, 9))
+    # packed views of the (T, n_ff, W) state words, not bool copies
+    assert traces.words.shape == ftraces.words.shape == (40, len(g.ffs), 3)
     for ff in g.ffs:
         assert np.array_equal(traces[ff], sim.traces[ff])
         assert np.array_equal(ftraces[ff], sim.traces[ff])

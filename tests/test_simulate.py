@@ -1,5 +1,6 @@
 import importlib
 import os
+import struct
 import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
@@ -163,20 +164,31 @@ class TestKernel:
             for j, ff in enumerate(g.ffs):
                 assert np.array_equal(stats.traces[ff], states[:, j, :].T)
 
-    @pytest.mark.parametrize("chunk_bytes", [1, 2 * 65 * 3, 1 << 20])
-    def test_unpack_traces_in_chunks(self, monkeypatch, chunk_bytes):
-        # 1 byte: one FF per chunk; 2 * P * T: two per chunk, the last one
-        # short; 1 MB: all five in one chunk.
-        monkeypatch.setattr(sim, "TRACE_CHUNK_BYTES", chunk_bytes)
-        words = np.random.default_rng(4).integers(
-            0, 2 ** 64, size=(3, 5, 2), dtype=np.uint64)
-        traces = sim.unpack_traces([10, 11, 12, 13, 14], words, 65)
-        p = np.arange(65)
-        bits = (words[:, :, p // 64] >> (p % 64).astype(np.uint64)) & 1
-        assert list(traces) == [10, 11, 12, 13, 14]
-        for j, trace in enumerate(traces.values()):
-            assert trace.shape == (65, 3)
-            assert np.array_equal(trace, bits[:, j, :].T.astype(bool))
+    def test_traces_are_read_only_views(self):
+        g = mixed_circuit()
+        stats = simulate(g, Workload({pi: (0.4, 0.3) for pi in g.workload_pis()}),
+                         SimConfig(65, 4, 1))
+        assert stats.traces.words.shape == (4, len(g.ffs), 2)
+        ff = g.ffs[0]
+        assert stats.traces[ff].shape == (65, 4)
+        with pytest.raises(TypeError):
+            stats.traces[ff] = np.zeros((65, 4), dtype=bool)
+
+    def test_traces_stay_packed(self):
+        # 200 FFs at 1000 x 100: their bool traces alone take 20 MB.
+        g = generate(GenSpec(n_pi=16, n_and=500, n_not=150, n_ff=200, seed=3,
+                             feedback_prob=0.5))
+        w = Workload.random(g, 1)
+        P, T = 1000, 100
+        simulate(g, w, SimConfig(1, 2, 3))  # first-call allocations
+        tracemalloc.start()
+        try:
+            stats = simulate(g, w, SimConfig(P, T, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(g.ffs) * P * T / 2
+        assert stats.traces.words.nbytes == T * len(g.ffs) * 16 * 8
 
     def test_constant_and_reset_values(self):
         g = mixed_circuit()
@@ -351,6 +363,48 @@ class TestTraceFile:
         assert sorted(traces) == sorted(stats.traces)
         for ff, mat in traces.items():
             assert np.array_equal(mat, stats.traces[ff])
+
+    @pytest.mark.parametrize("P, T", [(37, 13), (65, 7), (64, 2)])
+    def test_bytes_match_independent_packing(self, tmp_path, P, T):
+        # Header, FF ids, then each FF's (pattern, cycle) bits in id order
+        # as one stream of little-endian words filled LSB first.
+        g = generate(GenSpec(n_pi=3, n_and=6, n_not=3, n_ff=4, seed=2,
+                             feedback_prob=0.5))
+        w = Workload.random(g, 1)
+        path = os.path.join(tmp_path, "t.bin")
+        write_trace_file(path, simulate(g, w, SimConfig(P, T, 5)))
+        _, states = reference_run(g, w, P, T, 5)
+        bits = [int(states[t, j, p]) for j in range(len(g.ffs))
+                for p in range(P) for t in range(T)]
+        bits += [0] * (-len(bits) % 64)
+        want = b"SQTR" + struct.pack("<III", len(g.ffs), P, T)
+        want += struct.pack(f"<{len(g.ffs)}I", *g.ffs)
+        for lo in range(0, len(bits), 64):
+            want += struct.pack("<Q", sum(b << k for k, b in
+                                          enumerate(bits[lo:lo + 64])))
+        with open(path, "rb") as f:
+            assert f.read() == want
+
+    def test_truncated_file(self, tmp_path):
+        g = generate(GenSpec(n_pi=3, n_and=6, n_not=3, n_ff=4, seed=2,
+                             feedback_prob=0.5))
+        path = os.path.join(tmp_path, "t.bin")
+        write_trace_file(path, simulate(g, Workload.random(g, 1),
+                                        SimConfig(1000, 10, 5)))
+        size = os.path.getsize(path)
+        with open(path, "r+b") as f:
+            f.truncate(size - 16)
+        with pytest.raises(SimulationError,
+                           match=f"has {size - 16} bytes, expected {size}"):
+            read_trace_file(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = os.path.join(tmp_path, "t.bin")
+        with open(path, "wb") as f:
+            f.write(b"SQTR" + struct.pack("<I", 4) + b"\0\0")
+        with pytest.raises(SimulationError,
+                           match="has 10 bytes, expected at least 16"):
+            read_trace_file(path)
 
     def test_bad_magic(self, tmp_path):
         path = os.path.join(tmp_path, "bad.bin")
