@@ -165,6 +165,53 @@ def test_inspect_plan(tmp_path, corpus, capsys):
     assert doc["graph"]["violations"] == []
 
 
+# The full ``inspect --plan`` documents of two circuits: ``ff_fed_by_ff``
+# of test_schedule.py (ids 0..4 are pi, f1, f2, g1, g2) and the 3-bit
+# accumulator, whose bits' FFs are nodes 4, 5 and 6.
+FF_FED_BY_FF_PLAN = {
+    "levels": [[0], [2, 3], [4], [1]],
+    "ff_update_points": [2, 1],
+    "cyclic_regions": [{"ffs": [1, 2], "nodes": [1, 2, 3, 4],
+                        "internal_levels": [[2, 3], [4], [1]]}],
+}
+ACCUMULATOR_3_PLAN = {
+    "levels": [[0, 1, 2, 3],
+               [7, 8, 11, 15, 21, 25, 26, 29, 38, 42, 43, 46, 55],
+               [9, 12, 22, 27, 30, 39, 44, 47, 56], [10, 28, 45],
+               [13, 31, 48], [14, 17, 32, 49], [16, 19], [18, 23],
+               [20, 24, 33], [4, 34, 35], [36], [37, 40], [5, 41, 50],
+               [51, 52], [53], [54, 57], [6, 58]],
+    "ff_update_points": [4, 5, 6],
+    "cyclic_regions": [
+        {"ffs": [4], "nodes": [4, 7, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19, 20],
+         "internal_levels": [[7, 11], [9, 12], [10], [13], [14, 17], [16, 19],
+                             [18], [20], [4]]},
+        {"ffs": [5], "nodes": [5, 25, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37],
+         "internal_levels": [[25, 29], [27, 30], [28], [31], [32, 34], [33, 36],
+                             [35], [37], [5]]},
+        {"ffs": [6], "nodes": [6, 42, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54],
+         "internal_levels": [[42, 46], [44, 47], [45], [48], [49, 51], [50, 53],
+                             [52], [54], [6]]},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["ff_fed_by_ff", "accumulator_3"])
+def test_inspect_plan_document(tmp_path, capsys, name):
+    from seqcircuit import emit_aiger
+    from tests.conftest import accumulator_bench
+    from tests.test_schedule import ff_fed_by_ff
+
+    if name == "ff_fed_by_ff":
+        path, flag, want = tmp_path / "c.aag", "--aig", FF_FED_BY_FF_PLAN
+        path.write_text(emit_aiger(ff_fed_by_ff()[0]))
+    else:
+        path, flag, want = tmp_path / "c.bench", "--bench", ACCUMULATOR_3_PLAN
+        path.write_text(accumulator_bench(3))
+    assert run_cli(["inspect", flag, str(path), "--plan"]) == 0
+    assert capsys.readouterr().out == json.dumps({"plan": want}, indent=2) + "\n"
+
+
 def test_inspect_empty_bench_is_data_error(tmp_path, capsys):
     empty = tmp_path / "empty.bench"
     empty.write_text("# no statements\n")
