@@ -31,7 +31,7 @@ from .aiger import emit_aiger, parse_aiger
 from .bench import parse_bench
 from .circuit import CircuitError, GenSpec, generate, random_spec, validate
 from .labels import build_labelset
-from .schedule import levelize
+from .schedule import plan_document
 from .simulate import (SimConfig, SimulationError, Workload, exhaustive_stats,
                        simulate, write_trace_file)
 from .tensor import (CHECKPOINT_VERSION, NumericsError, load_checkpoint,
@@ -342,14 +342,8 @@ def cmd_inspect(cfg, log):
             "violations": [str(v) for v in validate(g)],
         }
     if cfg.get("plan"):
-        doc["plan"] = json.loads(levelize(g).to_json())
-    out = cfg.get("out")
-    text = json.dumps(doc, indent=2) + "\n"
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+        doc["plan"] = plan_document(g)
+    _emit(cfg, "inspect", json.dumps(doc, indent=2) + "\n")
     return 0
 
 

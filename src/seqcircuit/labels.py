@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitGraph, CircuitError, NodeKind
-from .simulate import (WORD, WORD_BITS, SimConfig, SimStats, Workload,
-                       eval_levels, gate_sweeps, gate_table, pack_patterns,
-                       pattern_mask, simulate)
+from .simulate import (WORD, WORD_BITS, FFTraces, SimConfig, SimStats,
+                       Workload, eval_levels, gate_sweeps, gate_table,
+                       pack_patterns, pattern_mask, simulate)
 
 MAX_PAIR_SUPPORT = 16
 # Working-set bound, in 64-bit words (about 1 MB), of one block of the F-pair
@@ -284,6 +284,21 @@ def _eligible_partners(words: np.ndarray, rows: np.ndarray):
         r += step
 
 
+def _draw_pairs(counts: np.ndarray, target_count: int, seed: int, tag: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw min(target_count, total) of the ``counts.sum()`` pairs uniformly
+    without replacement from the stream (seed, tag), where row r owns
+    ``counts[r]`` consecutive pair indices.  Returns each drawn pair's row
+    and its rank within the row, in index order."""
+    total = int(counts.sum())
+    rng = np.random.default_rng([int(seed), tag])
+    chosen = np.sort(rng.choice(total, size=min(target_count, total),
+                                replace=False))
+    ends = np.cumsum(counts)
+    row = np.searchsorted(ends, chosen, side="right")
+    return row, chosen - (ends[row] - counts[row])
+
+
 def sample_f_pairs(g: CircuitGraph, target_count: int | None, seed: int
                    ) -> list[tuple[int, int, float]]:
     """Uniformly sample eligible combinational pairs and label their distance.
@@ -304,15 +319,9 @@ def sample_f_pairs(g: CircuitGraph, target_count: int | None, seed: int
     counts = np.zeros(len(gates), dtype=np.int64)
     for block, _, mask in _eligible_partners(words, np.arange(len(gates))):
         counts[block] = mask.sum(axis=1)
-    total = int(counts.sum())
-    if not total:
+    if not counts.any():
         return []
-    rng = np.random.default_rng([int(seed), 0xF0])
-    chosen = np.sort(rng.choice(total, size=min(target_count, total),
-                                replace=False))
-    ends = np.cumsum(counts)
-    row = np.searchsorted(ends, chosen, side="right")
-    rank = chosen - (ends[row] - counts[row])
+    row, rank = _draw_pairs(counts, target_count, seed, 0xF0)
     partner = np.empty_like(row)
     for block, lo, mask in _eligible_partners(words, np.unique(row)):
         # a block holds consecutive drawn rows, in the order of ``row``
@@ -429,18 +438,16 @@ def sample_ffsim_pairs(g: CircuitGraph, stats: SimStats,
                    for p, f in enumerate(members))
     counts = np.array([len(members) - p - 1 for _, members, p in place],
                       dtype=np.int64)
-    total = int(counts.sum())
-    if not total or target_count <= 0:
+    if not counts.any() or target_count <= 0:
         return [], 0
-    rng = np.random.default_rng([int(seed), 0xFF])
-    chosen = np.sort(rng.choice(total, size=min(target_count, total),
-                                replace=False))
-    ends = np.cumsum(counts)
+    if not isinstance(stats.traces, FFTraces):
+        raise LabelError("FF-similarity labels need simulated traces; "
+                         "exact statistics carry none")
     out = []
     skipped = 0
-    for c, r in zip(chosen, np.searchsorted(ends, chosen, side="right")):
+    for r, rank in zip(*_draw_pairs(counts, target_count, seed, 0xFF)):
         i, members, p = place[r]
-        j = members[p + 1 + int(c - (ends[r] - counts[r]))]
+        j = members[p + 1 + int(rank)]
         sim = ff_similarity(stats.traces.states(i), stats.traces.states(j),
                             stats.n_patterns)
         if sim is None:

@@ -80,15 +80,6 @@ def _check_at_least(cfg, **bounds):
 
 
 @dataclass
-class EmbeddingState:
-    """Per-node embedding matrices, one row per node."""
-
-    structure: np.ndarray
-    function: np.ndarray
-    sequential: np.ndarray
-
-
-@dataclass
 class ForwardReport:
     forward_updates: np.ndarray
     reverse_updates: np.ndarray
@@ -109,8 +100,9 @@ def _seed_list(seed) -> list[int]:
 
 
 def init_embeddings(g: CircuitGraph, w: Workload, dim: int,
-                    seed=0) -> EmbeddingState:
-    """Workload-aware deterministic initialization.
+                    seed=0) -> np.ndarray:
+    """Workload-aware deterministic initialization of the (n, 3d) table,
+    with columns [structure | function | sequential].
 
     Structure rows of the sources (PIs and FFs) are mutually orthonormal
     when their count fits the dimension, otherwise random unit rows.  PI
@@ -136,8 +128,7 @@ def init_embeddings(g: CircuitGraph, w: Workload, dim: int,
         hf[pi, 0] = p1
         hq[pi] = 0.0
         hq[pi, 0] = ptr
-    dt = tz.active_dtype()
-    return EmbeddingState(hs.astype(dt), hf.astype(dt), hq.astype(dt))
+    return np.concatenate([hs, hf, hq], axis=1, dtype=tz.active_dtype())
 
 
 # --- parameters ---------------------------------------------------------------
@@ -180,10 +171,9 @@ class _TensorState:
     """The whole-graph (n, 3d) embedding table of a differentiable sweep,
     with columns [structure | function | sequential]."""
 
-    def __init__(self, emb: EmbeddingState):
-        self.dim = emb.structure.shape[1]
-        self.table = tz.RowTable(np.concatenate(
-            [emb.structure, emb.function, emb.sequential], axis=1))
+    def __init__(self, emb: np.ndarray):
+        self.dim = emb.shape[1] // 3
+        self.table = tz.RowTable(emb)
 
     def read(self, rows, space: int | None = None) -> Tensor:
         """Current ``rows`` of the table: one space's columns, or all."""
@@ -355,7 +345,7 @@ def _region_residual(st, old, rows) -> float:
     return float((num / den).max())
 
 
-def forward_tensors(params: ParamStore, emb: EmbeddingState, cfg: ModelConfig,
+def forward_tensors(params: ParamStore, emb: np.ndarray, cfg: ModelConfig,
                     *, schedule: dict) -> tuple[_TensorState, ForwardReport]:
     """Differentiable propagation; returns embedding tensors and diagnostics.
 
@@ -535,7 +525,7 @@ class CircuitRecord:
     workload: Workload
     labels: LabelSet
     path: str = ""
-    emb0: EmbeddingState | None = None
+    emb0: np.ndarray | None = None  # the (n, 3d) table of init_embeddings
     emb0_key: tuple | None = None  # the (dim, *seed, index) emb0 was drawn for
     schedule: dict | None = None
 
@@ -582,9 +572,8 @@ def forward_records(records: list[CircuitRecord], params: ParamStore,
     the diagnostics of the merged sweep.
     """
     schedule = merge_schedules([r.schedule for r in records])
-    emb = records[0].emb0 if len(records) == 1 else EmbeddingState(*(
-        np.concatenate([getattr(r.emb0, f) for r in records])
-        for f in ("structure", "function", "sequential")))
+    emb = (records[0].emb0 if len(records) == 1
+           else np.concatenate([r.emb0 for r in records]))
     offsets = np.cumsum([0] + [r.graph.n for r in records[:-1]])
     st, report = forward_tensors(params, emb, cfg, schedule=schedule)
     return st, [int(o) for o in offsets], report

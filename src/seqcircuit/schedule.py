@@ -5,45 +5,14 @@ acyclic and yields a topological level order.  Feedback shows up as strongly
 connected components of the full graph; each becomes a cyclic region with
 its own internal level order so that consumers can re-sweep it.
 ``node_plan`` computes the plan as per-node arrays, which the model cuts
-its node groups from; ``levelize`` and ``detect_cycles`` view the same
-arrays as tuples.
+its node groups from; ``plan_document`` lists the same arrays for
+``inspect --plan``.
 """
 from __future__ import annotations
-
-import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import CircuitGraph, NodeKind, require_valid
-
-
-@dataclass(frozen=True)
-class CyclicRegion:
-    """A feedback-affected sub-circuit: its FFs, node set, and inner schedule."""
-
-    ffs: tuple[int, ...]
-    nodes: frozenset[int]
-    internal_levels: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class PropagationPlan:
-    levels: tuple[tuple[int, ...], ...]
-    ff_update_points: tuple[int, ...]
-    cyclic_regions: tuple[CyclicRegion, ...]
-
-    def to_json(self) -> str:
-        doc = {
-            "levels": [list(l) for l in self.levels],
-            "ff_update_points": list(self.ff_update_points),
-            "cyclic_regions": [
-                {"ffs": list(r.ffs), "nodes": sorted(r.nodes),
-                 "internal_levels": [list(l) for l in r.internal_levels]}
-                for r in self.cyclic_regions
-            ],
-        }
-        return json.dumps(doc, indent=2)
 
 
 def node_plan(g: CircuitGraph) -> dict[str, np.ndarray]:
@@ -105,38 +74,34 @@ def _region_waves(g: CircuitGraph, reg: list[int], count: int) -> np.ndarray:
     return np.array(wave, dtype=np.int64)
 
 
-def levelize(g: CircuitGraph) -> PropagationPlan:
-    """The plan of ``node_plan`` as tuples: each level's nodes, the FFs in
-    update order and the cyclic regions in id order."""
-    plan = node_plan(g)
-    level = plan["level"]
-    order = np.argsort(level, kind="stable")
-    cuts = np.cumsum(np.bincount(level, minlength=1))[:-1]
-    levels = tuple(tuple(b.tolist()) for b in np.split(order, cuts))
-    level = level.tolist()
-    ffs_sorted = tuple(sorted(g.ffs, key=lambda f: (level[f], f)))
+def plan_document(g: CircuitGraph) -> dict:
+    """``node_plan`` as the document of ``inspect --plan``: each level's
+    nodes by id, the FFs by (level, id), and each region in id order with
+    its FFs, its sorted nodes and its internal levels' nodes.
 
-    inner = plan["region_level"].tolist()
+    Raises ``CircuitError`` if the graph fails validation.
+    """
+    plan = node_plan(g)
+    level, inner = plan["level"].tolist(), plan["region_level"].tolist()
     members: list[list[int]] = [[] for _ in plan["wave"]]
     for v, k in enumerate(plan["region"].tolist()):
         if k >= 0:
             members[k].append(v)
-    regions = []
-    for nodes in members:
-        inside: list[list[int]] = [[] for _ in range(max(inner[v] for v in nodes))]
-        for v in nodes:
-            inside[inner[v] - 1].append(v)
-        regions.append(CyclicRegion(
-            ffs=tuple(v for v in nodes if g.kinds[v] == NodeKind.FF),
-            nodes=frozenset(nodes), internal_levels=tuple(map(tuple, inside))))
-    return PropagationPlan(levels=levels, ff_update_points=ffs_sorted,
-                           cyclic_regions=tuple(regions))
+    return {
+        "levels": _buckets(level, range(g.n)),
+        "ff_update_points": sorted(g.ffs, key=lambda f: (level[f], f)),
+        "cyclic_regions": [
+            {"ffs": [v for v in nodes if g.kinds[v] == NodeKind.FF],
+             "nodes": nodes,
+             "internal_levels": _buckets([inner[v] - 1 for v in nodes], nodes)}
+            for nodes in members],
+    }
 
 
-def detect_cycles(g: CircuitGraph) -> list[CyclicRegion]:
-    """One region per multi-node strongly connected component of the full
-    graph, by lowest node id.
-
-    Raises ``CircuitError`` if the graph fails validation.
-    """
-    return sorted(levelize(g).cyclic_regions, key=lambda r: min(r.nodes))
+def _buckets(keys: list[int], ids) -> list[list[int]]:
+    """``ids`` grouped by their keys 0 .. max(keys), each in ``ids`` order;
+    key 0 is listed even when no id has it."""
+    out: list[list[int]] = [[] for _ in range(max(keys, default=0) + 1)]
+    for k, v in zip(keys, ids):
+        out[k].append(v)
+    return out

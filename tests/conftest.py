@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from seqcircuit import CircuitBuilder, NodeKind
-from seqcircuit.schedule import levelize
 from seqcircuit.simulate import FAULT_STREAM, PI_STREAM, markov_params
 
 
@@ -74,8 +73,6 @@ def reference_run(g, w, n_patterns, n_cycles, seed, flip_prob=0.0):
             pos += int(rng.geometric(flip_prob))
         lo, hi = 64 * word, min(P, 64 * word + 64)
         flips[lo:hi] = block.reshape(T, n, 64)[..., :hi - lo].transpose(2, 0, 1)
-    gates = [v for lvl in levelize(g).levels[1:] for v in lvl
-             if g.kinds[v] in (NodeKind.AND, NodeKind.NOT)]
     sources = [v for v in range(n) if g.kinds[v] in (NodeKind.PI, NodeKind.FF)]
     state = np.array([[bool(g.reset_value(ff))] * P for ff in g.ffs],
                      dtype=bool).reshape(len(g.ffs), P)
@@ -92,7 +89,7 @@ def reference_run(g, w, n_patterns, n_cycles, seed, flip_prob=0.0):
         vals[g.ffs] = state
         for v in sources:
             vals[v] ^= flips[:, t, v]
-        for v in gates:
+        for v in g.gate_order:
             fi = g.fanins[v]
             if g.kinds[v] == NodeKind.AND:
                 vals[v] = vals[fi[0]] & vals[fi[1]]
@@ -148,12 +145,13 @@ def eval_graph(g, source_vals, ff_vals=None):
 
 
 def forward_arrays(g, params, emb0, cfg):
-    """Embedding arrays and diagnostics of one circuit's forward pass."""
+    """The (n, 3d) embedding table and diagnostics of one circuit's
+    forward pass."""
     from seqcircuit import model as mdl
 
     schedule = mdl.compile_schedule(g, cfg.reverse_layer)
     st, report = mdl.forward_tensors(params, emb0, cfg, schedule=schedule)
-    return mdl.EmbeddingState(*np.split(st.table.data, 3, axis=1)), report
+    return st.table.data, report
 
 
 def region_levels_reference(g, nodes):
@@ -181,11 +179,12 @@ def region_levels_reference(g, nodes):
 
 def region_waves_reference(g, regions):
     """Each region's depth in the region contact graph: one more than the
-    deepest earlier region it has a fanin or fanout in (test oracle)."""
-    owner = {v: k for k, r in enumerate(regions) for v in r.nodes}
+    deepest earlier region it has a fanin or fanout in (test oracle).
+    ``regions`` holds each region's node set, in region id order."""
+    owner = {v: k for k, nodes in enumerate(regions) for v in nodes}
     depth = []
-    for k, r in enumerate(regions):
-        touched = {owner[u] for v in r.nodes
+    for k, nodes in enumerate(regions):
+        touched = {owner[u] for v in nodes
                    for u in (*g.fanins[v], *g.fanouts[v]) if u in owner}
         depth.append(1 + max((depth[j] for j in touched if j < k), default=-1))
     return depth
@@ -229,11 +228,12 @@ def group_update_reference(spaces, params, side, kind, vids, nbrs, starts):
 
 
 def forward_reference(params, emb, cfg, schedule):
-    """The forward sweep of ``schedule`` over three plain arrays, one
+    """The forward sweep of ``schedule`` over the structure, function and
+    sequential columns of a copy of the (n, 3d) table ``emb``, one
     ``group_update_reference`` per group, and each region's residual per
     pass: the largest relative change of a region row in any one space
     (test oracle)."""
-    spaces = [emb.structure.copy(), emb.function.copy(), emb.sequential.copy()]
+    spaces = np.split(emb.copy(), 3, axis=1)
     residuals = [[] for _ in schedule["region_rows"]]
 
     def sweep(levels, side):

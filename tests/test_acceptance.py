@@ -20,6 +20,7 @@ from seqcircuit import reliability as rel
 from seqcircuit import tensor as tz
 from seqcircuit.labels import LabelSet, support_masks
 from seqcircuit.circuit import NodeKind
+from seqcircuit.schedule import node_plan
 from tests.conftest import eval_graph, forward_arrays
 
 # The package exports the function ``simulate`` under the module's name.
@@ -215,7 +216,7 @@ def test_criterion_3_gradient_correctness():
 
     with tz.precision("float64"):
         cfg, params64, rec = build_ctx()
-        assert sq.levelize(g).cyclic_regions  # the pass exercises a cyclic region
+        assert rec.schedule["regions"]  # the pass exercises a cyclic region
 
         def loss64():
             _, losses, _ = mdl.run_record(rec, params64, cfg)
@@ -282,7 +283,7 @@ def test_criterion_4_disentanglement():
     emb = mdl.init_embeddings(g, w, 128, seed=4)
     sources = sorted(g.pis + g.ffs)
     assert len(sources) <= 128
-    rows = emb.structure[sources].astype(np.float64)
+    rows = emb[sources, :128].astype(np.float64)
     gram = rows @ rows.T
     assert np.abs(gram - np.eye(len(sources))).max() < 1e-6
 
@@ -303,20 +304,18 @@ def test_criterion_4_disentanglement():
     for rec in records:
         gg = rec.graph
         src = sorted(gg.pis + gg.ffs)
-        frozen_before.append((rec.emb0.structure[src].copy(),
-                              rec.emb0.function[gg.pis].copy(),
-                              rec.emb0.sequential[gg.pis].copy()))
+        frozen_before.append((rec.emb0[src, :16].copy(),
+                              rec.emb0[gg.pis, 16:].copy()))
     params, history = mdl.train(records, cfg)
     steps = len(history) * 2  # 4 records / batch 2 = 2 steps per epoch
     assert steps >= 50
-    for rec, (hs0, hf0, hq0) in zip(records, frozen_before):
+    for rec, (hs0, hfq0) in zip(records, frozen_before):
         gg = rec.graph
         src = sorted(gg.pis + gg.ffs)
         emb_after, _ = forward_arrays(gg, params, rec.emb0, mcfg)
-        assert np.array_equal(rec.emb0.structure[src], hs0)
-        assert np.array_equal(emb_after.structure[src], hs0)
-        assert np.array_equal(emb_after.function[gg.pis], hf0)
-        assert np.array_equal(emb_after.sequential[gg.pis], hq0)
+        assert np.array_equal(rec.emb0[src, :16], hs0)
+        assert np.array_equal(emb_after[src, :16], hs0)
+        assert np.array_equal(emb_after[gg.pis, 16:], hfq0)
     report(4, "disentanglement invariants")
 
 
@@ -327,8 +326,7 @@ def test_criterion_5_single_pass():
         g = sq.generate(sq.GenSpec(n_pi=4, n_and=15, n_not=6, n_ff=3,
                                    seed=seed, feedback_prob=0.0))
         w = sq.Workload.random(g, seed)
-        plan = sq.levelize(g)
-        assert plan.cyclic_regions == ()
+        assert (node_plan(g)["region"] == -1).all()
         for reverse in (False, True):
             cfg = mdl.ModelConfig(dim=8, reverse_layer=reverse)
             emb0 = mdl.init_embeddings(g, w, 8, seed=seed)
@@ -340,9 +338,7 @@ def test_criterion_5_single_pass():
             if not reverse:
                 assert rep1.reverse_updates.sum() == 0
             emb2, _ = forward_arrays(g, params, emb0, cfg)
-            assert np.array_equal(emb1.structure, emb2.structure)
-            assert np.array_equal(emb1.function, emb2.function)
-            assert np.array_equal(emb1.sequential, emb2.sequential)
+            assert np.array_equal(emb1, emb2)
     report(5, "single-pass architecture")
 
 

@@ -212,6 +212,17 @@ def test_inspect_plan_document(tmp_path, capsys, name):
     assert capsys.readouterr().out == json.dumps({"plan": want}, indent=2) + "\n"
 
 
+def test_inspect_out_writes_manifest(tmp_path, corpus):
+    aag = os.path.join(corpus, sorted(os.listdir(corpus))[0])
+    out = tmp_path / "inspect" / "doc.json"
+    out.parent.mkdir()
+    assert run_cli(["inspect", "--aig", aag, "--plan", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out.parent)) == ["doc.json", "inspect.manifest.json"]
+    manifest = json.loads((out.parent / "inspect.manifest.json").read_text())
+    assert manifest["command"] == "inspect" and manifest["config"]["plan"]
+    assert "plan" in json.loads(out.read_text())
+
+
 def test_inspect_empty_bench_is_data_error(tmp_path, capsys):
     empty = tmp_path / "empty.bench"
     empty.write_text("# no statements\n")

@@ -14,7 +14,8 @@ from seqcircuit import labels
 from seqcircuit.labels import (LabelError, LabelSet, pair_distances,
                                sample_ffsim_pairs, sequential_depths,
                                support_masks, transitive_pi_support)
-from seqcircuit.simulate import pack_patterns, simulate, unpack_patterns
+from seqcircuit.simulate import (exhaustive_stats, pack_patterns, simulate,
+                                 unpack_patterns)
 from tests.conftest import (eval_graph, f_pair_list, sample_f_pairs_reference,
                             sample_ffsim_pairs_reference,
                             transitive_pi_support_reference,
@@ -501,6 +502,20 @@ class TestBuildLabelset:
         assert len(ls.f_pairs) == min(17, len(f_pair_list(g, support_masks(g))))
         assert len(ls.f_pairs) == 17
         assert (0 <= ls.p1).all() and (ls.p1 <= 1).all()
+
+    def test_exact_statistics_give_no_ffsim_labels(self):
+        # Exact statistics carry no FF traces: FF-similarity labels fail
+        # with a located error, and every other label is built.
+        g = generate(GenSpec(n_pi=3, n_and=10, n_not=4, n_ff=4, seed=100,
+                             feedback_prob=0.7))
+        w = Workload.random(g, 0)
+        cfg = SimConfig(64, 10, 0)
+        exact = exhaustive_stats(g, w, cfg)
+        assert sample_ffsim_pairs(g, simulate(g, w, cfg), None, 0)[0]
+        with pytest.raises(LabelError, match="need simulated traces"):
+            build_labelset(g, w, cfg, stats=exact)
+        ls = build_labelset(g, w, cfg, ffsim_target=0, stats=exact)
+        assert np.array_equal(ls.p1, exact.p1) and ls.ffsim_pairs == []
 
     def test_json_record_roundtrip(self):
         g = generate(GenSpec(n_pi=3, n_and=12, n_not=5, n_ff=3, seed=4,

@@ -1,4 +1,3 @@
-import copy
 import gc
 import hashlib
 import weakref
@@ -8,11 +7,12 @@ import numpy as np
 import pytest
 
 from seqcircuit import (CircuitBuilder, GenSpec, SimConfig, Workload,
-                        build_labelset, generate, levelize)
+                        build_labelset, generate)
 from seqcircuit import model as mdl
 from seqcircuit import tensor as tz
 from seqcircuit.bench import parse_bench
 from seqcircuit.labels import LabelSet
+from seqcircuit.schedule import node_plan, plan_document
 from tests.conftest import (accumulator_bench, forward_arrays, forward_reference,
                             numeric_gradients, relative_errors, toggle_ff)
 
@@ -31,7 +31,7 @@ class TestInitEmbeddings:
         w = Workload.random(g, 2)
         emb = mdl.init_embeddings(g, w, 128, seed=3)
         sources = sorted(g.pis + g.ffs)
-        rows = emb.structure[sources].astype(np.float64)
+        rows = emb[sources, :128].astype(np.float64)
         gram = rows @ rows.T
         assert np.allclose(gram, np.eye(len(sources)), atol=1e-6)
 
@@ -41,10 +41,11 @@ class TestInitEmbeddings:
         b.add_not(pi)
         g = b.build(check=False)
         emb = mdl.init_embeddings(g, Workload({pi: (0.3, 0.2)}), 16, seed=0)
-        assert emb.function[pi, 0] == pytest.approx(0.3)
-        assert np.all(emb.function[pi, 1:] == 0)
-        assert emb.sequential[pi, 0] == pytest.approx(0.2)
-        assert np.all(emb.sequential[pi, 1:] == 0)
+        _, hf, hq = np.split(emb, 3, axis=1)
+        assert hf[pi, 0] == pytest.approx(0.3)
+        assert np.all(hf[pi, 1:] == 0)
+        assert hq[pi, 0] == pytest.approx(0.2)
+        assert np.all(hq[pi, 1:] == 0)
 
     def test_more_sources_than_dims(self):
         b = CircuitBuilder()
@@ -52,7 +53,7 @@ class TestInitEmbeddings:
         g = b.build(check=False)
         w = Workload({pi: (0.5, 0.5) for pi in pis})
         emb = mdl.init_embeddings(g, w, 128, seed=5)
-        rows = emb.structure[:200].astype(np.float64)
+        rows = emb[:200, :128].astype(np.float64)
         assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-6)
         gram = np.abs(rows @ rows.T)
         off = gram[~np.eye(200, dtype=bool)]
@@ -61,11 +62,12 @@ class TestInitEmbeddings:
     def test_deterministic(self):
         g = generate(GenSpec(n_pi=3, n_and=8, n_not=3, n_ff=2, seed=2))
         w = Workload.random(g, 3)
-        e1 = mdl.init_embeddings(g, w, 32, seed=7)
-        e2 = mdl.init_embeddings(g, w, 32, seed=7)
-        assert np.array_equal(e1.structure, e2.structure)
-        assert np.array_equal(e1.function, e2.function)
-        assert np.array_equal(e1.sequential, e2.sequential)
+        for precision in ("float32", "float64"):
+            with tz.precision(precision):
+                e1 = mdl.init_embeddings(g, w, 32, seed=7)
+                e2 = mdl.init_embeddings(g, w, 32, seed=7)
+            assert e1.shape == (g.n, 96) and e1.dtype == precision
+            assert np.array_equal(e1, e2)
 
 
 class TestForward:
@@ -81,9 +83,7 @@ class TestForward:
             assert rep1.forward_updates[v] == expect
         assert rep1.region_iters == []
         emb2, rep2 = forward_arrays(rec.graph, params, rec.emb0, cfg)
-        assert np.array_equal(emb1.structure, emb2.structure)
-        assert np.array_equal(emb1.function, emb2.function)
-        assert np.array_equal(emb1.sequential, emb2.sequential)
+        assert np.array_equal(emb1, emb2)
 
     def test_region_updates_bounded(self):
         # A region runs exactly cycle_max_iters passes, also when that is 0.
@@ -106,14 +106,10 @@ class TestForward:
         emb, _ = forward_arrays(rec.graph, params, rec.emb0, cfg)
         g = rec.graph
         sources = sorted(g.pis + g.ffs)
-        assert np.array_equal(emb.structure[sources],
-                              rec.emb0.structure[sources])
-        assert np.array_equal(emb.function[g.pis], rec.emb0.function[g.pis])
-        assert np.array_equal(emb.sequential[g.pis],
-                              rec.emb0.sequential[g.pis])
+        assert np.array_equal(emb[sources, :8], rec.emb0[sources, :8])
+        assert np.array_equal(emb[g.pis], rec.emb0[g.pis])
         gates = [v for v in range(g.n) if v not in g.pis and v not in g.ffs]
-        assert not np.array_equal(emb.structure[gates],
-                                  rec.emb0.structure[gates])
+        assert not np.array_equal(emb[gates, :8], rec.emb0[gates, :8])
 
     def test_reverse_layer_updates_once(self):
         rec = small_record(seed=6, feedback=0.0)
@@ -136,14 +132,13 @@ class TestForward:
         with tz.precision("float64"):
             cfg = mdl.ModelConfig(dim=6, cycle_max_iters=2, reverse_layer=True)
             rec = small_record(seed=3, feedback=0.8).prepare(cfg, 0, 0)
-            assert levelize(rec.graph).cyclic_regions and rec.schedule["rev"]
+            assert rec.schedule["regions"] and rec.schedule["rev"]
             params = mdl.init_params(6, seed=4)
             emb, rep = forward_arrays(rec.graph, params, rec.emb0, cfg)
             want, residuals = forward_reference(params, rec.emb0, cfg,
                                                 rec.schedule)
-            got = (emb.structure, emb.function, emb.sequential)
-            for a, b, a0 in zip(got, want, (rec.emb0.structure, rec.emb0.function,
-                                            rec.emb0.sequential)):
+            for a, b, a0 in zip(np.split(emb, 3, axis=1), want,
+                                np.split(rec.emb0, 3, axis=1)):
                 assert not np.array_equal(a, a0)
                 assert np.abs(a - b).max() < 1e-12
             assert np.allclose(rep.region_residuals, residuals, rtol=1e-12, atol=0)
@@ -257,11 +252,8 @@ class TestTraining:
         g = rec.graph
         emb, _ = forward_arrays(g, params, rec.emb0, cfg.model_config())
         sources = sorted(g.pis + g.ffs)
-        assert np.array_equal(emb.structure[sources],
-                              rec.emb0.structure[sources])
-        assert np.array_equal(emb.function[g.pis], rec.emb0.function[g.pis])
-        assert np.array_equal(emb.sequential[g.pis],
-                              rec.emb0.sequential[g.pis])
+        assert np.array_equal(emb[sources, :8], rec.emb0[sources, :8])
+        assert np.array_equal(emb[g.pis], rec.emb0[g.pis])
 
     def test_disentanglement_gradient_flow(self):
         # With the pair tasks disabled, probability losses still reach the
@@ -280,8 +272,7 @@ class TestTraining:
         assert any(np.abs(g).max() > 0 for g in struct_grads)
         emb, _ = forward_arrays(rec.graph, params, rec.emb0, mcfg)
         sources = sorted(rec.graph.pis + rec.graph.ffs)
-        assert np.array_equal(emb.structure[sources],
-                              rec.emb0.structure[sources])
+        assert np.array_equal(emb[sources, :8], rec.emb0[sources, :8])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -372,9 +363,7 @@ class TestBatchedSweep:
         def no_merge(*args):
             raise AssertionError("levels grouped inside the forward pass")
         monkeypatch.setattr(mdl, "_groups", no_merge)
-        emb = mdl.EmbeddingState(*(
-            np.concatenate([getattr(r.emb0, f) for r in recs])
-            for f in ("structure", "function", "sequential")))
+        emb = np.concatenate([r.emb0 for r in recs])
         _, rep = mdl.forward_tensors(mdl.init_params(6, seed=1), emb, cfg,
                                      schedule=schedule)
         assert rep.region_iters == [cfg.cycle_max_iters] * len(schedule["regions"])
@@ -434,12 +423,10 @@ class TestBatchedSweep:
         mcfg = cfg.model_config()
         for i, rec in enumerate(recs):
             rec.prepare(mcfg, cfg.seed, i)
-        before = [copy.deepcopy(rec.emb0) for rec in recs]
+        before = [rec.emb0.copy() for rec in recs]
         mdl.train(recs, cfg)
         for rec, emb in zip(recs, before):
-            assert np.array_equal(rec.emb0.structure, emb.structure)
-            assert np.array_equal(rec.emb0.function, emb.function)
-            assert np.array_equal(rec.emb0.sequential, emb.sequential)
+            assert np.array_equal(rec.emb0, emb)
 
     def test_evaluate_same_in_any_union_size(self, monkeypatch):
         recs = [small_record(seed=s) for s in (33, 34, 35)]
@@ -467,7 +454,7 @@ class TestBatchedSweep:
                 == mdl.evaluate(params, fresh, mcfg, seed=2))
         rec = trained[0].prepare(mcfg, 3, 5)
         want = mdl.init_embeddings(rec.graph, rec.workload, 8, seed=[3, 5])
-        assert np.array_equal(rec.emb0.function, want.function)
+        assert np.array_equal(rec.emb0, want)
 
     def test_prepare_keys_schedule_on_reverse_flag(self):
         # A circuit of inputs only has no reverse levels, yet its schedule
@@ -511,7 +498,7 @@ def union_lists(recs):
         fanins += [[u + off for u in g.fanins[v]] for v in range(g.n)]
         fanouts += [[u + off for u in g.fanouts[v]] for v in range(g.n)]
         kinds += list(g.kinds)
-        for i, level in enumerate(levelize(g).levels[1:]):
+        for i, level in enumerate(plan_document(g)["levels"][1:]):
             if i == len(levels):
                 levels.append([])
             levels[i] += [v + off for v in level]
@@ -547,9 +534,10 @@ class TestSchedule:
             for groups, nodes in zip(schedule["rev"], levels[::-1]):
                 check_level(groups, nodes, fanouts, kinds)
             offsets = np.cumsum([0] + [r.graph.n for r in part])
-            regions = [[[v + off for v in level] for level in region.internal_levels]
+            regions = [[[v + off for v in level]
+                        for level in region["internal_levels"]]
                        for rec, off in zip(part, offsets)
-                       for region in levelize(rec.graph).cyclic_regions]
+                       for region in plan_document(rec.graph)["cyclic_regions"]]
             assert len(schedule["regions"]) == len(regions)
             for got, want in zip(schedule["regions"], regions):
                 assert len(got) == len(want)
@@ -661,11 +649,9 @@ class TestRegionWaves:
     @pytest.mark.parametrize("edge", ["fanin", "fanout"])
     def test_touching_regions_keep_index_order(self, edge):
         g = two_loops(edge)
-        plan = levelize(g)
-        region_of = {v: k for k, r in enumerate(plan.cyclic_regions)
-                     for v in r.nodes}
+        region = node_plan(g)["region"]
         reader = 1 if edge == "fanin" else 0
-        reads = {region_of.get(u) for v in plan.cyclic_regions[reader].nodes
+        reads = {region[u] for v in np.flatnonzero(region == reader)
                  for u in g.fanins[v]}
         assert 1 - reader in reads
         schedule = assert_waves_match_serial(g)

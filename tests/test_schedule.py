@@ -1,12 +1,11 @@
-import json
-
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcircuit import (CircuitBuilder, CircuitError, GenSpec, NodeKind,
-                        SimConfig, Workload, detect_cycles, generate, levelize,
+                        SimConfig, Workload, generate, parse_aiger,
                         parse_bench, simulate)
-from seqcircuit.schedule import node_plan
+from seqcircuit.schedule import node_plan, plan_document
 from tests.test_bench import S27
 from tests.conftest import (accumulator_bench, region_levels_reference,
                             region_waves_reference, toggle_ff)
@@ -18,9 +17,9 @@ def test_two_pi_and_levels():
     c = b.add_pi()
     g = b.add_and(a, c)
     b.set_outputs([g])
-    plan = levelize(b.build())
-    assert plan.levels == ((a, c), (g,))
-    assert plan.cyclic_regions == ()
+    plan = node_plan(b.build())
+    assert plan["level"][[a, c, g]].tolist() == [0, 0, 1]
+    assert plan["region"].tolist() == [-1] * 3 and not len(plan["wave"])
 
 
 def test_ff_output_is_level_zero_source():
@@ -30,10 +29,9 @@ def test_ff_output_is_level_zero_source():
     g = b.add_and(pi, ff)
     b.set_ff_input(ff, g)
     b.set_outputs([ff])
-    plan = levelize(b.build())
-    assert plan.levels[1] == (g,)       # consumes the FF output at level 0
-    assert plan.levels[2] == (ff,)      # FF update point after its D settles
-    assert plan.ff_update_points == (ff,)
+    level = node_plan(b.build())["level"]
+    assert level[g] == 1    # consumes the FF output at level 0
+    assert level[ff] == 2   # FF update point after its D settles
 
 
 def _longest_path_levels(g):
@@ -56,28 +54,18 @@ def _longest_path_levels(g):
     return max(depth(v) for v in range(g.n) if g.kinds[v] != NodeKind.PI)
 
 
-def _node_level(plan):
-    return {v: i for i, lvl in enumerate(plan.levels) for v in lvl}
-
-
 def test_s27_level_count_matches_longest_path():
     g = parse_bench(S27)
-    plan = levelize(g)
-    assert len(plan.levels) == _longest_path_levels(g) + 1
+    assert node_plan(g)["level"].max() == _longest_path_levels(g)
 
 
 def test_levels_partition_non_sources():
     for seed in range(8):
         g = generate(GenSpec(n_pi=4, n_and=15, n_not=6, n_ff=3, seed=seed,
                              feedback_prob=0.5))
-        plan = levelize(g)
-        assert list(plan.levels[0]) == sorted(g.pis)
-        rest = [v for lvl in plan.levels[1:] for v in lvl]
-        assert sorted(rest) == sorted(v for v in range(g.n)
-                                      if g.kinds[v] != NodeKind.PI)
-        assert len(rest) == len(set(rest))
-        node_level = _node_level(plan)
-        for v in rest:
+        node_level = node_plan(g)["level"].tolist()
+        assert [v for v in range(g.n) if node_level[v] == 0] == sorted(g.pis)
+        for v in range(g.n):
             for u in g.fanins[v]:
                 src = 0 if g.kinds[u] in (NodeKind.PI, NodeKind.FF) \
                     else node_level[u]
@@ -88,7 +76,7 @@ def assert_exact_levels(g):
     """Every non-PI node sits exactly one level above its deepest source,
     where PIs and FF outputs count as 0, and ``g.levels`` holds the gates'
     levels of the plan and 0 at the PIs and FFs."""
-    node_level = _node_level(levelize(g))
+    node_level = node_plan(g)["level"].tolist()
     for v in range(g.n):
         if g.kinds[v] == NodeKind.PI:
             assert node_level[v] == 0
@@ -125,7 +113,7 @@ def ff_fed_by_ff():
 def test_ff_fed_by_ff_updates_at_level_one():
     g, (pi, f1, f2, g1, g2) = ff_fed_by_ff()
     assert_exact_levels(g)
-    assert levelize(g).levels == ((pi,), (f2, g1), (g2,), (f1,))
+    assert node_plan(g)["level"][[pi, f2, g1, g2, f1]].tolist() == [0, 1, 1, 2, 3]
 
 
 def test_levels_are_read_only():
@@ -175,6 +163,13 @@ def test_levels_name_a_gate_without_fanins():
         g.levels
 
 
+def _regions(g):
+    """Each region's node set, in region id order."""
+    region = node_plan(g)["region"]
+    return [set(np.flatnonzero(region == k).tolist())
+            for k in range(region.max(initial=-1) + 1)]
+
+
 def test_pipeline_has_no_regions():
     b = CircuitBuilder()
     pi = b.add_pi()
@@ -183,15 +178,12 @@ def test_pipeline_has_no_regions():
     b.set_ff_input(f1, pi)
     b.set_ff_input(f2, f1)
     b.set_outputs([f2])
-    assert detect_cycles(b.build()) == []
+    assert _regions(b.build()) == []
 
 
 def test_toggle_ff_region():
     g, ids = toggle_ff()
-    regions = detect_cycles(g)
-    assert len(regions) == 1
-    assert regions[0].ffs == (ids["ff"],)
-    assert regions[0].nodes == {ids["ff"], ids["inv"]}
+    assert _regions(g) == [{ids["ff"], ids["inv"]}]
 
 
 def test_cross_coupled_ffs_one_region():
@@ -204,10 +196,7 @@ def test_cross_coupled_ffs_one_region():
     b.set_ff_input(f1, g1)
     b.set_ff_input(f2, g2)
     b.set_outputs([f1, f2])
-    regions = detect_cycles(b.build())
-    assert len(regions) == 1
-    assert regions[0].ffs == (f1, f2)
-    assert regions[0].nodes == {f1, f2, g1, g2}
+    assert _regions(b.build()) == [{f1, f2, g1, g2}]
 
 
 def _cone(g, starts, direction):
@@ -229,17 +218,17 @@ def test_region_equals_cone_intersection():
     for seed in range(12):
         g = generate(GenSpec(n_pi=4, n_and=18, n_not=7, n_ff=4, seed=seed,
                              feedback_prob=0.7))
-        for region in detect_cycles(g):
-            expected = _cone(g, region.ffs, "out") & _cone(g, region.ffs, "in")
-            assert region.nodes == expected
+        for nodes in _regions(g):
+            ffs = [v for v in nodes if g.kinds[v] == NodeKind.FF]
+            assert nodes == _cone(g, ffs, "out") & _cone(g, ffs, "in")
 
 
 def test_region_without_ffs_is_acyclic_inside():
     for seed in range(12):
         g = generate(GenSpec(n_pi=4, n_and=18, n_not=7, n_ff=4, seed=seed,
                              feedback_prob=0.7))
-        for region in detect_cycles(g):
-            inner = {v for v in region.nodes if g.kinds[v] != NodeKind.FF}
+        for nodes in _regions(g):
+            inner = {v for v in nodes if g.kinds[v] != NodeKind.FF}
             # Kahn over edges internal to the combinational remainder.
             indeg = {v: sum(1 for u in g.fanins[v] if u in inner)
                      for v in inner}
@@ -258,23 +247,22 @@ def test_region_without_ffs_is_acyclic_inside():
 
 def test_region_internal_levels_cover_region():
     g, ids = toggle_ff()
-    plan = levelize(g)
-    region = plan.cyclic_regions[0]
-    flat = [v for lvl in region.internal_levels for v in lvl]
-    assert sorted(flat) == sorted(region.nodes)
-    assert flat.index(ids["inv"]) < flat.index(ids["ff"])
+    plan = node_plan(g)
+    inside = plan["region"] == 0
+    assert inside.any() and (plan["region_level"][inside] >= 1).all()
+    assert (plan["region_level"][~inside] == 0).all()
+    assert plan["region_level"][ids["inv"]] < plan["region_level"][ids["ff"]]
 
 
 def assert_plan_matches_region_walk(g):
-    """``node_plan``'s arrays and ``levelize``'s JSON against a walk of
-    every gate per region; regions run by (lowest level, lowest node id)."""
+    """``node_plan``'s arrays and ``plan_document`` against a walk of every
+    gate per region; regions run by (lowest level, lowest node id)."""
     plan = node_plan(g)
-    regions = levelize(g).cyclic_regions
-    assert sorted(regions, key=lambda r: min(r.nodes)) == detect_cycles(g)
+    regions = _regions(g)
     level = plan["level"].tolist()
-    keys = [(min(level[v] for v in r.nodes), min(r.nodes)) for r in regions]
+    keys = [(min(level[v] for v in r), min(r)) for r in regions]
     assert keys == sorted(keys)
-    want = [region_levels_reference(g, r.nodes) for r in regions]
+    want = [region_levels_reference(g, r) for r in regions]
     region, inner = [-1] * g.n, [0] * g.n
     for k, levels in enumerate(want):
         for i, nodes in enumerate(levels):
@@ -283,7 +271,7 @@ def assert_plan_matches_region_walk(g):
     assert plan["region"].tolist() == region
     assert plan["region_level"].tolist() == inner
     assert plan["wave"].tolist() == region_waves_reference(g, regions)
-    doc = json.loads(levelize(g).to_json())
+    doc = plan_document(g)
     assert [r["internal_levels"] for r in doc["cyclic_regions"]] == [
         [list(nodes) for nodes in levels] for levels in want]
     return len(regions)
@@ -303,7 +291,7 @@ def test_plan_matches_region_walk_on_accumulator():
 def test_plan_matches_region_walk_when_an_ff_reads_an_ff():
     g, (_, f1, f2, g1, g2) = ff_fed_by_ff()
     assert assert_plan_matches_region_walk(g) == 1
-    assert levelize(g).cyclic_regions[0].internal_levels == ((f2, g1), (g2,), (f1,))
+    assert node_plan(g)["region_level"][[f2, g1, g2, f1]].tolist() == [1, 1, 2, 3]
 
 
 def test_node_plan_names_violations():
@@ -318,9 +306,14 @@ def test_node_plan_names_violations():
 
 def test_plan_json_dump():
     g, _ = toggle_ff()
-    doc = json.loads(levelize(g).to_json())
+    doc = plan_document(g)
     assert "levels" in doc and "cyclic_regions" in doc
     assert doc["cyclic_regions"][0]["ffs"]
+
+
+def test_plan_document_lists_level_zero_of_an_empty_graph():
+    doc = plan_document(parse_aiger("aag 0 0 0 0 0\n"))
+    assert doc == {"levels": [[]], "ff_update_points": [], "cyclic_regions": []}
 
 
 @settings(max_examples=20, deadline=None)
@@ -328,10 +321,10 @@ def test_plan_json_dump():
 def test_update_schedule_unique_per_pass(seed, feedback):
     g = generate(GenSpec(n_pi=3, n_and=12, n_not=5, n_ff=3, seed=seed,
                          feedback_prob=feedback))
-    plan = levelize(g)
-    flat = [v for lvl in plan.levels[1:] for v in lvl]
+    doc = plan_document(g)
+    flat = [v for lvl in doc["levels"][1:] for v in lvl]
     assert len(flat) == len(set(flat))
-    for region in plan.cyclic_regions:
-        rf = [v for lvl in region.internal_levels for v in lvl]
+    for region in doc["cyclic_regions"]:
+        rf = [v for lvl in region["internal_levels"] for v in lvl]
         assert len(rf) == len(set(rf))
-        assert set(rf) == region.nodes
+        assert sorted(rf) == region["nodes"]
