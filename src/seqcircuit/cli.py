@@ -32,8 +32,8 @@ from .bench import parse_bench
 from .circuit import CircuitError, GenSpec, generate, random_spec, validate
 from .labels import build_labelset
 from .schedule import plan_document
-from .simulate import (SimConfig, SimulationError, Workload, exhaustive_stats,
-                       simulate, write_trace_file)
+from .simulate import (SimConfig, SimulationError, Workload, check_seed,
+                       exhaustive_stats, simulate, write_trace_file)
 from .tensor import (CHECKPOINT_VERSION, NumericsError, load_checkpoint,
                      save_checkpoint)
 
@@ -162,6 +162,7 @@ def _load_workload(g, cfg):
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_gen(cfg, log):
+    check_seed("seed", cfg["seed"])
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     summaries = []
@@ -217,6 +218,10 @@ def cmd_label(cfg, log):
         raise CircuitError(f"no circuits in {corpus}")
     sim_cfg = SimConfig(n_patterns=cfg["patterns"], n_cycles=cfg["cycles"],
                         seed=cfg["seed"])
+    # Checked before the dataset is opened, so that a rejected option
+    # writes nothing.
+    sim_cfg.check()
+    check_seed("workload_seed", cfg["workload_seed"])
     out = cfg["out"]
     with open(out, "w") as f:
         for i, name in enumerate(files):

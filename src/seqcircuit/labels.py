@@ -19,8 +19,9 @@ from .simulate import (WORD, WORD_BITS, FFTraces, SimConfig, SimStats,
                        pack_patterns, pattern_mask, simulate)
 
 MAX_PAIR_SUPPORT = 16
-# Working-set bound, in 64-bit words (about 1 MB), of one block of the F-pair
-# count and of one chunk of packed truth tables (rows x words).
+# Working-set bound, in 64-bit words (about 1 MB), of one slice of the F-pair
+# eligibility test (pairs x support words) and of one chunk of packed truth
+# tables (rows x words).
 PAIR_CHUNK_WORDS = 1 << 17
 
 # Desk-scale defaults mirroring the per-circuit pair budgets of the training
@@ -133,33 +134,15 @@ def truth_table_distance(g: CircuitGraph, i: int, j: int, sup=None) -> float:
     Both cones are evaluated over an exhaustive assignment of their joint
     source support (FF outputs treated as free inputs); the support size is
     capped at MAX_PAIR_SUPPORT.  ``sup`` takes precomputed support masks;
-    without them each call builds the masks of the whole graph.  The call
-    walks only the two cones; ``pair_distances`` labels many pairs at once.
+    without them each call builds the masks of the whole graph.  This is
+    the one-pair case of ``pair_distances``.
     """
     for v in (i, j):
         if g.kinds[v] not in (NodeKind.AND, NodeKind.NOT):
             raise LabelError(f"node {v} is not combinational")
     if sup is None:
         sup = support_masks(g)
-    level: dict[int, int] = {}
-    expanded = set()
-    stack = [i, j]
-    while stack:  # post-order over the two cones, stopping at the sources
-        v = stack[-1]
-        if v in level:
-            stack.pop()
-        elif g.kinds[v] not in (NodeKind.AND, NodeKind.NOT):
-            level[stack.pop()] = 0
-        elif todo := [u for u in g.fanins[v] if u not in level]:
-            if v in expanded:
-                raise CircuitError(f"combinational loop through node {v}")
-            expanded.add(v)
-            stack += todo
-        else:
-            level[stack.pop()] = 1 + max(level[u] for u in g.fanins[v])
-    rows = np.array(sorted(level), dtype=np.intp)
-    table = gate_table(g, rows, [level[v] for v in rows])
-    return _chunk_distances([(i, j)], sup, rows, gate_sweeps(rows, table))[0]
+    return pair_distances(g, [(i, j)], sup)[0]
 
 
 def _bits(mask: int) -> np.ndarray:
@@ -264,24 +247,23 @@ def _packed_supports(g: CircuitGraph, sup, gates) -> np.ndarray:
     return words
 
 
-def _eligible_partners(words: np.ndarray, rows: np.ndarray):
-    """Yield (block of rows, first column, partner mask) over ascending rows.
+def _triangle_pairs(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with a < b of each index of the enumeration (0, 1), (0, 2),
+    (1, 2), (0, 3), ...: b is the largest with b(b-1)/2 <= idx."""
+    b = ((1 + np.sqrt(8 * idx.astype(np.float64) + 1)) / 2).astype(np.int64)
+    b -= b * (b - 1) // 2 > idx  # the float root may be one off either way
+    b += b * (b + 1) // 2 <= idx
+    return idx - b * (b - 1) // 2, b
 
-    Mask row i covers columns ``lo`` onwards of ``words`` and is set at each
-    j > i whose joint support with i has at most MAX_PAIR_SUPPORT sources.
-    A block's joint words stay within PAIR_CHUNK_WORDS.
-    """
-    m, w = words.shape
-    r = 0
-    while r < len(rows):
-        lo = int(rows[r]) + 1
-        step = max(1, PAIR_CHUNK_WORDS // max(1, (m - lo) * w))
-        block = rows[r:r + step]
-        joint = np.bitwise_count(words[block, None, :] | words[None, lo:, :]
-                                 ).sum(axis=2)
-        yield block, lo, (joint <= MAX_PAIR_SUPPORT) & \
-            (np.arange(lo, m) > block[:, None])
-        r += step
+
+def _eligible(words: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the rows (a, b) of ``words`` whose joint support has at most
+    MAX_PAIR_SUPPORT sources, gathered in slices within PAIR_CHUNK_WORDS."""
+    step = max(1, PAIR_CHUNK_WORDS // max(1, words.shape[1]))
+    return np.concatenate([
+        np.bitwise_count(words[a[s:s + step]] | words[b[s:s + step]]
+                         ).sum(axis=1) <= MAX_PAIR_SUPPORT
+        for s in range(0, len(a), step)])
 
 
 def _draw_pairs(counts: np.ndarray, target_count: int, seed: int, tag: int
@@ -303,34 +285,34 @@ def sample_f_pairs(g: CircuitGraph, target_count: int | None, seed: int
                    ) -> list[tuple[int, int, float]]:
     """Uniformly sample eligible combinational pairs and label their distance.
 
-    The eligible pairs (i < j, joint support of at most MAX_PAIR_SUPPORT
-    sources) are counted per gate, never listed: the draw depends only on
-    their number, and each drawn index maps back to its pair through the
-    per-gate prefix sums, in the order of a row-major enumeration.
+    A pair i < j of gates is eligible when its joint support has at most
+    MAX_PAIR_SUPPORT sources.  The draw is by rejection, and no pair list
+    is built: a uniformly ordered sample of 2 x target gate-pair indices
+    (doubled until it holds the target or covers every pair) keeps its
+    first ``target_count`` eligible pairs, returned in ascending (i, j).
     """
     if target_count is None:
         target_count = max(1, round(F_PAIRS_PER_CIRCUIT * g.n / REFERENCE_NODES))
-    if target_count <= 0:
-        return []
     sup = support_masks(g)
     gates = np.array([v for v in g.gates
                       if sup[v].bit_count() <= MAX_PAIR_SUPPORT], dtype=np.intp)
-    words = _packed_supports(g, sup, gates)
-    counts = np.zeros(len(gates), dtype=np.int64)
-    for block, _, mask in _eligible_partners(words, np.arange(len(gates))):
-        counts[block] = mask.sum(axis=1)
-    if not counts.any():
+    total = len(gates) * (len(gates) - 1) // 2
+    if target_count <= 0 or total == 0:
         return []
-    row, rank = _draw_pairs(counts, target_count, seed, 0xF0)
-    partner = np.empty_like(row)
-    for block, lo, mask in _eligible_partners(words, np.unique(row)):
-        # a block holds consecutive drawn rows, in the order of ``row``
-        sel = (row >= block[0]) & (row <= block[-1])
-        first = np.cumsum(counts[block]) - counts[block]
-        cols = np.nonzero(mask)[1]
-        partner[sel] = lo + cols[first[np.searchsorted(block, row[sel])]
-                                 + rank[sel]]
-    pairs = [(int(gates[a]), int(gates[b])) for a, b in zip(row, partner)]
+    words = _packed_supports(g, sup, gates)
+    rng = np.random.default_rng([int(seed), 0xF0])
+    size = 2 * target_count
+    while True:
+        size = min(size, total)
+        a, b = _triangle_pairs(rng.choice(total, size=size, replace=False))
+        keep = np.flatnonzero(_eligible(words, a, b))[:target_count]
+        if len(keep) == target_count or size == total:
+            break
+        size *= 2
+    a, b = a[keep], b[keep]
+    order = np.lexsort((b, a))
+    pairs = [(int(gates[i]), int(gates[j]))
+             for i, j in zip(a[order], b[order])]
     dists = pair_distances(g, pairs, sup)
     return [(i, j, d) for (i, j), d in zip(pairs, dists)]
 

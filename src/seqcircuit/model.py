@@ -58,7 +58,8 @@ class TrainConfig(ModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_at_least(self, batch_size=1, epochs_phase1=0, epochs_phase2=0)
+        _check_at_least(self, batch_size=1, epochs_phase1=0, epochs_phase2=0,
+                        seed=0)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 

@@ -25,6 +25,12 @@ class SimulationError(ValueError):
     pass
 
 
+def check_seed(name: str, seed: int):
+    """Raise ``SimulationError`` naming ``name`` unless ``seed`` >= 0."""
+    if seed < 0:
+        raise SimulationError(f"{name} must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class Workload:
     """Per-PI stimulus parameters: node id -> (p1, ptr)."""
@@ -42,6 +48,7 @@ class Workload:
     def random(cls, g: CircuitGraph, seed: int,
                p1_range=(0.15, 0.85), ptr_frac_range=(0.1, 0.9)) -> "Workload":
         """Feasible workload with ptr drawn as a fraction of its upper bound."""
+        check_seed("workload_seed", seed)
         rng = np.random.default_rng([int(seed), 0x776C])
         probs = {}
         for pi in g.workload_pis():
@@ -67,8 +74,7 @@ class SimConfig:
     def check(self):
         if self.n_patterns < 1 or self.n_cycles < 2:
             raise SimulationError("need n_patterns >= 1 and n_cycles >= 2")
-        if self.seed < 0:
-            raise SimulationError(f"seed must be >= 0, got {self.seed}")
+        check_seed("seed", self.seed)
 
 
 @dataclass
@@ -369,18 +375,15 @@ def _apply_pi_kernels(arr_sx: np.ndarray, kernels) -> np.ndarray:
     return arr.reshape(S, X)
 
 
-def exhaustive_stats(g: CircuitGraph, w: Workload,
-                     cfg: SimConfig | None = None,
-                     tol: float = 1e-10, max_iters: int = 500_000) -> SimStats:
+def exhaustive_stats(g: CircuitGraph, w: Workload, cfg: SimConfig) -> SimStats:
     """Exact per-node p1/ptr from the joint (PI, FF-state) Markov chain.
 
-    With ``cfg`` given, returns the exact expectation of the statistics that
-    ``simulate`` estimates at that horizon (FFs start from reset, inputs from
+    Returns the exact expectation of the statistics that ``simulate``
+    estimates at the horizon of ``cfg`` (FFs start from reset, inputs from
     the stationary distribution), so the two agree up to sampling noise.
-    Without it, returns long-run values via damped distribution iteration,
-    which converges even for periodic state dynamics.
     """
     w.check(g)
+    cfg.check()
     wl_pis = g.workload_pis()
     ffs = g.ffs
     kx, ks = len(wl_pis), len(ffs)
@@ -415,37 +418,21 @@ def exhaustive_stats(g: CircuitGraph, w: Workload,
         bnext = b_sx.reshape(-1)[to_flat]
         change[v] = valsf[v] * (1.0 - bnext) + (1.0 - valsf[v]) * bnext
 
-    def push(dist):
-        rho = np.bincount(to_flat, weights=dist, minlength=size)
-        return _apply_pi_kernels(rho.reshape(S, X), kernels).reshape(-1)
-
-    if cfg is not None:
-        cfg.check()
-        reset_idx = 0
-        for j, ff in enumerate(ffs):
-            reset_idx |= g.reset_value(ff) << j
-        dist = np.zeros(size)
-        dist[reset_idx * X:(reset_idx + 1) * X] = stat_x
-        p1_sum = np.zeros(g.n)
-        tr_sum = np.zeros(g.n)
-        for t in range(cfg.n_cycles):
-            p1_sum += valsf @ dist
-            if t < cfg.n_cycles - 1:
-                tr_sum += change @ dist
-                dist = push(dist)
-        return SimStats(p1=p1_sum / cfg.n_cycles, ptr=tr_sum / (cfg.n_cycles - 1),
-                        n_patterns=0, n_cycles=cfg.n_cycles)
-
-    dist = np.full(size, 1.0 / size)
-    for _ in range(max_iters):
-        nxt = 0.5 * dist + 0.5 * push(dist)
-        delta = np.abs(nxt - dist).max()
-        dist = nxt
-        if delta < tol:
-            break
-    else:
-        raise SimulationError("stationary iteration did not converge")
-    return SimStats(p1=valsf @ dist, ptr=change @ dist, n_patterns=0, n_cycles=0)
+    reset_idx = 0
+    for j, ff in enumerate(ffs):
+        reset_idx |= g.reset_value(ff) << j
+    dist = np.zeros(size)
+    dist[reset_idx * X:(reset_idx + 1) * X] = stat_x
+    p1_sum = np.zeros(g.n)
+    tr_sum = np.zeros(g.n)
+    for t in range(cfg.n_cycles):
+        p1_sum += valsf @ dist
+        if t < cfg.n_cycles - 1:
+            tr_sum += change @ dist
+            rho = np.bincount(to_flat, weights=dist, minlength=size)
+            dist = _apply_pi_kernels(rho.reshape(S, X), kernels).reshape(-1)
+    return SimStats(p1=p1_sum / cfg.n_cycles, ptr=tr_sum / (cfg.n_cycles - 1),
+                    n_patterns=0, n_cycles=cfg.n_cycles)
 
 
 # --- binary trace file ------------------------------------------------------

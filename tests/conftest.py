@@ -332,25 +332,42 @@ def truth_table_reference(g, i, j, sup):
 
 def f_pair_list(g, sup):
     """Every gate pair i < j with at most 16 joint sources, in row-major
-    order (test oracle for the counted enumeration)."""
+    order (test oracle for the eligible set)."""
     gates = g.gates
     return [(i, j) for ii, i in enumerate(gates) for j in gates[ii + 1:]
             if bin(sup[i] | sup[j]).count("1") <= 16]
 
 
 def sample_f_pairs_reference(g, target_count, seed):
-    """``sample_f_pairs`` over a listed enumeration and cone walks (test oracle)."""
+    """``sample_f_pairs`` over listed pairs and cone walks (test oracle).
+
+    Replays the rejection draw: the gates of at most 16 sources, every
+    pair of them listed as (0, 1), (0, 2), (1, 2), (0, 3), ... by gate
+    index, a uniformly ordered sample of 2 x target indices doubled until
+    it holds the target in ``f_pair_list`` or covers every pair, and its
+    first eligible pairs in ascending order.
+    """
     from seqcircuit.labels import support_masks
 
     sup = support_masks(g)
-    elig = f_pair_list(g, sup)
-    if not elig or target_count <= 0:
+    gates = [v for v in g.gates if bin(sup[v]).count("1") <= 16]
+    listed = [(gates[a], gates[b]) for b in range(len(gates))
+              for a in range(b)]
+    eligible = set(f_pair_list(g, sup))
+    if not listed or target_count <= 0:
         return []
     rng = np.random.default_rng([int(seed), 0xF0])
-    chosen = rng.choice(len(elig), size=min(target_count, len(elig)),
-                        replace=False)
-    return [(*elig[c], truth_table_reference(g, *elig[c], sup))
-            for c in sorted(chosen)]
+    size = 2 * target_count
+    while True:
+        size = min(size, len(listed))
+        drawn = rng.choice(len(listed), size=size, replace=False)
+        kept = [listed[c] for c in drawn if listed[c] in eligible]
+        kept = kept[:target_count]
+        if len(kept) == target_count or size == len(listed):
+            break
+        size *= 2
+    return [(i, j, truth_table_reference(g, i, j, sup))
+            for i, j in sorted(kept)]
 
 
 def transitive_pi_support_reference(g):

@@ -419,15 +419,45 @@ def test_reliab_finetune_rejects_negative_option(tmp_path, corpus, capsys,
     assert not (out.parent / "reliab.manifest.json").exists()
 
 
-@pytest.mark.parametrize("command", ["sim", "reliab"])
-def test_negative_seed_names_field(tmp_path, corpus, capsys, command):
+STIMULUS_RUN = ["--aig", "{aig}", "--patterns", "20", "--cycles", "5",
+                "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(["sim", *STIMULUS_RUN, "--seed", "-1"], "seed", id="sim"),
+    pytest.param(["reliab", *STIMULUS_RUN, "--seed", "-1"], "seed",
+                 id="reliab"),
+    *[pytest.param([command, *STIMULUS_RUN, "--workload-seed", "-1"],
+                   "workload_seed", id=f"{command}-workload-seed")
+      for command in ("sim", "power", "reliab")],
+    pytest.param(["label", "--corpus", "{corpus}", "--patterns", "20",
+                  "--cycles", "5", "--out", "{out}", "--workload-seed", "-1"],
+                 "workload_seed", id="label-workload-seed"),
+    pytest.param(["gen", "--n", "2", "--out", "{out}", "--seed", "-1"],
+                 "seed", id="gen"),
+    pytest.param(["train", "--dataset", "{out}.jsonl", "--out-dir", "{out}",
+                  "--seed", "-1"], "seed", id="train")])
+def test_negative_seed_names_field(tmp_path, corpus, capsys, argv, field):
     aag = os.path.join(corpus, sorted(os.listdir(corpus))[0])
-    out = tmp_path / "out.json"
-    assert main([command, "--aig", aag, "--patterns", "20", "--cycles", "5",
-                 "--seed", "-1", "--out", str(out)]) == 2
+    out = tmp_path / "out"
+    assert main([a.format(aig=aag, corpus=corpus, out=out)
+                 for a in argv]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[0] == "error: seed must be >= 0, got -1", err
+    assert err.splitlines()[0] == f"error: {field} must be >= 0, got -1", err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("seed", "-2", "seed must be >= 0, got -2"),
+    ("patterns", "0", "need n_patterns >= 1 and n_cycles >= 2")])
+def test_label_checks_options_before_writing(tmp_path, corpus, capsys, flag,
+                                             value, message):
+    out = tmp_path / "out" / "data.jsonl"
+    out.parent.mkdir()
+    assert main(["label", "--corpus", corpus, "--out", str(out),
+                 "--patterns", "20", "--cycles", "5", f"--{flag}", value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.parent.iterdir()) == []
 
 
 def test_checkpoint_with_cycle_tol_loads(tmp_path, corpus):

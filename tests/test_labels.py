@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -53,6 +54,35 @@ def random_aig(seed, n_pi, n_ff, n_gates, const=True):
     for f in ffs:
         b.set_ff_input(f, gates[int(rng.integers(len(gates)))])
     return b.build()
+
+
+def grouped_supports(n_groups, width, extra):
+    """Groups of width + extra PIs, each with an AND chain over its first
+    width PIs and, per extra PI p, NOT(AND(chain end, p)) and
+    NOT(AND(NOT chain end, p)): gates of width + 1 sources, whose pairs
+    across groups exceed 16 sources for width >= 8."""
+    b = CircuitBuilder()
+    for _ in range(n_groups):
+        pis = [b.add_pi() for _ in range(width + extra)]
+        acc = pis[0]
+        for p in pis[1:width]:
+            acc = b.add_and(acc, p)
+        for p in pis[width:]:
+            for x in (acc, b.add_not(acc)):
+                b.add_not(b.add_and(x, p))
+    return b.build(check=False)
+
+
+def chi_square_limit(dof, false_alarm):
+    """Upper quantile of chi-square(dof) at ``false_alarm``, by the
+    Wilson-Hilferty cube-root normal approximation."""
+    lo, hi = 0.0, 40.0
+    for _ in range(200):  # the normal quantile, by bisection
+        z = (lo + hi) / 2
+        lo, hi = (z, hi) if math.erfc(z / math.sqrt(2)) / 2 > false_alarm \
+            else (lo, z)
+    h = 2 / (9 * dof)
+    return dof * (1 - h + z * math.sqrt(h)) ** 3
 
 
 class TestReconvergence:
@@ -256,8 +286,6 @@ class TestTruthTableDistance:
             truth_table_distance(g, g3, g4, sup)
         with pytest.raises(CircuitError, match="combinational loop"):
             pair_distances(g, [(g3, g4)], sup)
-        # Cones clear of the loop are labelled.
-        assert truth_table_distance(g, g4, g4, sup) == 0.0
 
 
 class TestFPairSampling:
@@ -296,7 +324,8 @@ class TestFPairSampling:
     @pytest.mark.parametrize("chunk_words", [7, labels.PAIR_CHUNK_WORDS])
     def test_matches_listed_enumeration(self, monkeypatch, chunk_words):
         # Gates whose own support exceeds 16 sources are in every circuit
-        # here; a bound of 7 words splits the count into many blocks.
+        # here; a bound of 7 words splits the eligibility test into slices
+        # of a few pairs, and the draw must not depend on it.
         monkeypatch.setattr(labels, "PAIR_CHUNK_WORDS", chunk_words)
         for seed in range(4):
             g = random_aig(seed, n_pi=20, n_ff=4, n_gates=40)
@@ -308,7 +337,7 @@ class TestFPairSampling:
 
     def test_working_memory_bounded(self):
         # About 1.3M pairs of this 2,010-node circuit are eligible: a list of
-        # them took some 80 MB, the blocked count takes a few.
+        # them took some 80 MB, the rejection draw takes a few.
         g = generate(GenSpec(n_pi=40, n_and=1400, n_not=420, n_ff=150, seed=1))
         sample_f_pairs(g, 1, 0)  # builds the cached standard table
         tracemalloc.start()
@@ -329,6 +358,90 @@ class TestFPairSampling:
                                   / labels.REFERENCE_NODES))
             assert sample_f_pairs(g, None, seed) \
                 == sample_f_pairs_reference(g, target, seed)
+
+    def test_triangle_inverse_exact(self):
+        listed = [(a, b) for b in range(60) for a in range(b)]
+        a, b = labels._triangle_pairs(np.arange(len(listed)))
+        assert list(zip(a.tolist(), b.tolist())) == listed
+        # Row b starts at b(b-1)/2: past 2^31 from b = 65,537, and near
+        # 2^53 at the last b here, where the float root of the row's last
+        # index rounds up to b + 1.
+        for b in (65536, 65537, 92682, 92683, 3_037_000, 1 << 27):
+            start = b * (b - 1) // 2
+            a, row = labels._triangle_pairs(np.array([start - 1, start,
+                                                      start + b - 1]))
+            assert list(zip(a.tolist(), row.tolist())) \
+                == [(b - 2, b - 1), (0, b), (b - 1, b)]
+
+    def test_candidates_linear_in_target(self, monkeypatch):
+        # Of the ~1.6M gate pairs of this 2,010-node circuit, only the
+        # drawn candidates are tested for eligibility, each once.
+        g = generate(GenSpec(n_pi=40, n_and=1400, n_not=420, n_ff=150, seed=1))
+        tested = []
+        eligible = labels._eligible
+
+        def counted(words, a, b):
+            tested.append(len(a))
+            return eligible(words, a, b)
+        monkeypatch.setattr(labels, "_eligible", counted)
+        monkeypatch.setattr(labels, "pair_distances",
+                            lambda g, pairs, sup: [0.0] * len(pairs))
+        pairs = sample_f_pairs(g, None, 7)
+        assert 0 < sum(tested) <= 4 * len(pairs)
+
+    def test_no_repeats_and_every_pair_eligible(self):
+        for g in (grouped_supports(4, 9, 6),
+                  random_aig(1, n_pi=20, n_ff=4, n_gates=40)):
+            sup = support_masks(g)
+            eligible = set(f_pair_list(g, sup))
+            for seed in range(5):
+                for target in (1, 300, 3000):
+                    pairs = [(i, j) for i, j, _
+                             in sample_f_pairs(g, target, seed)]
+                    assert len(pairs) == min(target, len(eligible))
+                    assert len(set(pairs)) == len(pairs)
+                    assert set(pairs) <= eligible
+                    assert pairs == sorted(pairs)
+
+    def test_target_above_eligible_returns_each_pair_once(self):
+        g = grouped_supports(3, 9, 2)
+        sup = support_masks(g)
+        listed = f_pair_list(g, sup)
+        assert len(listed) < len(g.gates) * (len(g.gates) - 1) // 2
+        pairs = sample_f_pairs(g, 10 * len(listed), seed=4)
+        assert [(i, j) for i, j, _ in pairs] == listed
+
+    def test_distances_match_cone_walk(self):
+        g = random_aig(2, n_pi=20, n_ff=4, n_gates=40)
+        sup = support_masks(g)
+        for i, j, d in sample_f_pairs(g, 150, seed=5):
+            assert d == truth_table_reference(g, i, j, sup)
+
+    @pytest.mark.parametrize("g, target", [
+        pytest.param(grouped_supports(4, 9, 6), 1000, id="doubled-draw"),
+        pytest.param(grouped_supports(4, 9, 6), 3000, id="every-pair-drawn"),
+        pytest.param(random_aig(3, n_pi=20, n_ff=4, n_gates=40), 300,
+                     id="first-draw")])
+    def test_uniform_over_eligible_pairs(self, monkeypatch, g, target):
+        # Each eligible pair is kept in a fraction target / E of the draws.
+        # Over N independent seeds its count c has mean N p and variance
+        # N p (1 - p); the counts of one draw sum to the target, so the
+        # statistic below is chi-square with E - 1 degrees of freedom.  Its
+        # limit is the Wilson-Hilferty quantile at a 1e-6 false alarm.
+        monkeypatch.setattr(labels, "pair_distances",
+                            lambda g, pairs, sup: [0.0] * len(pairs))
+        listed = f_pair_list(g, support_masks(g))
+        column = {pair: c for c, pair in enumerate(listed)}
+        n_seeds = 400
+        counts = np.zeros(len(listed))
+        for seed in range(n_seeds):
+            for i, j, _ in sample_f_pairs(g, target, seed):
+                counts[column[(i, j)]] += 1
+        e = len(listed)
+        p = target / e
+        stat = (e - 1) / e * ((counts - n_seeds * p) ** 2).sum() \
+            / (n_seeds * p * (1 - p))
+        assert stat <= chi_square_limit(e - 1, 1e-6)
 
 
 class TestFFPairs:

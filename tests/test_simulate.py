@@ -299,15 +299,20 @@ class TestInputStream:
 
 class TestExhaustive:
     def test_and_exact(self):
+        # Inputs start stationary, so every cycle of the horizon has the
+        # same AND statistics.
         g, ids = and2()
         w = Workload({ids["a"]: (0.5, 0.5), ids["b"]: (0.5, 0.5)})
-        ex = exhaustive_stats(g, w)
+        ex = exhaustive_stats(g, w, SimConfig(n_cycles=7))
         assert ex.p1[ids["and"]] == pytest.approx(0.25, abs=1e-9)
         assert ex.ptr[ids["and"]] == pytest.approx(0.375, abs=1e-9)
 
     def test_toggle_exact(self):
+        # From reset the FF alternates 0, 1, 0, ...: half the cycles of an
+        # even horizon are 1, and every step toggles.
         g, ids = toggle_ff()
-        ex = exhaustive_stats(g, Workload({ids["pi"]: (0.5, 0.5)}))
+        ex = exhaustive_stats(g, Workload({ids["pi"]: (0.5, 0.5)}),
+                              SimConfig(n_cycles=10))
         assert ex.p1[ids["ff"]] == pytest.approx(0.5, abs=1e-9)
         assert ex.ptr[ids["ff"]] == pytest.approx(1.0, abs=1e-9)
 
@@ -337,7 +342,7 @@ class TestExhaustive:
         g_and = b.add_and(pi, c)
         b.set_outputs([g_and])
         g = b.build()
-        ex = exhaustive_stats(g, Workload({pi: (0.7, 0.3)}))
+        ex = exhaustive_stats(g, Workload({pi: (0.7, 0.3)}), SimConfig())
         assert ex.p1[g_and] == 0.0
         assert ex.ptr[g_and] == 0.0
 
@@ -348,7 +353,7 @@ class TestExhaustive:
         g = b.build()
         w = Workload({pi: (0.5, 0.5) for pi in g.pis})
         with pytest.raises(SimulationError):
-            exhaustive_stats(g, w)
+            exhaustive_stats(g, w, SimConfig())
 
 
 class TestTraceFile:
