@@ -163,6 +163,15 @@ def _load_workload(g, cfg):
 
 def cmd_gen(cfg, log):
     check_seed("seed", cfg["seed"])
+    # Checked before the corpus directory exists, so that a rejected option
+    # writes nothing.
+    for name, ok, want in (("n", cfg["n"] >= 1, ">= 1"),
+                           ("mean_nodes", cfg["mean_nodes"] > 0, "> 0"),
+                           ("std_nodes", cfg["std_nodes"] >= 0, ">= 0"),
+                           ("feedback_prob", 0 <= cfg["feedback_prob"] <= 1,
+                            "in [0, 1]")):
+        if not ok:
+            raise ValueError(f"{name} must be {want}, got {cfg[name]}")
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     summaries = []

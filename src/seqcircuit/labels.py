@@ -14,15 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitGraph, CircuitError, NodeKind
-from .simulate import (WORD, WORD_BITS, FFTraces, SimConfig, SimStats,
-                       Workload, eval_levels, gate_sweeps, gate_table,
-                       pack_patterns, pattern_mask, simulate)
+from .simulate import (CHUNK_WORDS, WORD, WORD_BITS, FFTraces, SimConfig,
+                       SimStats, Workload, eval_levels, gate_sweeps,
+                       gate_table, pack_patterns, pattern_mask, simulate)
 
 MAX_PAIR_SUPPORT = 16
-# Working-set bound, in 64-bit words (about 1 MB), of one slice of the F-pair
-# eligibility test (pairs x support words) and of one chunk of packed truth
-# tables (rows x words).
-PAIR_CHUNK_WORDS = 1 << 17
 
 # Desk-scale defaults mirroring the per-circuit pair budgets of the training
 # recipe (pairs per circuit, scaled by node count relative to the reference
@@ -134,15 +130,26 @@ def truth_table_distance(g: CircuitGraph, i: int, j: int, sup=None) -> float:
     Both cones are evaluated over an exhaustive assignment of their joint
     source support (FF outputs treated as free inputs); the support size is
     capped at MAX_PAIR_SUPPORT.  ``sup`` takes precomputed support masks;
-    without them each call builds the masks of the whole graph.  This is
-    the one-pair case of ``pair_distances``.
+    without them each call builds the masks of the whole graph.  Only the
+    rows of the two cones are encoded and swept, as one chunk of
+    ``pair_distances`` would sweep them.
     """
     for v in (i, j):
         if g.kinds[v] not in (NodeKind.AND, NodeKind.NOT):
             raise LabelError(f"node {v} is not combinational")
     if sup is None:
         sup = support_masks(g)
-    return pair_distances(g, [(i, j)], sup)[0]
+    level = g.levels  # raises CircuitError on a combinational loop
+    seen, stack = {i, j}, [i, j]
+    while stack:  # the two cones, back to their PIs and FF outputs
+        v = stack.pop()
+        if g.kinds[v] in (NodeKind.AND, NodeKind.NOT):
+            fresh = [u for u in g.fanins[v] if u not in seen]
+            seen.update(fresh)
+            stack += fresh
+    rows = np.array(sorted(seen), dtype=np.intp)
+    sweep = gate_sweeps(rows, gate_table(g, rows, level[rows]))
+    return _chunk_distances([(i, j)], sup, rows, sweep)[0]
 
 
 def _bits(mask: int) -> np.ndarray:
@@ -177,7 +184,7 @@ def pair_distances(g: CircuitGraph, pairs, sup) -> list[float]:
     so the block of every node in its cones is that node's truth table.
     The distance is the popcount of the XOR over the first 2^k bits, an
     integer over 2^k.  A chunk's rows are the union of its pairs' cones,
-    and rows x words stays within PAIR_CHUNK_WORDS (one pair may exceed
+    and rows x words stays within CHUNK_WORDS (one pair may exceed
     it alone).  ``sup`` holds ``support_masks(g)``; a pair whose joint
     support exceeds MAX_PAIR_SUPPORT sources raises ``LabelError``.
     """
@@ -192,7 +199,7 @@ def pair_distances(g: CircuitGraph, pairs, sup) -> list[float]:
             grown = union | cones[i] | cones[j]
             w = _table_words(min((sup[i] | sup[j]).bit_count(),
                                  MAX_PAIR_SUPPORT))
-            if stop > start and grown.bit_count() * (words + w) > PAIR_CHUNK_WORDS:
+            if stop > start and grown.bit_count() * (words + w) > CHUNK_WORDS:
                 break
             union, words, stop = grown, words + w, stop + 1
         rows = _bits(union)
@@ -258,8 +265,8 @@ def _triangle_pairs(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eligible(words: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of the rows (a, b) of ``words`` whose joint support has at most
-    MAX_PAIR_SUPPORT sources, gathered in slices within PAIR_CHUNK_WORDS."""
-    step = max(1, PAIR_CHUNK_WORDS // max(1, words.shape[1]))
+    MAX_PAIR_SUPPORT sources, gathered in slices within CHUNK_WORDS."""
+    step = max(1, CHUNK_WORDS // max(1, words.shape[1]))
     return np.concatenate([
         np.bitwise_count(words[a[s:s + step]] | words[b[s:s + step]]
                          ).sum(axis=1) <= MAX_PAIR_SUPPORT

@@ -18,8 +18,8 @@ from . import tensor as tz
 from .circuit import CircuitGraph
 from .labels import LabelSet
 from .simulate import (FAULT_STREAM, WORD, WORD_BITS, FFTraces, SimConfig,
-                       Workload, compiled_order, count_ones, pattern_mask,
-                       pi_words, run_cycles)
+                       Workload, compiled_order, count_ones, cycle_window,
+                       pattern_mask, pi_words, run_cycles)
 
 # Most geometric gaps drawn at once, so that a fault draw's working memory
 # is bounded at any flip probability.
@@ -119,8 +119,8 @@ def reliability_labels(g: CircuitGraph, w: Workload, fc: FaultConfig,
     fc.check()
     w.check(g)
     P, T = fc.n_patterns, fc.n_cycles
-    levels = compiled_order(g)
     words = pi_words(g, w, fc.sim_config())
+    window = cycle_window(g, compiled_order(g), T, words.shape[-1])
     flips = None
     if fc.flip_prob > 0.0:
         flips = fault_words(fc.seed, fc.flip_prob, (T, g.n), words.shape[-1])
@@ -128,13 +128,13 @@ def reliability_labels(g: CircuitGraph, w: Workload, fc: FaultConfig,
 
     n1, n01, n10 = (np.zeros(g.n, dtype=np.int64) for _ in range(3))
     states = []  # (fault-free, faulty) FF state words, kept only if asked
-    pairs = zip(run_cycles(g, levels, words), run_cycles(g, levels, words, flips))
+    pairs = zip(run_cycles(g, window, words), run_cycles(g, window, words, flips))
     for (state, vals), (fstate, fvals) in pairs:
         if return_traces:
             states.append((state, fstate))
-        n1 += count_ones(vals, mask)
-        n01 += count_ones(fvals & ~vals, mask)
-        n10 += count_ones(vals & ~fvals, mask)
+        n1 += count_ones(vals, mask).sum(axis=0)
+        n01 += count_ones(fvals & ~vals, mask).sum(axis=0)
+        n10 += count_ones(vals & ~fvals, mask).sum(axis=0)
 
     n0 = P * T - n1
     labels = FlipLabels(
@@ -142,7 +142,7 @@ def reliability_labels(g: CircuitGraph, w: Workload, fc: FaultConfig,
         p10=np.divide(n10, n1, out=np.zeros(g.n), where=n1 > 0),
         n0=n0, n1=n1)
     if return_traces:
-        return (labels, *(FFTraces(g.ffs, np.stack(s), P) for s in zip(*states)))
+        return (labels, *(FFTraces(g.ffs, np.concatenate(s), P) for s in zip(*states)))
     return labels
 
 

@@ -132,9 +132,19 @@ def markov_params(p1: float, ptr: float) -> tuple[float, float]:
 # Pattern p of a run is bit p % 64 of word p // 64, so one numpy operation
 # evaluates a whole level of gates for every pattern.  Bits past the last
 # pattern carry garbage (a NOT sets them) and are masked only when counting.
+# A run sweeps a window of C consecutive cycles as one DAG: row c * n + v
+# is node v in cycle c, and an FF row at c >= 1 copies its D row at c - 1.
+# A level of the window holds gates of every cycle whose longest path in the
+# window is that long, so short feedback loops through a deep circuit cost
+# far fewer than C x depth steps.
 
 WORD = np.dtype("<u8")
 WORD_BITS = 64
+# Working-set bound, in 64-bit words (about 1 MB), of one window of cycles
+# (cycles x nodes x words), of one slice of the F-pair eligibility test
+# (pairs x support words) and of one chunk of packed truth tables (rows x
+# words).
+CHUNK_WORDS = 1 << 17
 
 
 def gate_table(g: CircuitGraph, rows, level):
@@ -192,33 +202,94 @@ def eval_levels(levels, vals, flip=None):
         vals[out] = x
 
 
-def run_cycles(g: CircuitGraph, levels, inputs, flips=None):
-    """Yield (FF state, node values) words of every cycle, FFs from reset.
+def cycle_window(g: CircuitGraph, levels, n_cycles: int, n_words: int):
+    """{cycles c: ``gate_sweeps`` of a window of c cycles} for runs of
+    ``n_cycles`` cycles over ``n_words`` words; ``levels`` is the graph's
+    ``compiled_order``.
 
-    ``inputs`` is (T, k, W) packed workload-PI values.  ``flips`` holds the
-    optional (T, n_nodes, W) XOR masks of a faulty run: every node value is
-    flipped as it is evaluated, and the yielded state is the latched value
-    before its flip.  The value array is reused from cycle to cycle.
+    Row c * n + v is node v in cycle c.  PIs, the constant and the FF rows
+    at c = 0 are sources; an FF row at c >= 1 is its D row at c - 1, ANDed
+    with itself.  A row's level is its longest path inside the window, from
+    one pass over ``levels`` per cycle.  The window length C is worked out
+    from the circuit: cycles are added one at a time while the estimated
+    step count, C x depth level passes plus ceil(n_cycles / C) windows,
+    keeps falling, and C x n x n_words stays within CHUNK_WORDS.  A last
+    window of n_cycles % C cycles sweeps the table's first rows.  A
+    1-cycle window is ``levels`` itself.
     """
+    n, T, depth = g.n, n_cycles, len(levels)
+    ffs = np.array(g.ffs, dtype=np.intp)
+    nxt = np.array([g.fanins[ff][0] for ff in ffs], dtype=np.intp)
+    cap = min(T, max(1, CHUNK_WORDS // max(1, n * n_words)))
+    cycles = [np.asarray(g.levels)]
+    steps, cost = depth, depth * (1 + T)
+    while len(cycles) < cap:
+        level = np.zeros(n, dtype=np.intp)
+        level[ffs] = cycles[-1][nxt] + 1
+        for out, fa, fb, _ in levels:
+            level[out] = np.maximum(level[fa], level[fb]) + 1
+        grown = max(steps, int(level.max()))
+        c = len(cycles) + 1
+        trial = c * depth + -(-T // c) * grown
+        if trial >= cost:
+            break
+        cycles.append(level)
+        steps, cost = grown, trial
+    C = len(cycles)
+    if C == 1:
+        return {1: levels}
+    fa, fb = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    inv = np.zeros(n, dtype=WORD)
+    fa[ffs] = fb[ffs] = nxt - n  # the D row one cycle earlier
+    for out, a, b, m in levels:
+        fa[out], fb[out], inv[out] = a, b, m[:, 0]
+    shift = n * np.arange(C)[:, None]
+    table = (np.concatenate(cycles), (fa + shift).ravel(),
+             (fb + shift).ravel(), np.tile(inv, C)[:, None])
+    rows = np.arange(C * n)
+    return {c: gate_sweeps(rows[:c * n], [col[:c * n] for col in table])
+            for c in {C, T % C or C}}
+
+
+def run_cycles(g: CircuitGraph, window, inputs, flips=None):
+    """Yield the (c, n_ffs, W) FF states and (c, n_nodes, W) node values of
+    each window of c cycles, FFs from reset.
+
+    ``window`` is the graph's ``cycle_window`` and ``inputs`` the (T, k, W)
+    packed workload-PI values; each window is one ``eval_levels`` call over
+    a (c * n_nodes, W) view.  ``flips`` holds the optional (T, n_nodes, W)
+    XOR masks of a faulty run: every node value is flipped as it is
+    evaluated, and the yielded state is the latched value before its flip.
+    The value array is reused from window to window.
+    """
+    n, C = g.n, max(window)
     pis = np.array(g.workload_pis(), dtype=np.intp)
     ffs = np.array(g.ffs, dtype=np.intp)
-    nxt = np.array([g.fanins[ff][0] for ff in g.ffs], dtype=np.intp)
+    nxt = np.array([g.fanins[ff][0] for ff in ffs], dtype=np.intp)
     sources = np.flatnonzero(g.levels == 0)  # PIs and FF outputs
+    later = np.setdiff1d(sources, ffs)  # FF rows after cycle 0 are gates
     T, _, W = inputs.shape
-    vals = np.zeros((g.n, W), dtype=WORD)
+    vals = np.zeros((C, n, W), dtype=WORD)
     state = np.zeros((len(ffs), W), dtype=WORD)
-    state[[bool(g.reset_value(ff)) for ff in g.ffs]] = np.iinfo(WORD).max
-    for t in range(T):
-        vals[pis] = inputs[t]
-        vals[ffs] = state
+    state[[bool(g.reset_value(ff)) for ff in ffs]] = np.iinfo(WORD).max
+    for t in range(0, T, C):
+        c = min(C, T - t)
+        block = vals[:c]
+        block[:, pis] = inputs[t:t + c]
+        block[0, ffs] = state
         if g.const_id is not None:
-            vals[g.const_id] = 0
-        flip = None if flips is None else flips[t]
+            block[:, g.const_id] = 0
+        flip = None if flips is None else flips[t:t + c]
         if flip is not None:
-            vals[sources] ^= flip[sources]
-        eval_levels(levels, vals, flip)
-        yield state, vals
-        state = vals[nxt]
+            block[0, sources] ^= flip[0, sources]
+            block[1:, later] ^= flip[1:, later]
+            flip = flip.reshape(c * n, W)
+        eval_levels(window[c], block.reshape(c * n, W), flip)
+        states = np.empty((c, len(ffs), W), dtype=WORD)
+        states[0] = state
+        states[1:] = block[:-1, nxt]
+        yield states, block
+        state = block[-1, nxt]
 
 
 def pack_patterns(bits):
@@ -243,8 +314,8 @@ def pattern_mask(n_patterns: int):
 
 
 def count_ones(words, mask):
-    """Per-row number of set pattern bits of (n, W) words."""
-    return np.bitwise_count(words & mask).sum(axis=1, dtype=np.int64)
+    """Per-row number of set pattern bits of (..., W) words."""
+    return np.bitwise_count(words & mask).sum(axis=-1, dtype=np.int64)
 
 
 def pi_words(g: CircuitGraph, w: Workload, cfg: SimConfig):
@@ -312,24 +383,36 @@ def simulate(g: CircuitGraph, w: Workload, cfg: SimConfig = SimConfig(),
     w.check(g)
     n, P, T = g.n, cfg.n_patterns, cfg.n_cycles
     words = pi_words(g, w, cfg)
+    W = words.shape[-1]
     mask = pattern_mask(P)
-    p1c = np.zeros(n, dtype=np.int64)
-    trc = np.zeros(n, dtype=np.int64)
+    window = cycle_window(g, compiled_order(g), T, W)
+    C = max(window)
+    # Counts per cycle of the window, summed over the windows; a transition
+    # row holds a cycle's values XOR those of the cycle before, and the
+    # first cycle of a run has none.
+    p1c = np.zeros((C, n), dtype=np.int64)
+    trc = np.zeros((C, n), dtype=np.int64)
     pp1 = np.zeros((n, P), dtype=np.int32) if keep_pattern_counts else None
     ptr_pp = np.zeros((n, P), dtype=np.int32) if keep_pattern_counts else None
-    ff_words = np.empty((T, len(g.ffs), words.shape[-1]), dtype=WORD)
-    prev = None
-    for t, (state, vals) in enumerate(run_cycles(g, compiled_order(g), words)):
-        ff_words[t] = state
-        p1c += count_ones(vals, mask)
+    ff_words = np.empty((T, len(g.ffs), W), dtype=WORD)
+    changed = np.empty((C, n, W), dtype=WORD)
+    last = np.zeros((n, W), dtype=WORD)
+    t = 0
+    for states, vals in run_cycles(g, window, words):
+        c = len(states)
+        ff_words[t:t + c] = states
+        np.bitwise_xor(vals[0], last, out=changed[0])
+        np.bitwise_xor(vals[1:], vals[:-1], out=changed[1:c])
+        last[...] = vals[-1]
+        first = int(t == 0)
+        p1c[:c] += count_ones(vals, mask)
+        trc[first:c] += count_ones(changed[first:c], mask)
         if keep_pattern_counts:
-            pp1 += unpack_patterns(vals, P)
-        if t > 0:
-            changed = vals ^ prev
-            trc += count_ones(changed, mask)
-            if keep_pattern_counts:
-                ptr_pp += unpack_patterns(changed, P)
-        prev = vals.copy()
+            pp1 += unpack_patterns(vals, P).sum(axis=0, dtype=np.int32)
+            ptr_pp += unpack_patterns(changed[first:c], P).sum(axis=0,
+                                                              dtype=np.int32)
+        t += c
+    p1c, trc = p1c.sum(axis=0), trc.sum(axis=0)
 
     total = P * T
     total_tr = P * (T - 1)

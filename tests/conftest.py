@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqcircuit import CircuitBuilder, NodeKind
+from seqcircuit import CircuitBuilder, NodeKind, Workload, parse_bench
 from seqcircuit.simulate import FAULT_STREAM, PI_STREAM, markov_params
 
 
@@ -115,6 +115,22 @@ def accumulator_bench(width):
                  f"g{i} = AND({q}, {x})", f"c{i + 1} = OR(g{i}, a{i})",
                  f"{q} = DFF(s{i})"]
     return "\n".join(rows) + "\n"
+
+
+# (circuit, cycles, patterns) of ``window_circuit`` runs: windows of several
+# cycles, a last window shorter than the others, and pattern counts off a
+# multiple of 64.
+WINDOW_RUNS = [("accumulator", 37, 70), ("accumulator", 100, 130),
+               ("mixed", 23, 65), ("mixed", 100, 64), ("no_ffs", 13, 1)]
+
+
+def window_circuit(name):
+    """A circuit and random workload whose longer runs the simulator sweeps
+    in windows of several cycles: an 8-bit accumulator, ``mixed_circuit``
+    (constant node, an FF fed by an FF) or ``and2`` (no FFs)."""
+    g = {"accumulator": lambda: parse_bench(accumulator_bench(8)),
+         "mixed": mixed_circuit, "no_ffs": lambda: and2()[0]}[name]()
+    return g, Workload.random(g, 3)
 
 
 def eval_graph(g, source_vals, ff_vals=None):

@@ -50,6 +50,21 @@ def test_gen_deterministic_bytes(tmp_path):
     assert read_tree(out) == first
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("n", "0", "n"), ("n", "-3", "n"),
+    ("mean-nodes", "0", "mean_nodes"), ("mean-nodes", "nan", "mean_nodes"),
+    ("std-nodes", "-1", "std_nodes"),
+    ("feedback-prob", "-0.1", "feedback_prob"),
+    ("feedback-prob", "1.5", "feedback_prob")])
+def test_gen_rejects_out_of_range_option(tmp_path, capsys, flag, value, field):
+    # The options are checked before the corpus directory is made.
+    out = tmp_path / "corpus"
+    assert main(["gen", "--out", str(out), "--mean-nodes", "30",
+                 f"--{flag}", value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert not out.exists()
+
+
 def test_gen_writes_summary_and_manifest(corpus):
     files = sorted(os.listdir(corpus))
     assert "corpus_summary.json" in files

@@ -258,12 +258,12 @@ class TestTruthTableDistance:
         self._check_batched(g, pairs)
         assert pair_distances(g, [(par, acc6)], sup)[0] == 0.5
 
-    @pytest.mark.parametrize("chunk_words", [1, 64, labels.PAIR_CHUNK_WORDS])
+    @pytest.mark.parametrize("chunk_words", [1, 64, labels.CHUNK_WORDS])
     def test_batched_pairs_sharing_cones(self, monkeypatch, chunk_words):
         # Every eligible pair of one circuit: their cones overlap, so one
         # chunk's rows serve many pairs at the default bound, and every pair
         # is alone in its chunk at a bound of one word.
-        monkeypatch.setattr(labels, "PAIR_CHUNK_WORDS", chunk_words)
+        monkeypatch.setattr(labels, "CHUNK_WORDS", chunk_words)
         for seed in range(3):
             g = random_aig(seed, n_pi=9, n_ff=3, n_gates=30)
             pairs = f_pair_list(g, support_masks(g))
@@ -321,12 +321,12 @@ class TestFPairSampling:
         g = generate(GenSpec(n_pi=4, n_and=20, n_not=8, n_ff=3, seed=5))
         assert sample_f_pairs(g, 25, seed=3) == sample_f_pairs(g, 25, seed=3)
 
-    @pytest.mark.parametrize("chunk_words", [7, labels.PAIR_CHUNK_WORDS])
+    @pytest.mark.parametrize("chunk_words", [7, labels.CHUNK_WORDS])
     def test_matches_listed_enumeration(self, monkeypatch, chunk_words):
         # Gates whose own support exceeds 16 sources are in every circuit
         # here; a bound of 7 words splits the eligibility test into slices
         # of a few pairs, and the draw must not depend on it.
-        monkeypatch.setattr(labels, "PAIR_CHUNK_WORDS", chunk_words)
+        monkeypatch.setattr(labels, "CHUNK_WORDS", chunk_words)
         for seed in range(4):
             g = random_aig(seed, n_pi=20, n_ff=4, n_gates=40)
             sup = support_masks(g)

@@ -11,7 +11,8 @@ from seqcircuit import (CircuitBuilder, FaultConfig, GenSpec, SimConfig,
 from seqcircuit import model as mdl
 from seqcircuit import reliability as rel
 from seqcircuit.simulate import WORD_BITS, pattern_mask, pi_words, unpack_patterns
-from tests.conftest import mixed_circuit, reference_run, toggle_ff
+from tests.conftest import (WINDOW_RUNS, mixed_circuit, reference_run,
+                            toggle_ff, window_circuit)
 
 
 def test_flip_zero_is_observationally_absent():
@@ -39,11 +40,22 @@ def test_faulty_kernel_matches_per_gate_reference(circuit):
         g = generate(GenSpec(n_pi=3, n_and=12, n_not=6, n_ff=3, seed=2,
                              feedback_prob=0.6))
         w = Workload.random(g, 5)
-    P, T, seed = 70, 9, 4
-    fc = FaultConfig(flip_prob=0.05, n_patterns=P, n_cycles=T, seed=seed)
+    check_faulty_run(g, w, 70, 9, 4)
+
+
+@pytest.mark.parametrize("circuit, T, P", WINDOW_RUNS)
+def test_windowed_faulty_runs_match_per_gate_reference(circuit, T, P):
+    # One pattern of a 3-node circuit needs a high rate to flip both ways.
+    g, w = window_circuit(circuit)
+    check_faulty_run(g, w, P, T, 6, flip_prob=0.2)
+
+
+def check_faulty_run(g, w, P, T, seed, flip_prob=0.05):
+    """Flip labels and both runs' FF states against the per-gate reference."""
+    fc = FaultConfig(flip_prob=flip_prob, n_patterns=P, n_cycles=T, seed=seed)
     labels, traces, ftraces = reliability_labels(g, w, fc, return_traces=True)
     vals, states = reference_run(g, w, P, T, seed)
-    fvals, fstates = reference_run(g, w, P, T, seed, flip_prob=0.05)
+    fvals, fstates = reference_run(g, w, P, T, seed, flip_prob=flip_prob)
     n0, n1 = (~vals).sum(axis=(0, 2)), vals.sum(axis=(0, 2))
     n01 = (fvals & ~vals).sum(axis=(0, 2))
     n10 = (vals & ~fvals).sum(axis=(0, 2))

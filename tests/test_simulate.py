@@ -10,11 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcircuit import (CircuitBuilder, GenSpec, SimConfig, Workload,
-                        exhaustive_stats, generate, markov_params, simulate)
+                        exhaustive_stats, generate, markov_params, parse_bench,
+                        simulate)
+from seqcircuit.reliability import fault_words
 from seqcircuit.simulate import (SimulationError, _enumerate_truth,
-                                 read_trace_file, write_trace_file)
-from tests.conftest import (and2, eval_graph, mixed_circuit, reference_run,
-                            toggle_ff)
+                                 compiled_order, cycle_window, pi_words,
+                                 read_trace_file, run_cycles, unpack_patterns,
+                                 write_trace_file)
+from tests.conftest import (accumulator_bench, and2, eval_graph, mixed_circuit,
+                            WINDOW_RUNS, reference_run, toggle_ff,
+                            window_circuit)
 
 # The package exports the function ``simulate`` under the module's name.
 sim = importlib.import_module("seqcircuit.simulate")
@@ -213,6 +218,85 @@ class TestKernel:
                 bits = {v: bool(idx >> i & 1) for i, v in enumerate(src)}
                 ev = eval_graph(g, bits)
                 assert all(vals[v, idx] == ev(v) for v in g.gates)
+
+
+def windowed_run(g, w, P, T, seed, flip_prob=0.0):
+    """(T, n, P) values and (T, n_ffs, P) states unpacked from ``run_cycles``,
+    and the window length."""
+    words = pi_words(g, w, SimConfig(P, T, seed))
+    flips = None
+    if flip_prob > 0.0:
+        flips = fault_words(seed, flip_prob, (T, g.n), words.shape[-1])
+    window = cycle_window(g, compiled_order(g), T, words.shape[-1])
+    # The value block is reused from window to window: unpack it at once.
+    blocks = [(unpack_patterns(v, P), unpack_patterns(s, P))
+              for s, v in run_cycles(g, window, words, flips)]
+    vals, states = (np.concatenate(b) for b in zip(*blocks))
+    return vals, states, max(window)
+
+
+class TestCycleWindow:
+    """Windows of cycles swept as one DAG against the per-gate reference."""
+
+    @pytest.mark.parametrize("circuit, T, P", WINDOW_RUNS + [("mixed", 2, 70)])
+    def test_simulate_matches_per_gate_reference(self, circuit, T, P):
+        g, w = window_circuit(circuit)
+        C = max(cycle_window(g, compiled_order(g), T, -(-P // 64)))
+        assert (C > 1) == (T > 2)
+        stats = simulate(g, w, SimConfig(P, T, 5), keep_pattern_counts=True)
+        vals, states = reference_run(g, w, P, T, 5)
+        changed = vals[1:] != vals[:-1]
+        assert np.array_equal(stats.p1_counts, vals.sum(axis=(0, 2)))
+        assert np.array_equal(stats.tr_counts, changed.sum(axis=(0, 2)))
+        assert np.array_equal(stats.pattern_p1_counts, vals.sum(axis=0))
+        assert np.array_equal(stats.pattern_tr_counts, changed.sum(axis=0))
+        for j, ff in enumerate(g.ffs):
+            assert np.array_equal(stats.traces[ff], states[:, j, :].T)
+
+    @pytest.mark.parametrize("flip_prob", [0.0, 0.05])
+    @pytest.mark.parametrize("circuit, T, P", WINDOW_RUNS + [
+        ("mixed", 1, 70), ("mixed", 2, 70), ("accumulator", 2, 3)])
+    def test_run_cycles_matches_per_gate_reference(self, circuit, T, P,
+                                                   flip_prob):
+        g, w = window_circuit(circuit)
+        vals, states, C = windowed_run(g, w, P, T, 4, flip_prob)
+        assert (C > 1) == (T > 2)
+        ref_vals, ref_states = reference_run(g, w, P, T, 4, flip_prob)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(states, ref_states)
+
+    def test_last_window_is_shorter(self):
+        g, _ = window_circuit("accumulator")
+        window = cycle_window(g, compiled_order(g), 37, 2)
+        assert sorted(window) == [2, 5]  # seven windows of 5, then one of 2
+        assert window[2] and len(window[2]) < len(window[5])
+
+    @pytest.mark.parametrize("circuit", ["mixed", "toggle"])
+    def test_one_cycle_window_is_the_compiled_order(self, circuit):
+        g = mixed_circuit() if circuit == "mixed" else toggle_ff()[0]
+        levels = compiled_order(g)
+        window = cycle_window(g, levels, 13 if circuit == "mixed" else 100, 16)
+        assert list(window) == [1] and window[1] is levels
+
+    def test_window_stays_within_chunk_words(self):
+        g = parse_bench(accumulator_bench(64))
+        levels = compiled_order(g)
+        for words in (1, 16, 160):
+            C = max(cycle_window(g, levels, 100, words))
+            assert C * g.n * words <= sim.CHUNK_WORDS or C == 1
+
+    def test_deep_accumulator_takes_a_quarter_of_the_steps(self, monkeypatch):
+        # 64 one-FF loops a few levels long through 260 levels: one sweep
+        # per cycle would take 100 x 260 steps.
+        g = parse_bench(accumulator_bench(64))
+        w = Workload.random(g, 1)
+        depth = len(compiled_order(g))
+        steps = []
+        sweep = sim.eval_levels
+        monkeypatch.setattr(sim, "eval_levels", lambda levels, *args:
+                            steps.append(len(levels)) or sweep(levels, *args))
+        simulate(g, w, SimConfig(1000, 100, 2))
+        assert sum(steps) <= 100 * depth / 4
 
 
 def inputs_only(probs):
