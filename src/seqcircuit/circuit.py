@@ -167,15 +167,15 @@ class CircuitGraph:
     def nodes_of_kind(self, kind: NodeKind) -> list[int]:
         return [i for i, k in enumerate(self.kinds) if k == kind]
 
-    @property
+    @cached_property  # this and the next two lists are shared: never mutate
     def pis(self) -> list[int]:
         return self.nodes_of_kind(NodeKind.PI)
 
-    @property
+    @cached_property
     def ffs(self) -> list[int]:
         return self.nodes_of_kind(NodeKind.FF)
 
-    @property
+    @cached_property
     def gates(self) -> list[int]:
         return [i for i, k in enumerate(self.kinds)
                 if k in (NodeKind.AND, NodeKind.NOT)]

@@ -19,6 +19,7 @@ from .simulate import (CHUNK_WORDS, WORD, WORD_BITS, FFTraces, SimConfig,
                        gate_table, pack_patterns, pattern_mask, simulate)
 
 MAX_PAIR_SUPPORT = 16
+_GATES = (NodeKind.AND, NodeKind.NOT)
 
 # Desk-scale defaults mirroring the per-circuit pair budgets of the training
 # recipe (pairs per circuit, scaled by node count relative to the reference
@@ -79,21 +80,18 @@ class LabelSet:
 
 # --- structural helpers -----------------------------------------------------
 
-def combinational_cones(g: CircuitGraph) -> list[int]:
-    """Per-node bitmask of the backward cone through AND/NOT nodes.
-
-    The cone includes the node itself and its boundary sources (PIs and FF
-    outputs), where the backward trace stops.
-    """
-    cone = [0] * g.n
-    for v in g.pis + g.ffs:
-        cone[v] = 1 << v
+def source_masks(g: CircuitGraph, sources) -> list[int]:
+    """Per-node bitmask of the ``sources`` (PIs and FF outputs, bit v for
+    node v) that its backward trace through AND/NOT nodes reaches."""
+    mask = [0] * g.n
+    for v in sources:
+        mask[v] = 1 << v
     for v in g.gate_order:
-        m = 1 << v
+        m = 0
         for u in g.fanins[v]:
-            m |= cone[u]
-        cone[v] = m
-    return cone
+            m |= mask[u]
+        mask[v] = m
+    return mask
 
 
 def support_masks(g: CircuitGraph) -> list[int]:
@@ -101,27 +99,37 @@ def support_masks(g: CircuitGraph) -> list[int]:
 
     The pinned constant input is not free, so it contributes no support bit.
     """
-    sup = [0] * g.n
-    for v in g.pis + g.ffs:
-        if v != g.const_id:
-            sup[v] = 1 << v
-    for v in g.gate_order:
-        m = 0
-        for u in g.fanins[v]:
-            m |= sup[u]
-        sup[v] = m
-    return sup
+    return source_masks(g, [v for v in g.pis + g.ffs if v != g.const_id])
 
 
 def reconvergence_pairs(g: CircuitGraph) -> list[tuple[int, int, int, int]]:
-    """Label every AND fanin pair: 1 iff the two backward cones intersect."""
-    cone = combinational_cones(g)
+    """Label every AND fanin pair: 1 iff the two backward cones intersect.
+
+    Every gate's cone ends at PIs and FF outputs, so two cones meet iff
+    they reach a common PI (the constant included) or FF output."""
+    g.levels  # CircuitError where that fails: a loop, a gate without fanins
+    src = source_masks(g, g.pis + g.ffs)
     out = []
     for v in g.nodes_of_kind(NodeKind.AND):
         a, b = g.fanins[v]
-        label = 1 if cone[a] & cone[b] else 0
-        out.append((a, b, v, label))
+        out.append((a, b, v, 1 if src[a] & src[b] else 0))
     return out
+
+
+def _cone_walk(g: CircuitGraph, ends, seen: set) -> list[int]:
+    """Nodes of the backward cones of ``ends`` (the ends, the gates behind
+    them and the PIs and FF outputs where the trace stops) not in ``seen``,
+    a union of whole cones, which the walk skips; it adds them to ``seen``."""
+    kinds, fanins = g.kinds, g.fanins
+    found = [v for v in set(ends) if v not in seen]
+    seen.update(found)
+    for v in found:  # the list grows while it is walked
+        if kinds[v] in _GATES:
+            for u in fanins[v]:
+                if u not in seen:
+                    seen.add(u)
+                    found.append(u)
+    return found
 
 
 def truth_table_distance(g: CircuitGraph, i: int, j: int, sup=None) -> float:
@@ -135,28 +143,24 @@ def truth_table_distance(g: CircuitGraph, i: int, j: int, sup=None) -> float:
     ``pair_distances`` would sweep them.
     """
     for v in (i, j):
-        if g.kinds[v] not in (NodeKind.AND, NodeKind.NOT):
+        if g.kinds[v] not in _GATES:
             raise LabelError(f"node {v} is not combinational")
     if sup is None:
         sup = support_masks(g)
     level = g.levels  # raises CircuitError on a combinational loop
-    seen, stack = {i, j}, [i, j]
-    while stack:  # the two cones, back to their PIs and FF outputs
-        v = stack.pop()
-        if g.kinds[v] in (NodeKind.AND, NodeKind.NOT):
-            fresh = [u for u in g.fanins[v] if u not in seen]
-            seen.update(fresh)
-            stack += fresh
-    rows = np.array(sorted(seen), dtype=np.intp)
-    sweep = gate_sweeps(rows, gate_table(g, rows, level[rows]))
-    return _chunk_distances([(i, j)], sup, rows, sweep)[0]
+    rows = np.array(sorted(_cone_walk(g, (i, j), set())), dtype=np.intp)
+    return _chunk_distances([(i, j)], sup, rows,
+                            gate_table(g, rows, level[rows]))[0]
 
 
-def _bits(mask: int) -> np.ndarray:
+def _bits(mask: int) -> list[int]:
     """Ascending positions of the set bits of a non-negative int."""
-    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                                        bitorder="little"))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @functools.cache
@@ -184,50 +188,54 @@ def pair_distances(g: CircuitGraph, pairs, sup) -> list[float]:
     so the block of every node in its cones is that node's truth table.
     The distance is the popcount of the XOR over the first 2^k bits, an
     integer over 2^k.  A chunk's rows are the union of its pairs' cones,
-    and rows x words stays within CHUNK_WORDS (one pair may exceed
-    it alone).  ``sup`` holds ``support_masks(g)``; a pair whose joint
-    support exceeds MAX_PAIR_SUPPORT sources raises ``LabelError``.
+    which a walk from each pair's two ends grows, and rows x words stays
+    within CHUNK_WORDS (one pair may exceed it alone).  ``sup`` holds
+    ``support_masks(g)``; a pair whose joint support exceeds
+    MAX_PAIR_SUPPORT sources raises ``LabelError``.
     """
-    cones = combinational_cones(g)
     table = gate_table(g, range(g.n), g.levels)
     out: list[float] = []
     start = 0
     while start < len(pairs):
-        union, words, stop = 0, 0, start
+        chunk, words, stop = set(), 0, start
         while stop < len(pairs):
             i, j = pairs[stop]
-            grown = union | cones[i] | cones[j]
+            fresh = _cone_walk(g, (i, j), chunk)
             w = _table_words(min((sup[i] | sup[j]).bit_count(),
                                  MAX_PAIR_SUPPORT))
-            if stop > start and grown.bit_count() * (words + w) > CHUNK_WORDS:
+            if stop > start and len(chunk) * (words + w) > CHUNK_WORDS:
+                chunk.difference_update(fresh)
                 break
-            union, words, stop = grown, words + w, stop + 1
-        rows = _bits(union)
+            words, stop = words + w, stop + 1
+        rows = np.array(sorted(chunk), dtype=np.intp)
         out += _chunk_distances(pairs[start:stop], sup, rows,
-                                gate_sweeps(rows, [a[rows] for a in table]))
+                                [a[rows] for a in table])
         start = stop
     return out
 
 
-def _chunk_distances(pairs, sup, rows, sweep) -> list[float]:
+def _chunk_distances(pairs, sup, rows, table) -> list[float]:
     """Distances of ``pairs`` over one packed sweep of ``rows``.
 
     ``rows`` are ascending node ids that cover every pair's cones, and
-    ``sweep`` is their ``gate_sweeps``: only the levels the rows sit on are
+    ``table`` is their ``gate_table``: only the levels the rows sit on are
     swept.
     """
-    srcs = [_bits(sup[i] | sup[j]) for i, j in pairs]
-    ks = np.array([len(src) for src in srcs])
+    joint = [sup[i] | sup[j] for i, j in pairs]
+    ks = np.array([m.bit_count() for m in joint])
     if ks.max() > MAX_PAIR_SUPPORT:
         raise LabelError(f"joint support {ks.max()} exceeds {MAX_PAIR_SUPPORT}")
+    at = np.searchsorted(rows, [v for m in joint for v in _bits(m)])
     widths = np.array([_table_words(k) for k in ks])
-    table = _standard_table()
+    standard = _standard_table()
     vals = np.zeros((len(rows), int(widths.sum())), dtype=WORD)
     col = 0
-    for src, k, w in zip(srcs, ks, widths):
-        vals[np.searchsorted(rows, src), col:col + w] = table[:k, :w]
-        col += w
-    eval_levels(sweep, vals)
+    for k, w in zip(ks, widths):
+        vals[at[:k], col:col + w] = standard[:k, :w]
+        at, col = at[k:], col + w
+    level, fa, fb, inv = table
+    eval_levels(gate_sweeps((level, np.searchsorted(rows, fa),
+                             np.searchsorted(rows, fb), inv)), vals)
 
     owner = np.repeat(np.arange(len(pairs)), widths)
     cols = np.arange(len(owner))

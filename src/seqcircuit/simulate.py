@@ -163,20 +163,19 @@ def gate_table(g: CircuitGraph, rows, level):
             np.where(inv, np.iinfo(WORD).max, 0).astype(WORD)[:, None])
 
 
-def gate_sweeps(rows, table):
+def gate_sweeps(table):
     """Per-level gate index arrays (outputs, fanin a, fanin b, invert mask)
-    of the gates among ``rows``, shallowest level first.
+    of the gates of a block of rows, shallowest level first.
 
-    ``rows`` are ascending node ids that hold every fanin of their gates,
-    ``table`` is their ``gate_table``, and every index is a position in
-    ``rows``.  Every fanin of a level's gates is a source or lies on an
-    earlier level, so each level evaluates in one step.
+    ``table`` is the block's ``gate_table`` with its fanins given as
+    positions in the block, which must hold every fanin of its gates; every
+    index is such a position.  Every fanin of a level's gates is a source
+    or lies on an earlier level, so each level evaluates in one step.
     """
     level, fa, fb, inv = table
     out = np.flatnonzero(level)
     out = out[np.argsort(level[out], kind="stable")]
-    cols = (out, np.searchsorted(rows, fa[out]), np.searchsorted(rows, fb[out]),
-            inv[out])
+    cols = (out, fa[out], fb[out], inv[out])
     cuts = np.flatnonzero(np.diff(level[out], prepend=0)).tolist() + [len(out)]
     return [tuple(c[a:b] for c in cols) for a, b in zip(cuts, cuts[1:])]
 
@@ -184,8 +183,7 @@ def gate_sweeps(rows, table):
 def compiled_order(g: CircuitGraph):
     """``gate_sweeps`` of the whole graph, which must pass ``validate``."""
     require_valid(g)
-    rows = np.arange(g.n)
-    return gate_sweeps(rows, gate_table(g, rows, g.levels))
+    return gate_sweeps(gate_table(g, range(g.n), g.levels))
 
 
 def eval_levels(levels, vals, flip=None):
@@ -246,8 +244,7 @@ def cycle_window(g: CircuitGraph, levels, n_cycles: int, n_words: int):
     shift = n * np.arange(C)[:, None]
     table = (np.concatenate(cycles), (fa + shift).ravel(),
              (fb + shift).ravel(), np.tile(inv, C)[:, None])
-    rows = np.arange(C * n)
-    return {c: gate_sweeps(rows[:c * n], [col[:c * n] for col in table])
+    return {c: gate_sweeps([col[:c * n] for col in table])
             for c in {C, T % C or C}}
 
 

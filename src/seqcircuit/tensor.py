@@ -417,12 +417,6 @@ class _TableVersion(Tensor):
         np.add.at(self._buffer()[:, cols], idx, g)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    def bwd(g):
-        a.accumulate(np.full(a.shape, g[0, 0], dtype=_dtype))
-    return _out(a.data.sum().reshape(1, 1), (a,), bwd)
-
-
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
 
@@ -464,9 +458,6 @@ class ParamStore:
 
     def names(self):
         return sorted(self.params)
-
-    def n_scalars(self) -> int:
-        return sum(p.data.size for p in self.params.values())
 
     def zero_grads(self):
         for p in self.params.values():

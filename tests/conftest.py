@@ -294,6 +294,13 @@ def numeric_gradients(build_loss, store, h=1e-5, names=None):
     return out
 
 
+def tensor_sum(t):
+    """Sum of every entry of ``t`` as a (1, 1) tensor, through ``mean_all``."""
+    from seqcircuit import tensor as tz
+
+    return tz.scale(tz.mean_all(t), float(t.data.size))
+
+
 def relative_errors(ad, fd):
     return np.abs(ad - fd) / np.maximum.reduce(
         [np.abs(ad), np.abs(fd), np.ones_like(fd)])

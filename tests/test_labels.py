@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcircuit import (CircuitBuilder, CircuitError, GenSpec, NodeKind,
-                        SimConfig, Workload, build_labelset, ff_pair_eligible,
-                        ff_similarity, generate, reconvergence_pairs,
-                        sample_f_pairs, truth_table_distance)
+from seqcircuit import (CircuitBuilder, CircuitError, CircuitGraph, GenSpec,
+                        NodeKind, SimConfig, Workload, build_labelset,
+                        ff_pair_eligible, ff_similarity, generate, parse_aiger,
+                        reconvergence_pairs, sample_f_pairs,
+                        truth_table_distance)
 from seqcircuit import labels
 from seqcircuit.labels import (LabelError, LabelSet, pair_distances,
                                sample_ffsim_pairs, sequential_depths,
@@ -130,6 +131,44 @@ class TestReconvergence:
                 expect = int(bool(self._brute_force_ancestors(g, a)
                                   & self._brute_force_ancestors(g, c)))
                 assert label == expect
+
+    def test_cones_meeting_only_at_the_constant(self):
+        # AND 4 reads AND(x, 1) and AND(y, 1), where 1 is NOT(constant):
+        # the free supports {x} and {y} are disjoint, and the two cones
+        # share the inverter and the constant behind it.
+        g = parse_aiger("aag 5 2 0 1 3\n2\n4\n10\n6 2 1\n8 4 1\n10 6 8\n")
+        a, c = g.fanins[4]
+        sup = support_masks(g)
+        assert g.kinds[4] == NodeKind.AND and sup[a] & sup[c] == 0
+        pairs = reconvergence_pairs(g)
+        assert (a, c, 4, 1) in pairs
+        for a, c, v, label in pairs:
+            assert label == int(bool(self._brute_force_ancestors(g, a)
+                                     & self._brute_force_ancestors(g, c)))
+
+    def test_gate_without_fanins_raises(self):
+        # The cones of AND 5's fanins meet only at NOT 2, which has no
+        # fanins and so reaches no source: the cones meet without a common
+        # source.  The graph fails validation, and the labels refuse it.
+        pi, inv, gate = NodeKind.PI, NodeKind.NOT, NodeKind.AND
+        g = CircuitGraph(kinds=(pi, pi, inv, gate, gate, gate),
+                         fanins=((), (), (), (0, 2), (1, 2), (3, 4)))
+        with pytest.raises(CircuitError, match="no fanins"):
+            reconvergence_pairs(g)
+
+    def test_working_memory_without_cone_masks(self):
+        # The labels keep no per-node mask over non-source node ids: such
+        # cone masks took 4.5 MB here and grew with the square of the size.
+        g = generate(GenSpec(n_pi=200, n_and=5600, n_not=1700, n_ff=100,
+                             seed=1, feedback_prob=0.3))
+        g.levels  # the graph's cached order and levels are not the labels'
+        tracemalloc.start()
+        try:
+            reconvergence_pairs(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestTruthTableDistance:
@@ -272,6 +311,40 @@ class TestTruthTableDistance:
             want = [truth_table_reference(g, i, j, sup) for i, j in pairs]
             assert pair_distances(g, pairs, sup) == want
 
+    @pytest.mark.parametrize("chunk_words", [64, 4096])
+    def test_chunks_are_greedy_cone_unions(self, monkeypatch, chunk_words):
+        # Each chunk sweeps exactly the union of its pairs' cones, stays
+        # within rows x words of CHUNK_WORDS unless it holds one pair, and
+        # could not have taken the next pair.
+        monkeypatch.setattr(labels, "CHUNK_WORDS", chunk_words)
+        chunks = []
+        sweep = labels._chunk_distances
+
+        def spy(pairs, sup, rows, table):
+            chunks.append((list(pairs), rows.tolist()))
+            return sweep(pairs, sup, rows, table)
+        monkeypatch.setattr(labels, "_chunk_distances", spy)
+        g = random_aig(1, n_pi=9, n_ff=3, n_gates=30)
+        sup = support_masks(g)
+        pairs = f_pair_list(g, sup)
+        pair_distances(g, pairs, sup)
+        assert [p for chunk, _ in chunks for p in chunk] == pairs
+        assert any(len(chunk) > 1 for chunk, _ in chunks)
+
+        def cones(chunk):
+            return set().union(*(TestReconvergence()._brute_force_ancestors(g, v)
+                                 for pair in chunk for v in pair))
+
+        def words(chunk):
+            return sum(labels._table_words(bin(sup[i] | sup[j]).count("1"))
+                       for i, j in chunk)
+        for k, (chunk, rows) in enumerate(chunks):
+            assert rows == sorted(cones(chunk))
+            assert len(chunk) == 1 or len(rows) * words(chunk) <= chunk_words
+            if k + 1 < len(chunks):
+                grown = chunk + chunks[k + 1][0][:1]
+                assert len(cones(grown)) * words(grown) > chunk_words
+
     def test_combinational_loop_raises(self):
         b = CircuitBuilder()
         a, c = b.add_pi(), b.add_pi()
@@ -349,6 +422,21 @@ class TestFPairSampling:
         assert len(pairs) == round(labels.F_PAIRS_PER_CIRCUIT * g.n
                                    / labels.REFERENCE_NODES)
         assert peak < 16 * 2 ** 20
+
+    def test_chunk_memory_without_cone_masks(self):
+        # A chunk's rows come from a walk from its pairs' ends, not from
+        # cone masks of every node, which took 5.8 MB here.
+        g = generate(GenSpec(n_pi=200, n_and=5600, n_not=1700, n_ff=100,
+                             seed=1, feedback_prob=0.3))
+        sup = support_masks(g)
+        pairs = [(i, j) for i, j, _ in sample_f_pairs(g, 500, 1)]
+        tracemalloc.start()
+        try:
+            pair_distances(g, pairs, sup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
 
     def test_defaults_match_listed_enumeration(self):
         for seed in range(3):

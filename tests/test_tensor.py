@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcircuit import tensor as tz
-from tests.conftest import attn_reference, numeric_gradients, relative_errors
+from tests.conftest import (attn_reference, numeric_gradients, relative_errors,
+                            tensor_sum)
 
 
 @pytest.fixture(autouse=True)
@@ -124,7 +125,7 @@ class TestGradients:
         def build():
             mixed = tz.space_update(tz.take_rows(m, range(6)), h, [0], None, [cell])
             stacked = tz.concat_cols([mixed, tz.scale(mixed, -0.5)])
-            return tz.sum_all(tz.absolute(stacked))
+            return tensor_sum(tz.absolute(stacked))
         self._check(build, store)
 
     def test_rows_ops(self):
@@ -173,7 +174,7 @@ class TestGradients:
             return tz.mean_all(tz.mul(a, a))
 
         def term2():
-            return tz.sum_all(tz.sigmoid(a))
+            return tensor_sum(tz.sigmoid(a))
 
         loss = tz.add(term1(), term2())
         loss.backward()
@@ -214,9 +215,9 @@ class TestRowTable:
             side = tz.take_rows(t.current, [3, 4])
             t.scatter([3], tz.matmul(tz.take_rows(t.current, [1]), w))
             after = tz.take_rows(t.current, [1, 3, 3, 4])
-            loss = tz.add(tz.sum_all(tz.mul(before, c)),
-                          tz.sum_all(tz.mul(after, tz.scale(c, -0.7))))
-            loss = tz.add(loss, tz.sum_all(tz.mul(side, side)))
+            loss = tz.add(tensor_sum(tz.mul(before, c)),
+                          tensor_sum(tz.mul(after, tz.scale(c, -0.7))))
+            loss = tz.add(loss, tensor_sum(tz.mul(side, side)))
             return tz.add(loss, tz.mean_all(tz.mul(t.current, t.current)))
         self._fd_check(build, store)
 
@@ -234,10 +235,10 @@ class TestRowTable:
             blocks = [tz.take_rows(t.current, [3, 1, 3], slice(lo, lo + 2))
                       for lo in (0, 2, 4)]
             blocks.append(tz.take_rows(m, [0, 2, 2], slice(2, 4)))
-            loss = tz.sum_all(tz.mul(tz.take_rows(t.current, [1, 4]),
+            loss = tensor_sum(tz.mul(tz.take_rows(t.current, [1, 4]),
                                      tz.take_rows(m, [3, 0])))
             for k, block in enumerate(blocks):
-                loss = tz.add(loss, tz.sum_all(tz.mul(tz.scale(block, k + 1.0), c)))
+                loss = tz.add(loss, tensor_sum(tz.mul(tz.scale(block, k + 1.0), c)))
             return loss
         self._fd_check(build, store)
         assert np.array_equal(tz.take_rows(tz.constant(rand((4, 6), 34)), [2],
@@ -272,7 +273,7 @@ class TestRowTable:
         store = tz.ParamStore()
         a = store.create("a", rand((2, 2), 29))
         hidden = tz.tanh(a)
-        loss = tz.sum_all(hidden)
+        loss = tensor_sum(hidden)
         loss.backward()
         assert a.grad is not None
         assert hidden.grad is None and hidden.parents == ()
@@ -405,7 +406,7 @@ class TestGru:
             c = tz.constant(rand((2, 6), 13))
 
             def build():
-                return tz.sum_all(tz.mul(tz.space_update(x, h, [0, 2], None, cells), c))
+                return tensor_sum(tz.mul(tz.space_update(x, h, [0, 2], None, cells), c))
             build().backward()
             fd = numeric_gradients(build, store, names=["x", "h"])
             for name in ("x", "h"):
@@ -541,7 +542,7 @@ class TestAttention:
 
         def build():
             out = tz.space_update(preds, h, csr([k] * 4), None, cells)
-            return tz.sum_all(tz.mul(out, c))
+            return tensor_sum(tz.mul(out, c))
         build().backward()
         fd = numeric_gradients(build, store)
         for name in store.names():
@@ -558,7 +559,7 @@ class TestAttention:
 
         def build():
             out = tz.space_update(preds, h, csr(RAGGED), None, cells)
-            return tz.sum_all(tz.mul(out, c))
+            return tensor_sum(tz.mul(out, c))
         build().backward()
         fd = numeric_gradients(build, store, h=1e-6)
         for name in store.names():
@@ -576,7 +577,7 @@ class TestAttention:
         def build():
             preds = tz.take_rows(m, [0, 1, 1, 2])
             out = tz.space_update(preds, h, [0, 2], None, [cell])
-            return tz.sum_all(tz.mul(out, c))
+            return tensor_sum(tz.mul(out, c))
         build().backward()
         fd = numeric_gradients(build, store, h=1e-6)
         assert np.abs(store["m"].grad[1]).max() > 0
