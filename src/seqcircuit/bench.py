@@ -67,41 +67,51 @@ def parse_bench(text) -> CircuitGraph:
     def tmp_name():
         return f"{SYNTH_PREFIX}{next(synth)}"
 
-    in_progress: set[str] = set()
+    def and_fold(ids, final_name=None):
+        acc = ids[0]
+        for nxt in ids[1:-1] if final_name else ids[1:]:
+            acc = b.add_and(acc, nxt, tmp_name())
+        if final_name:
+            acc = b.add_and(acc, ids[-1], final_name) if len(ids) > 1 else acc
+        return acc
+
+    def lower(name: str) -> int:
+        """Add the AND/NOT nodes of gate ``name``, whose operands exist."""
+        gate, ops = defs[name]
+        srcs = [node[o] for o in ops]
+        if gate == "AND":
+            return and_fold(srcs, name)
+        if gate == "NAND":
+            return b.make_not(and_fold(srcs, tmp_name()), name)
+        if gate == "NOR":
+            return and_fold([b.make_not(s, None) for s in srcs], name)
+        if gate == "OR":
+            return b.make_not(and_fold([b.make_not(s, None) for s in srcs],
+                                       tmp_name()), name)
+        return b.make_not(srcs[0], name)  # NOT
 
     def resolve(name: str) -> int:
-        if name in node:
-            return node[name]
-        if name not in defs:
-            raise BenchError(f"dangling net name {name!r}")
-        if name in in_progress:
-            raise BenchError(f"combinational loop through net {name!r}")
-        in_progress.add(name)
-        gate, ops = defs[name]
-        srcs = [resolve(o) for o in ops]
-        in_progress.discard(name)
-
-        def and_fold(ids, final_name=None):
-            acc = ids[0]
-            for nxt in ids[1:-1] if final_name else ids[1:]:
-                acc = b.add_and(acc, nxt, tmp_name())
-            if final_name:
-                acc = b.add_and(acc, ids[-1], final_name) if len(ids) > 1 else acc
-            return acc
-
-        if gate == "AND":
-            nid = and_fold(srcs, name)
-        elif gate == "NAND":
-            nid = b.make_not(and_fold(srcs, tmp_name()), name)
-        elif gate == "NOR":
-            nid = and_fold([b.make_not(s, None) for s in srcs], name)
-        elif gate == "OR":
-            nid = b.make_not(and_fold([b.make_not(s, None) for s in srcs],
-                                      tmp_name()), name)
-        else:  # NOT
-            nid = b.make_not(srcs[0], name)
-        node[name] = nid
-        return nid
+        """Node of net ``name``, lowering its cone depth first, operands left
+        to right.  An explicit stack keeps deep cones off Python's call
+        stack; an entry (net, True) lowers the net once its operands exist."""
+        in_progress: set[str] = set()
+        stack = [(name, False)]
+        while stack:
+            net, ready = stack.pop()
+            if ready:
+                in_progress.discard(net)
+                node[net] = lower(net)
+                continue
+            if net in node:
+                continue
+            if net not in defs:
+                raise BenchError(f"dangling net name {net!r}")
+            if net in in_progress:
+                raise BenchError(f"combinational loop through net {net!r}")
+            in_progress.add(net)
+            stack.append((net, True))
+            stack.extend((o, False) for o in reversed(defs[net][1]))
+        return node[name]
 
     for name, (gate, ops) in defs.items():
         if gate == "DFF":

@@ -352,21 +352,18 @@ def random_spec(seed: int, mean_nodes: float = 214.35, std_nodes: float = 92.63,
 
 
 def _ff_supports(kinds, fanins, n_pi, n_ff):
-    """Per-node bitmask of FF indices appearing in the source cone."""
+    """Per-node bitmask of FF indices appearing in the source cone.
+
+    One pass in id order is exact: in ``generate`` every gate reads lower
+    ids, since a rewired fanin is an FF output and FFs precede every gate.
+    """
     sup = [0] * len(kinds)
     for v in range(n_pi, n_pi + n_ff):
         sup[v] = 1 << (v - n_pi)
-    changed = True
-    while changed:
-        changed = False
-        for v, kind in enumerate(kinds):
-            if kind in (NodeKind.AND, NodeKind.NOT) and fanins[v]:
-                m = 0
-                for u in fanins[v]:
-                    m |= sup[u]
-                if m != sup[v]:
-                    sup[v] = m
-                    changed = True
+    for v, kind in enumerate(kinds):
+        if kind in (NodeKind.AND, NodeKind.NOT):
+            for u in fanins[v]:
+                sup[v] |= sup[u]
     return sup
 
 

@@ -37,8 +37,8 @@ class LabelError(CircuitError):
 class LabelSet:
     """All supervision targets for one circuit."""
 
-    p1: np.ndarray
-    ptr: np.ndarray
+    p1: np.ndarray | None                              # None: no probability targets
+    ptr: np.ndarray | None
     rc_pairs: list[tuple[int, int, int, int]]          # (fanin_a, fanin_b, gate, label)
     f_pairs: list[tuple[int, int, float]]              # (node_i, node_j, tt distance)
     ffsim_pairs: list[tuple[int, int, float]]          # (ff_i, ff_j, similarity)
@@ -46,10 +46,9 @@ class LabelSet:
     flip: np.ndarray | None = None                     # (n, 2) fault flip rates p01, p10
 
     @classmethod
-    def empty(cls, n: int) -> "LabelSet":
-        """Zero targets and no pairs, for inference and flip-rate tuning."""
-        return cls(p1=np.zeros(n), ptr=np.zeros(n), rc_pairs=[], f_pairs=[],
-                   ffsim_pairs=[])
+    def empty(cls) -> "LabelSet":
+        """No targets, for inference and flip-rate tuning."""
+        return cls(p1=None, ptr=None, rc_pairs=[], f_pairs=[], ffsim_pairs=[])
 
     def to_json_record(self, circuit_path: str, workload: Workload,
                        cfg: SimConfig) -> str:

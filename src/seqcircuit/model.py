@@ -398,48 +398,69 @@ def flip_head(st: _TensorState, params: ParamStore, rows) -> Tensor:
 
 def predict_heads(g: CircuitGraph, st: _TensorState, params: ParamStore,
                   labels: LabelSet, offset: int = 0) -> dict[str, Tensor]:
-    """Task predictions aligned with the label arrays.
+    """Task predictions aligned with the label arrays, one head for each
+    task of ``task_targets``.
 
     The circuit's node ``v`` is row ``offset + v`` of the embedding table.
     """
     def take(space, ids):
         return st.read(np.asarray(ids, dtype=np.int64) + offset, space)
 
-    out: dict[str, Tensor] = {}
-    if labels.rc_pairs:
+    sup = supervised_nodes(g)
+
+    def cosine(space, pairs):
+        return _cosine_rows(take(space, [p[0] for p in pairs]),
+                            take(space, [p[1] for p in pairs]))
+
+    def recon():
         lo = [min(a, b) for a, b, _, _ in labels.rc_pairs]
         hi = [max(a, b) for a, b, _, _ in labels.rc_pairs]
         rows = tz.concat_cols([take(STRUCTURE, lo), take(STRUCTURE, hi)])
-        out["recon"] = tz.mlp3(rows, params, "head.recon")
-    sup = supervised_nodes(g)
-    if sup:
-        out["logic"] = tz.mlp3(take(FUNCTION, sup), params, "head.logic")
-        out["trans"] = tz.mlp3(take(SEQUENTIAL, sup), params, "head.trans")
-    if labels.f_pairs:
-        hi = take(FUNCTION, [i for i, _, _ in labels.f_pairs])
-        hj = take(FUNCTION, [j for _, j, _ in labels.f_pairs])
-        cos = _cosine_rows(hi, hj)
-        out["func"] = tz.scale(tz.add_const(tz.scale(cos, -1.0), 1.0), 0.5)
-    if labels.ffsim_pairs:
-        qi = take(SEQUENTIAL, [i for i, _, _ in labels.ffsim_pairs])
-        qj = take(SEQUENTIAL, [j for _, j, _ in labels.ffsim_pairs])
-        cos = tz.add_const(_cosine_rows(qi, qj), 1.0)
-        out["ff_sim"] = tz.scale(cos, 0.5)
-    if labels.flip is not None:
-        out["flip"] = flip_head(st, params, np.arange(g.n) + offset)
-    return out
+        return tz.mlp3(rows, params, "head.recon")
+
+    heads = {
+        "recon": recon,
+        "logic": lambda: tz.mlp3(take(FUNCTION, sup), params, "head.logic"),
+        "trans": lambda: tz.mlp3(take(SEQUENTIAL, sup), params, "head.trans"),
+        "func": lambda: tz.scale(tz.add_const(
+            tz.scale(cosine(FUNCTION, labels.f_pairs), -1.0), 1.0), 0.5),
+        "ff_sim": lambda: tz.scale(tz.add_const(
+            cosine(SEQUENTIAL, labels.ffsim_pairs), 1.0), 0.5),
+        "flip": lambda: flip_head(st, params, np.arange(g.n) + offset),
+    }
+    return {task: heads[task]() for task in task_targets(g, labels)}
 
 
-def supervised_nodes(g: CircuitGraph) -> list[int]:
+def supervised_nodes(g: CircuitGraph) -> np.ndarray:
     """Probability supervision applies to gates and FFs, not to inputs."""
-    return [v for v in range(g.n) if g.kinds[v] != NodeKind.PI]
+    return np.delete(np.arange(g.n), g.pis)
 
 
-def _check_unit(vals, what):
-    arr = np.asarray(vals, dtype=float)
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise ValueError(f"{what} labels outside [0, 1]")
-    return arr
+def task_targets(g: CircuitGraph, labels: LabelSet) -> dict[str, np.ndarray]:
+    """The record's tasks, each with its target array in the row order of
+    its head; a task without targets is left out.
+
+    This is the one place that lists what a record supervises.  Every
+    target must lie in [0, 1].
+    """
+    sup = supervised_nodes(g)
+    table = {
+        "recon": ("reconvergence", [l for _, _, _, l in labels.rc_pairs]),
+        "logic": ("logic", None if labels.p1 is None else labels.p1[sup]),
+        "trans": ("transition", None if labels.ptr is None else labels.ptr[sup]),
+        "func": ("distance", [d for _, _, d in labels.f_pairs]),
+        "ff_sim": ("similarity", [s for _, _, s in labels.ffsim_pairs]),
+        "flip": ("flip-rate", labels.flip),
+    }
+    out = {}
+    for task, (what, vals) in table.items():
+        if vals is None or len(vals) == 0:
+            continue
+        arr = np.asarray(vals, dtype=float)
+        if arr.min() < 0.0 or arr.max() > 1.0:
+            raise ValueError(f"{what} labels outside [0, 1]")
+        out[task] = arr
+    return out
 
 
 def _bce(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -459,25 +480,8 @@ def _l1(pred: Tensor, target: np.ndarray) -> Tensor:
 def task_losses(g: CircuitGraph, preds: dict[str, Tensor],
                 labels: LabelSet) -> dict[str, Tensor]:
     """Per-task scalar losses (binary cross-entropy for reconvergence, L1 else)."""
-    out: dict[str, Tensor] = {}
-    if "recon" in preds:
-        rc = _check_unit([l for _, _, _, l in labels.rc_pairs], "reconvergence")
-        out["recon"] = _bce(preds["recon"], rc)
-    sup = supervised_nodes(g)
-    if "logic" in preds:
-        out["logic"] = _l1(preds["logic"], _check_unit(labels.p1[sup], "logic"))
-    if "trans" in preds:
-        out["trans"] = _l1(preds["trans"], _check_unit(labels.ptr[sup], "transition"))
-    if "func" in preds:
-        out["func"] = _l1(preds["func"],
-                          _check_unit([d for _, _, d in labels.f_pairs], "distance"))
-    if "ff_sim" in preds:
-        out["ff_sim"] = _l1(preds["ff_sim"],
-                            _check_unit([s for _, _, s in labels.ffsim_pairs],
-                                        "similarity"))
-    if "flip" in preds:
-        out["flip"] = _l1(preds["flip"], _check_unit(labels.flip, "flip-rate"))
-    return out
+    return {t: (_bce if t == "recon" else _l1)(preds[t], y)
+            for t, y in task_targets(g, labels).items() if t in preds}
 
 
 def weighted_loss(losses: dict[str, Tensor], weights: dict[str, float]) -> Tensor:
@@ -494,26 +498,8 @@ def weighted_loss(losses: dict[str, Tensor], weights: dict[str, float]) -> Tenso
 def prediction_errors(g: CircuitGraph, preds: dict[str, Tensor],
                       labels: LabelSet) -> dict[str, float]:
     """Average absolute prediction error per task."""
-    out = {}
-    if "recon" in preds:
-        y = np.array([l for _, _, _, l in labels.rc_pairs], dtype=float)
-        out["recon"] = float(np.mean(np.abs(preds["recon"].data.ravel() - y)))
-    sup = supervised_nodes(g)
-    if "logic" in preds:
-        out["logic"] = float(np.mean(np.abs(preds["logic"].data.ravel()
-                                            - labels.p1[sup])))
-    if "trans" in preds:
-        out["trans"] = float(np.mean(np.abs(preds["trans"].data.ravel()
-                                            - labels.ptr[sup])))
-    if "func" in preds:
-        y = np.array([d for _, _, d in labels.f_pairs])
-        out["func"] = float(np.mean(np.abs(preds["func"].data.ravel() - y)))
-    if "ff_sim" in preds:
-        y = np.array([s for _, _, s in labels.ffsim_pairs])
-        out["ff_sim"] = float(np.mean(np.abs(preds["ff_sim"].data.ravel() - y)))
-    if "flip" in preds:
-        out["flip"] = float(np.mean(np.abs(preds["flip"].data - labels.flip)))
-    return out
+    return {t: float(np.mean(np.abs(preds[t].data.reshape(y.shape) - y)))
+            for t, y in task_targets(g, labels).items() if t in preds}
 
 
 # --- training -----------------------------------------------------------------
@@ -699,20 +685,12 @@ def evaluate(params: ParamStore, records: list[CircuitRecord],
                      for rec, off in zip(chunk, offsets)]
         for rec, p in zip(chunk, preds):
             pes = prediction_errors(rec.graph, p, rec.labels)
-            n_sup = len(supervised_nodes(rec.graph))
-            sizes = {
-                "recon": len(rec.labels.rc_pairs),
-                "logic": n_sup,
-                "trans": n_sup,
-                "func": len(rec.labels.f_pairs),
-                "ff_sim": len(rec.labels.ffsim_pairs),
-                "flip": 0 if rec.labels.flip is None else len(rec.labels.flip),
-            }
+            targets = task_targets(rec.graph, rec.labels)
             per_circuit.append({"path": rec.path,
                                 **{f"pe_{t}": v for t, v in pes.items()}})
             for t, v in pes.items():
-                pooled_num[t] += v * sizes[t]
-                pooled_den[t] += sizes[t]
+                pooled_num[t] += v * len(targets[t])
+                pooled_den[t] += len(targets[t])
     pooled = {f"pe_{t}": pooled_num[t] / pooled_den[t]
               for t in TASKS if pooled_den[t]}
     return {"per_circuit": per_circuit, "pooled": pooled}

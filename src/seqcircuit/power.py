@@ -152,7 +152,7 @@ def predicted_transitions(params: tz.ParamStore, g: CircuitGraph, w: Workload,
     """Per-node transition probabilities: model output for gates and FFs,
     workload values for PIs (inputs are given, not predicted)."""
     rec = mdl.CircuitRecord(graph=g, workload=w,
-                            labels=LabelSet.empty(g.n)).prepare(cfg, seed, 0)
+                            labels=LabelSet.empty()).prepare(cfg, seed, 0)
     sup = mdl.supervised_nodes(g)
     with tz.no_grad():
         st, _, _ = mdl.forward_records([rec], params, cfg)

@@ -36,10 +36,7 @@ class FaultConfig:
     def check(self):
         if not 0.0 <= self.flip_prob < 1.0:
             raise ValueError("flip probability outside [0, 1)")
-        if self.n_patterns < 1 or self.n_cycles < 2:
-            raise ValueError("need n_patterns >= 1 and n_cycles >= 2")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.sim_config().check()
 
     def sim_config(self) -> SimConfig:
         return SimConfig(n_patterns=self.n_patterns, n_cycles=self.n_cycles,
@@ -164,7 +161,7 @@ def finetune_reliability(params: tz.ParamStore, g: CircuitGraph, w: Workload,
     ``model.train`` runs the flip task alone on a copy of ``params`` and
     adds the two-output head if it is missing.
     """
-    labels = replace(LabelSet.empty(g.n), flip=np.stack([flip.p01, flip.p10], axis=1))
+    labels = replace(LabelSet.empty(), flip=np.stack([flip.p01, flip.p10], axis=1))
     record = mdl.CircuitRecord(graph=g, workload=w, labels=labels)
     return mdl.train([record], replace(cfg, epochs_phase1=epochs, epochs_phase2=0),
                      params=params, weights={"flip": 1.0})

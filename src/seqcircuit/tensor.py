@@ -271,14 +271,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _out(y, (a,), bwd)
 
 
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def bwd(g):
-        a.accumulate(g * (1.0 - y * y))
-    return _out(y, (a,), bwd)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
@@ -519,18 +511,14 @@ def init_mlp3(store: ParamStore, prefix: str, d_in: int, d_hidden: int,
         store.create(f"{prefix}.b{k}", rng.uniform(-bound, bound, size=(1, b)))
 
 
-def mlp3(x: Tensor, store: ParamStore, prefix: str, head: str = "sigmoid") -> Tensor:
-    """Three affine layers with ReLU between; head is 'sigmoid' or 'identity'."""
+def mlp3(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
+    """Three affine layers with ReLU between and a sigmoid head."""
     h = x
     for k in (1, 2, 3):
         h = add(matmul(h, store[f"{prefix}.w{k}"]), store[f"{prefix}.b{k}"])
         if k < 3:
             h = relu(h)
-    if head == "sigmoid":
-        return sigmoid(h)
-    if head == "identity":
-        return h
-    raise ValueError(f"unknown head {head!r}")
+    return sigmoid(h)
 
 
 def init_gru(store: ParamStore, prefix: str, d_in: int, d_state: int,

@@ -120,6 +120,21 @@ def test_combinational_loop_rejected():
     assert "loop" in str(err.value)
 
 
+def test_deep_chain_listed_output_first():
+    # A 2,000-gate chain deeper than Python's recursion limit, its gates
+    # listed from the output down: each gate is lowered after its operand.
+    depth = 2000
+    rows = ["INPUT(a)", "INPUT(b)", f"OUTPUT(g{depth - 1})"]
+    rows += [f"g{k} = AND(g{k - 1}, a)" for k in range(depth - 1, 0, -1)]
+    g = parse_bench("\n".join(rows + ["g0 = AND(a, b)"]) + "\n")
+    nm = g.name_map
+    assert g.fanins[nm["g0"]] == (nm["a"], nm["b"])
+    for k in range(1, depth):
+        assert nm[f"g{k}"] == nm[f"g{k - 1}"] + 1
+        assert g.fanins[nm[f"g{k}"]] == (nm[f"g{k - 1}"], nm["a"])
+    assert g.pos == (nm[f"g{depth - 1}"],)
+
+
 def test_dff_feedback_allowed():
     src = "INPUT(A)\nOUTPUT(Q)\nQ = DFF(D)\nD = NOT(Q)\n"
     g = parse_bench(src)

@@ -206,6 +206,31 @@ class TestHeadsAndLoss:
         v2 = mdl.weighted_loss(losses2, cfg.weights(phase=1)).item()
         assert v1 == v2
 
+    @pytest.mark.parametrize("task, what", [
+        ("recon", "reconvergence"), ("logic", "logic"), ("trans", "transition"),
+        ("func", "distance"), ("ff_sim", "similarity"), ("flip", "flip-rate")])
+    def test_out_of_range_target_names_its_task(self, task, what):
+        rec = small_record(seed=9)
+        g, labels = rec.graph, rec.labels
+        labels.flip = np.full((g.n, 2), 0.25)
+        a, b = g.ffs[:2]
+        if task == "recon":
+            labels.rc_pairs = [(a, b, g.gates[0], 2)]
+        elif task == "logic":
+            labels.p1[mdl.supervised_nodes(g)[0]] = 1.5
+        elif task == "trans":
+            labels.ptr[mdl.supervised_nodes(g)[-1]] = -0.5
+        elif task == "func":
+            labels.f_pairs = [(a, b, 0.5), (a, b, 1.25)]
+        elif task == "ff_sim":
+            labels.ffsim_pairs = [(a, b, -0.1)]
+        else:
+            labels.flip[g.n - 1, 1] = 1.01
+        preds = {task: tz.constant(np.zeros((1, 1)))}
+        for fn in (mdl.task_losses, mdl.prediction_errors):
+            with pytest.raises(ValueError, match=f"^{what} labels outside"):
+                fn(g, preds, labels)
+
     def test_zero_init_heads_output_half(self):
         rec = small_record(seed=11)
         cfg = mdl.ModelConfig(dim=8)
@@ -464,7 +489,7 @@ class TestBatchedSweep:
         b.set_outputs([b.add_pi()])
         g = b.build()
         rec = mdl.CircuitRecord(graph=g, workload=Workload.random(g, 0),
-                                labels=LabelSet.empty(g.n))
+                                labels=LabelSet.empty())
         cfg = mdl.ModelConfig(dim=4, reverse_layer=True)
         schedule = rec.prepare(cfg, 0, 0).schedule
         assert schedule["reverse"] is True and schedule["rev"] == []
@@ -797,6 +822,17 @@ class TestFlipTask:
                     continue
                 scale = max(np.abs(b).max(), 1e-3)
                 assert np.abs(a - b).max() / scale < 1e-10, name
+
+    def test_empty_labels_build_only_the_flip_head(self):
+        cfg = mdl.ModelConfig(**self.CFG)
+        rec = flip_records(cfg)[0]
+        g = rec.graph
+        labels = replace(LabelSet.empty(), flip=rec.labels.flip)
+        st, _ = mdl.forward_tensors(self.params(), rec.emb0, cfg,
+                                    schedule=rec.schedule)
+        preds = mdl.predict_heads(g, st, self.params(), labels)
+        assert list(preds) == ["flip"] and preds["flip"].shape == (g.n, 2)
+        assert list(mdl.task_losses(g, preds, labels)) == ["flip"]
 
     def test_evaluate_pools_flip_error_over_rows(self):
         cfg = mdl.ModelConfig(**self.CFG)

@@ -198,7 +198,7 @@ class TestPredictedTransitions:
         tr = pw.predicted_transitions(params, g, w, mcfg, seed=2)
 
         rec = mdl.CircuitRecord(graph=g, workload=w,
-                                labels=LabelSet.empty(g.n)).prepare(mcfg, 2, 0)
+                                labels=LabelSet.empty()).prepare(mcfg, 2, 0)
         st, _ = mdl.forward_tensors(params, rec.emb0, mcfg, schedule=rec.schedule)
         sup = mdl.supervised_nodes(g)
         taped = tz.mlp3(st.read(sup, mdl.SEQUENTIAL), params, "head.trans")

@@ -10,7 +10,8 @@ from seqcircuit import (CircuitBuilder, FaultConfig, GenSpec, SimConfig,
                         reliability_labels, simulate)
 from seqcircuit import model as mdl
 from seqcircuit import reliability as rel
-from seqcircuit.simulate import WORD_BITS, pattern_mask, pi_words, unpack_patterns
+from seqcircuit.simulate import (WORD_BITS, SimulationError, pattern_mask, pi_words,
+                                unpack_patterns)
 from tests.conftest import (WINDOW_RUNS, mixed_circuit, reference_run,
                             toggle_ff, window_circuit)
 
@@ -128,7 +129,8 @@ def test_determinism():
 def test_flip_config_validation():
     with pytest.raises(ValueError):
         FaultConfig(flip_prob=1.0).check()
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError,
+                       match=r"^need n_patterns >= 1 and n_cycles >= 2$"):
         FaultConfig(n_cycles=1).check()
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         FaultConfig(seed=-1).check()

@@ -66,7 +66,7 @@ class TestForwardOps:
         y = tz.constant(rng.uniform(-10, 10, size=(3, 4)))
         for op in (tz.add, tz.sub, tz.mul):
             assert np.isfinite(op(x, y).data).all()
-        for op in (tz.sigmoid, tz.tanh, tz.relu, tz.absolute):
+        for op in (tz.sigmoid, tz.relu, tz.absolute):
             assert np.isfinite(op(x).data).all()
         starts = np.array([0, 4, 8])
         assert np.isfinite(tz._segment_softmax(
@@ -111,7 +111,7 @@ class TestGradients:
 
         def build():
             h = tz.relu(tz.add(tz.matmul(a, b), c))
-            h = tz.mul(tz.sigmoid(h), tz.tanh(h))
+            h = tz.mul(tz.sigmoid(h), tz.sigmoid(h))
             return tz.mean_all(h)
         self._check(build, store)
 
@@ -206,7 +206,7 @@ class TestRowTable:
 
         def build():
             t = tz.RowTable(init)
-            t.scatter([1, 3], tz.tanh(tz.matmul(r, w)))
+            t.scatter([1, 3], tz.sigmoid(tz.matmul(r, w)))
             # Row 1 is read (twice in one group) before it is overwritten.
             before = tz.take_rows(t.current, [1, 1, 3, 0])
             t.scatter([1, 4], tz.sigmoid(tz.take_rows(before, [2, 0])))
@@ -231,7 +231,7 @@ class TestRowTable:
 
         def build():
             t = tz.RowTable(rand((5, 6), 33))
-            t.scatter([1, 3], tz.tanh(r))
+            t.scatter([1, 3], tz.sigmoid(r))
             blocks = [tz.take_rows(t.current, [3, 1, 3], slice(lo, lo + 2))
                       for lo in (0, 2, 4)]
             blocks.append(tz.take_rows(m, [0, 2, 2], slice(2, 4)))
@@ -272,7 +272,7 @@ class TestRowTable:
     def test_backward_consumes_op_nodes_keeps_leaves(self):
         store = tz.ParamStore()
         a = store.create("a", rand((2, 2), 29))
-        hidden = tz.tanh(a)
+        hidden = tz.sigmoid(a)
         loss = tensor_sum(hidden)
         loss.backward()
         assert a.grad is not None
@@ -290,16 +290,17 @@ class TestMlp3:
         assert np.allclose(out.data, 0.5)
 
     def test_hand_computed_chain(self):
-        # 1-dim identity-like weights: layer k computes relu(x + k).
+        # 1-dim identity-like weights: layer k computes relu(x + k), and the
+        # head takes the sigmoid of the last layer.
         store = tz.ParamStore()
         for k in (1, 2, 3):
             store.create(f"m.w{k}", [[1.0]])
             store.create(f"m.b{k}", [[float(k)]])
-        out = tz.mlp3(tz.constant([[0.25]]), store, "m", head="identity")
-        assert out.data[0, 0] == pytest.approx(0.25 + 1 + 2 + 3)
-        out_neg = tz.mlp3(tz.constant([[-10.0]]), store, "m", head="identity")
+        out = tz.mlp3(tz.constant([[0.25]]), store, "m")
+        assert out.data[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-6.25)))
+        out_neg = tz.mlp3(tz.constant([[-10.0]]), store, "m")
         # relu(-10 + 1) = 0, then relu(0 + 2) = 2, then 2 + 3
-        assert out_neg.data[0, 0] == pytest.approx(5.0)
+        assert out_neg.data[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-5.0)))
 
     def test_gradcheck(self):
         store = tz.ParamStore()
