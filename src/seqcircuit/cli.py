@@ -196,6 +196,9 @@ def cmd_gen(cfg, log):
 
 
 def cmd_sim(cfg, log):
+    # Checked before simulating, so that a rejected option writes nothing.
+    if cfg.get("exact") and cfg.get("trace"):
+        raise SimulationError("exact statistics carry no traces")
     g, _ = _load_graph(cfg)
     w = _load_workload(g, cfg)
     sim_cfg = SimConfig(n_patterns=cfg["patterns"], n_cycles=cfg["cycles"],
@@ -212,8 +215,6 @@ def cmd_sim(cfg, log):
         with open(cfg["saif"], "w") as f:
             f.write(pw.export_saif(g, stats.p1, stats.ptr, duration))
     if cfg.get("trace"):
-        if not stats.traces and cfg.get("exact"):
-            raise SimulationError("exact statistics carry no traces")
         write_trace_file(cfg["trace"], stats)
     log("sim", nodes=g.n, patterns=sim_cfg.n_patterns)
     return 0

@@ -247,20 +247,6 @@ def _chunk_distances(pairs, sup, rows, table) -> list[float]:
     return [int(c) / (1 << int(k)) for c, k in zip(counts, ks)]
 
 
-def _packed_supports(g: CircuitGraph, sup, gates) -> np.ndarray:
-    """(len(gates), W) words of each gate's support, one bit per free source."""
-    sources = [v for v in g.pis + g.ffs if v != g.const_id]
-    col = np.full(g.n, -1, dtype=np.intp)
-    col[sources] = np.arange(len(sources))
-    bits = [col[_bits(sup[v])] for v in gates]
-    rows = np.repeat(np.arange(len(gates)), [len(b) for b in bits])
-    cols = np.concatenate(bits) if bits else np.zeros(0, dtype=np.intp)
-    words = np.zeros((len(gates), -(-len(sources) // WORD_BITS)), dtype=WORD)
-    np.bitwise_or.at(words, (rows, cols // WORD_BITS),
-                     np.left_shift(WORD.type(1), (cols % WORD_BITS).astype(WORD)))
-    return words
-
-
 def _triangle_pairs(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) with a < b of each index of the enumeration (0, 1), (0, 2),
     (1, 2), (0, 3), ...: b is the largest with b(b-1)/2 <= idx."""
@@ -270,14 +256,11 @@ def _triangle_pairs(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx - b * (b - 1) // 2, b
 
 
-def _eligible(words: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the rows (a, b) of ``words`` whose joint support has at most
-    MAX_PAIR_SUPPORT sources, gathered in slices within CHUNK_WORDS."""
-    step = max(1, CHUNK_WORDS // max(1, words.shape[1]))
-    return np.concatenate([
-        np.bitwise_count(words[a[s:s + step]] | words[b[s:s + step]]
-                         ).sum(axis=1) <= MAX_PAIR_SUPPORT
-        for s in range(0, len(a), step)])
+def _eligible(masks: list[int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the pairs (a, b) of ``masks`` whose joint support has at most
+    MAX_PAIR_SUPPORT sources."""
+    return np.array([(masks[i] | masks[j]).bit_count() <= MAX_PAIR_SUPPORT
+                     for i, j in zip(a.tolist(), b.tolist())], dtype=bool)
 
 
 def _draw_pairs(counts: np.ndarray, target_count: int, seed: int, tag: int
@@ -313,13 +296,13 @@ def sample_f_pairs(g: CircuitGraph, target_count: int | None, seed: int
     total = len(gates) * (len(gates) - 1) // 2
     if target_count <= 0 or total == 0:
         return []
-    words = _packed_supports(g, sup, gates)
+    masks = [sup[v] for v in gates.tolist()]
     rng = np.random.default_rng([int(seed), 0xF0])
     size = 2 * target_count
     while True:
         size = min(size, total)
         a, b = _triangle_pairs(rng.choice(total, size=size, replace=False))
-        keep = np.flatnonzero(_eligible(words, a, b))[:target_count]
+        keep = np.flatnonzero(_eligible(masks, a, b))[:target_count]
         if len(keep) == target_count or size == total:
             break
         size *= 2

@@ -11,6 +11,12 @@ reversed edges follows.
 The embeddings live in one in-place (n, 3d) row table, and a level group is
 one fused tape node (``tensor.space_update``); training runs each mini-batch
 as one sweep over the disjoint union of its circuits.
+
+What a record supervises is one task table, ``{task: (rows, target)}``,
+built once when the record is prepared: the node ids each head reads and
+the targets in that row order.  Every prediction, in training, evaluation
+and the power and reliability reports, is ``predict_heads`` over such a
+table; inference passes its rows with no target.
 """
 from __future__ import annotations
 
@@ -168,21 +174,6 @@ def add_reliability_head(store: ParamStore, dim: int, seed: int = 0):
 
 # --- forward pass -------------------------------------------------------------
 
-class _TensorState:
-    """The whole-graph (n, 3d) embedding table of a differentiable sweep,
-    with columns [structure | function | sequential]."""
-
-    def __init__(self, emb: np.ndarray):
-        self.dim = emb.shape[1] // 3
-        self.table = tz.RowTable(emb)
-
-    def read(self, rows, space: int | None = None) -> Tensor:
-        """Current ``rows`` of the table: one space's columns, or all."""
-        cols = slice(None) if space is None else slice(space * self.dim,
-                                                       (space + 1) * self.dim)
-        return tz.take_rows(self.table.current, rows, cols)
-
-
 _KINDS = tuple(NodeKind)
 
 
@@ -320,47 +311,43 @@ def _cells(params: ParamStore, side: str) -> dict:
             for kind in UPDATE_KINDS}
 
 
-def _update_group(st: _TensorState, cells, vids, csr):
-    """Batched refresh of one node group from its CSR neighbour rows: its
-    neighbour rows and own rows are read before ``space_update`` refreshes
-    every space in one tape node and the group writes its rows."""
-    nbrs, starts, owner = csr
-    current = st.table.current
-    st.table.scatter(vids, tz.space_update(
-        tz.take_rows(current, nbrs), tz.take_rows(current, vids), starts,
-        owner, cells))
-
-
-def _sweep_level(st, cells, groups, updates: np.ndarray):
-    for kind, vids, csr in groups:
-        _update_group(st, cells[kind], vids, csr)
+def _sweep_level(table: tz.RowTable, cells, groups, updates: np.ndarray):
+    """Batched refresh of each node group from its CSR neighbour rows: a
+    group's neighbour rows and own rows are read before ``space_update``
+    refreshes every space in one tape node and the group writes its rows."""
+    for kind, vids, (nbrs, starts, owner) in groups:
+        current = table.current
+        table.scatter(vids, tz.space_update(
+            tz.take_rows(current, nbrs), tz.take_rows(current, vids), starts,
+            owner, cells[kind]))
         updates[vids] += 1
 
 
-def _region_residual(st, old, rows) -> float:
+def _region_residual(table: tz.RowTable, old, rows) -> float:
     """Worst relative change of a region row in any one space against its
     snapshot ``old``."""
-    shape = (len(rows), -1, st.dim)
-    num = np.linalg.norm((st.table.data[rows] - old).reshape(shape), axis=2)
+    shape = (len(rows), 3, -1)
+    num = np.linalg.norm((table.data[rows] - old).reshape(shape), axis=2)
     den = np.linalg.norm(old.reshape(shape), axis=2) + 1e-12
     return float((num / den).max())
 
 
 def forward_tensors(params: ParamStore, emb: np.ndarray, cfg: ModelConfig,
-                    *, schedule: dict) -> tuple[_TensorState, ForwardReport]:
-    """Differentiable propagation; returns embedding tensors and diagnostics.
+                    *, schedule: dict) -> tuple[tz.RowTable, ForwardReport]:
+    """Differentiable propagation; returns the (n, 3d) embedding table, with
+    columns [structure | function | sequential], and diagnostics.
 
     ``schedule`` comes from ``compile_schedule`` for one circuit or from
     ``merge_schedules`` for several.  ``emb`` is copied, never written.
     """
     n = schedule["n"]
-    st = _TensorState(emb)
+    table = tz.RowTable(emb)
     report = ForwardReport(forward_updates=np.zeros(n, dtype=np.int64),
                            reverse_updates=np.zeros(n, dtype=np.int64))
 
     fwd = _cells(params, "fwd")
     for groups in schedule["fwd"]:
-        _sweep_level(st, fwd, groups, report.forward_updates)
+        _sweep_level(table, fwd, groups, report.forward_updates)
 
     # Each pass's residual is a diagnostic only; the pass count is fixed.
     region_rows = schedule["region_rows"]
@@ -368,18 +355,18 @@ def forward_tensors(params: ParamStore, emb: np.ndarray, cfg: ModelConfig,
     for ids, levels in schedule["waves"]:
         for _ in range(cfg.cycle_max_iters):
             # Snapshot first: the table is overwritten in place.
-            old = [st.table.data[region_rows[r]] for r in ids]
+            old = [table.data[region_rows[r]] for r in ids]
             for groups in levels:
-                _sweep_level(st, fwd, groups, report.forward_updates)
+                _sweep_level(table, fwd, groups, report.forward_updates)
             for r, before in zip(ids, old):
                 report.region_residuals[r].append(
-                    _region_residual(st, before, region_rows[r]))
+                    _region_residual(table, before, region_rows[r]))
     report.region_iters = [len(res) for res in report.region_residuals]
 
     rev = _cells(params, "rev") if schedule["rev"] else None
     for groups in schedule["rev"]:
-        _sweep_level(st, rev, groups, report.reverse_updates)
-    return st, report
+        _sweep_level(table, rev, groups, report.reverse_updates)
+    return table, report
 
 
 # --- heads, losses, metrics ---------------------------------------------------
@@ -391,44 +378,36 @@ def _cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     return tz.div(dots, tz.mul(na, nb))
 
 
-def flip_head(st: _TensorState, params: ParamStore, rows) -> Tensor:
-    """(len(rows), 2) flip rates from the three spaces of the given table rows."""
-    return tz.mlp3(st.read(rows), params, "head.flip")
-
-
-def predict_heads(g: CircuitGraph, st: _TensorState, params: ParamStore,
-                  labels: LabelSet, offset: int = 0) -> dict[str, Tensor]:
-    """Task predictions aligned with the label arrays, one head for each
-    task of ``task_targets``.
+def predict_heads(table: tz.RowTable, params: ParamStore, tasks: dict,
+                  offset: int = 0) -> dict[str, Tensor]:
+    """One head for each task of ``tasks``, a table of ``task_table`` or any
+    ``{task: (rows, target)}`` (the target is not read), aligned with its
+    rows.
 
     The circuit's node ``v`` is row ``offset + v`` of the embedding table.
     """
-    def take(space, ids):
-        return st.read(np.asarray(ids, dtype=np.int64) + offset, space)
+    dim = table.data.shape[1] // 3
 
-    sup = supervised_nodes(g)
+    def read(rows, space=None):
+        cols = slice(None) if space is None else slice(space * dim,
+                                                       (space + 1) * dim)
+        return tz.take_rows(table.current, rows + offset, cols)
 
-    def cosine(space, pairs):
-        return _cosine_rows(take(space, [p[0] for p in pairs]),
-                            take(space, [p[1] for p in pairs]))
-
-    def recon():
-        lo = [min(a, b) for a, b, _, _ in labels.rc_pairs]
-        hi = [max(a, b) for a, b, _, _ in labels.rc_pairs]
-        rows = tz.concat_cols([take(STRUCTURE, lo), take(STRUCTURE, hi)])
-        return tz.mlp3(rows, params, "head.recon")
+    def cosine(space, a, b):
+        return _cosine_rows(read(a, space), read(b, space))
 
     heads = {
-        "recon": recon,
-        "logic": lambda: tz.mlp3(take(FUNCTION, sup), params, "head.logic"),
-        "trans": lambda: tz.mlp3(take(SEQUENTIAL, sup), params, "head.trans"),
-        "func": lambda: tz.scale(tz.add_const(
-            tz.scale(cosine(FUNCTION, labels.f_pairs), -1.0), 1.0), 0.5),
-        "ff_sim": lambda: tz.scale(tz.add_const(
-            cosine(SEQUENTIAL, labels.ffsim_pairs), 1.0), 0.5),
-        "flip": lambda: flip_head(st, params, np.arange(g.n) + offset),
+        "recon": lambda lo, hi: tz.mlp3(tz.concat_cols(
+            [read(lo, STRUCTURE), read(hi, STRUCTURE)]), params, "head.recon"),
+        "logic": lambda sup: tz.mlp3(read(sup, FUNCTION), params, "head.logic"),
+        "trans": lambda sup: tz.mlp3(read(sup, SEQUENTIAL), params, "head.trans"),
+        "func": lambda a, b: tz.scale(tz.add_const(
+            tz.scale(cosine(FUNCTION, a, b), -1.0), 1.0), 0.5),
+        "ff_sim": lambda a, b: tz.scale(tz.add_const(
+            cosine(SEQUENTIAL, a, b), 1.0), 0.5),
+        "flip": lambda rows: tz.mlp3(read(rows), params, "head.flip"),
     }
-    return {task: heads[task]() for task in task_targets(g, labels)}
+    return {task: heads[task](*rows) for task, (rows, _) in tasks.items()}
 
 
 def supervised_nodes(g: CircuitGraph) -> np.ndarray:
@@ -436,30 +415,39 @@ def supervised_nodes(g: CircuitGraph) -> np.ndarray:
     return np.delete(np.arange(g.n), g.pis)
 
 
-def task_targets(g: CircuitGraph, labels: LabelSet) -> dict[str, np.ndarray]:
-    """The record's tasks, each with its target array in the row order of
-    its head; a task without targets is left out.
+def _pair_rows(pairs):
+    """The (first ids, second ids) rows and the last fields of a pair list."""
+    a, b, *_, y = zip(*pairs) if pairs else ((),) * 3
+    return (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)), y
+
+
+def task_table(g: CircuitGraph, labels: LabelSet) -> dict[str, tuple]:
+    """The record's tasks, each as (rows, target): the node-id arrays its
+    head reads (two for a pair task) and its target array in that row
+    order.  A task without targets is left out.
 
     This is the one place that lists what a record supervises.  Every
     target must lie in [0, 1].
     """
     sup = supervised_nodes(g)
-    table = {
-        "recon": ("reconvergence", [l for _, _, _, l in labels.rc_pairs]),
-        "logic": ("logic", None if labels.p1 is None else labels.p1[sup]),
-        "trans": ("transition", None if labels.ptr is None else labels.ptr[sup]),
-        "func": ("distance", [d for _, _, d in labels.f_pairs]),
-        "ff_sim": ("similarity", [s for _, _, s in labels.ffsim_pairs]),
-        "flip": ("flip-rate", labels.flip),
+    rc = [(min(a, b), max(a, b), l) for a, b, _, l in labels.rc_pairs]
+    spec = {
+        "recon": ("reconvergence", *_pair_rows(rc)),
+        "logic": ("logic", (sup,), None if labels.p1 is None else labels.p1[sup]),
+        "trans": ("transition", (sup,),
+                  None if labels.ptr is None else labels.ptr[sup]),
+        "func": ("distance", *_pair_rows(labels.f_pairs)),
+        "ff_sim": ("similarity", *_pair_rows(labels.ffsim_pairs)),
+        "flip": ("flip-rate", (np.arange(g.n),), labels.flip),
     }
     out = {}
-    for task, (what, vals) in table.items():
+    for task, (what, rows, vals) in spec.items():
         if vals is None or len(vals) == 0:
             continue
         arr = np.asarray(vals, dtype=float)
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError(f"{what} labels outside [0, 1]")
-        out[task] = arr
+        out[task] = (rows, arr)
     return out
 
 
@@ -477,11 +465,11 @@ def _l1(pred: Tensor, target: np.ndarray) -> Tensor:
     return tz.mean_all(tz.absolute(tz.sub(pred, y)))
 
 
-def task_losses(g: CircuitGraph, preds: dict[str, Tensor],
-                labels: LabelSet) -> dict[str, Tensor]:
-    """Per-task scalar losses (binary cross-entropy for reconvergence, L1 else)."""
+def task_losses(preds: dict[str, Tensor], tasks: dict) -> dict[str, Tensor]:
+    """Per-task scalar losses against the targets of a ``task_table``
+    (binary cross-entropy for reconvergence, L1 else)."""
     return {t: (_bce if t == "recon" else _l1)(preds[t], y)
-            for t, y in task_targets(g, labels).items() if t in preds}
+            for t, (_, y) in tasks.items() if t in preds}
 
 
 def weighted_loss(losses: dict[str, Tensor], weights: dict[str, float]) -> Tensor:
@@ -495,18 +483,21 @@ def weighted_loss(losses: dict[str, Tensor], weights: dict[str, float]) -> Tenso
     return total
 
 
-def prediction_errors(g: CircuitGraph, preds: dict[str, Tensor],
-                      labels: LabelSet) -> dict[str, float]:
-    """Average absolute prediction error per task."""
+def prediction_errors(preds: dict[str, Tensor], tasks: dict) -> dict[str, float]:
+    """Average absolute prediction error per task of a ``task_table``."""
     return {t: float(np.mean(np.abs(preds[t].data.reshape(y.shape) - y)))
-            for t, y in task_targets(g, labels).items() if t in preds}
+            for t, (_, y) in tasks.items() if t in preds}
 
 
 # --- training -----------------------------------------------------------------
 
 @dataclass
 class CircuitRecord:
-    """One training example: a circuit, its workload, and its labels."""
+    """One training example: a circuit, its workload, and its labels.
+
+    ``prepare`` caches the schedule and the initial embeddings, and builds
+    the task table of the labels as they are then.
+    """
 
     graph: CircuitGraph
     workload: Workload
@@ -515,6 +506,7 @@ class CircuitRecord:
     emb0: np.ndarray | None = None  # the (n, 3d) table of init_embeddings
     emb0_key: tuple | None = None  # the (dim, *seed, index) emb0 was drawn for
     schedule: dict | None = None
+    tasks: dict | None = None  # the task_table of the labels
 
     def prepare(self, cfg: ModelConfig, seed, index: int):
         if self.schedule is None or self.schedule["reverse"] != cfg.reverse_layer:
@@ -524,6 +516,7 @@ class CircuitRecord:
             self.emb0 = init_embeddings(self.graph, self.workload, cfg.dim,
                                         seed=list(key[1:]))
             self.emb0_key = key
+        self.tasks = task_table(self.graph, self.labels)
         return self
 
 
@@ -555,25 +548,25 @@ def forward_records(records: list[CircuitRecord], params: ParamStore,
                     cfg: ModelConfig):
     """One sweep over the disjoint union of prepared records.
 
-    Returns the embedding tensors, each record's row offset in them, and
-    the diagnostics of the merged sweep.
+    Returns the embedding table, each record's row offset in it, and the
+    diagnostics of the merged sweep.
     """
     schedule = merge_schedules([r.schedule for r in records])
     emb = (records[0].emb0 if len(records) == 1
            else np.concatenate([r.emb0 for r in records]))
     offsets = np.cumsum([0] + [r.graph.n for r in records[:-1]])
-    st, report = forward_tensors(params, emb, cfg, schedule=schedule)
-    return st, [int(o) for o in offsets], report
+    table, report = forward_tensors(params, emb, cfg, schedule=schedule)
+    return table, [int(o) for o in offsets], report
 
 
 def run_batch(records: list[CircuitRecord], params: ParamStore,
               cfg: ModelConfig) -> tuple[list[tuple[dict, dict]], ForwardReport]:
     """Per-record (predictions, losses) from one merged sweep."""
-    st, offsets, report = forward_records(records, params, cfg)
+    table, offsets, report = forward_records(records, params, cfg)
     out = []
     for rec, off in zip(records, offsets):
-        preds = predict_heads(rec.graph, st, params, rec.labels, offset=off)
-        out.append((preds, task_losses(rec.graph, preds, rec.labels)))
+        preds = predict_heads(table, params, rec.tasks, offset=off)
+        out.append((preds, task_losses(preds, rec.tasks)))
     return out, report
 
 
@@ -627,7 +620,7 @@ def train(records: list[CircuitRecord], cfg: TrainConfig, log_fn=None,
             for rec, (preds, losses) in zip(batch, results):
                 term = weighted_loss(losses, w)
                 total = term if total is None else tz.add(total, term)
-                pes = prediction_errors(rec.graph, preds, rec.labels)
+                pes = prediction_errors(preds, rec.tasks)
                 for t, l in losses.items():
                     if w.get(t, 0.0) != 0.0:
                         sums[t] += l.item()
@@ -680,17 +673,16 @@ def evaluate(params: ParamStore, records: list[CircuitRecord],
         rec.prepare(cfg, seed, i)
     for chunk in _unions(records, EVAL_UNION_NODES):
         with tz.no_grad():
-            st, offsets, _ = forward_records(chunk, params, cfg)
-            preds = [predict_heads(rec.graph, st, params, rec.labels, offset=off)
+            table, offsets, _ = forward_records(chunk, params, cfg)
+            preds = [predict_heads(table, params, rec.tasks, offset=off)
                      for rec, off in zip(chunk, offsets)]
         for rec, p in zip(chunk, preds):
-            pes = prediction_errors(rec.graph, p, rec.labels)
-            targets = task_targets(rec.graph, rec.labels)
+            pes = prediction_errors(p, rec.tasks)
             per_circuit.append({"path": rec.path,
                                 **{f"pe_{t}": v for t, v in pes.items()}})
             for t, v in pes.items():
-                pooled_num[t] += v * len(targets[t])
-                pooled_den[t] += len(targets[t])
+                pooled_num[t] += v * len(rec.tasks[t][1])
+                pooled_den[t] += len(rec.tasks[t][1])
     pooled = {f"pe_{t}": pooled_num[t] / pooled_den[t]
               for t in TASKS if pooled_den[t]}
     return {"per_circuit": per_circuit, "pooled": pooled}

@@ -155,10 +155,10 @@ def predicted_transitions(params: tz.ParamStore, g: CircuitGraph, w: Workload,
                             labels=LabelSet.empty()).prepare(cfg, seed, 0)
     sup = mdl.supervised_nodes(g)
     with tz.no_grad():
-        st, _, _ = mdl.forward_records([rec], params, cfg)
-        pred = tz.mlp3(st.read(sup, mdl.SEQUENTIAL), params, "head.trans")
+        table, _, _ = mdl.forward_records([rec], params, cfg)
+        pred = mdl.predict_heads(table, params, {"trans": ((sup,), None)})
     tr = np.zeros(g.n)
-    tr[sup] = pred.data.ravel()
+    tr[sup] = pred["trans"].data.ravel()
     for pi in g.workload_pis():
         tr[pi] = w.pi_probs[pi][1]
     return tr

@@ -148,9 +148,10 @@ def reliability_labels(g: CircuitGraph, w: Workload, fc: FaultConfig,
 def predict_flip_rates(params: tz.ParamStore, record: mdl.CircuitRecord,
                        cfg: mdl.ModelConfig) -> tz.Tensor:
     """(n_nodes, 2) flip rates of a prepared record, without a tape."""
+    rows = (np.arange(record.graph.n),)
     with tz.no_grad():
-        st, _, _ = mdl.forward_records([record], params, cfg)
-        return mdl.flip_head(st, params, np.arange(record.graph.n))
+        table, _, _ = mdl.forward_records([record], params, cfg)
+        return mdl.predict_heads(table, params, {"flip": (rows, None)})["flip"]
 
 
 def finetune_reliability(params: tz.ParamStore, g: CircuitGraph, w: Workload,

@@ -141,8 +141,7 @@ def markov_params(p1: float, ptr: float) -> tuple[float, float]:
 WORD = np.dtype("<u8")
 WORD_BITS = 64
 # Working-set bound, in 64-bit words (about 1 MB), of one window of cycles
-# (cycles x nodes x words), of one slice of the F-pair eligibility test
-# (pairs x support words) and of one chunk of packed truth tables (rows x
+# (cycles x nodes x words) and of one chunk of packed truth tables (rows x
 # words).
 CHUNK_WORDS = 1 << 17
 

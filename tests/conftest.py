@@ -166,8 +166,8 @@ def forward_arrays(g, params, emb0, cfg):
     from seqcircuit import model as mdl
 
     schedule = mdl.compile_schedule(g, cfg.reverse_layer)
-    st, report = mdl.forward_tensors(params, emb0, cfg, schedule=schedule)
-    return st.table.data, report
+    table, report = mdl.forward_tensors(params, emb0, cfg, schedule=schedule)
+    return table.data, report
 
 
 def region_levels_reference(g, nodes):

@@ -101,6 +101,18 @@ def test_sim_exact_mode(tmp_path, corpus):
     assert code == 0
 
 
+def test_sim_exact_trace_rejected_before_writing(tmp_path, corpus, capsys):
+    aag = os.path.join(corpus, sorted(os.listdir(corpus))[0])
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["sim", "--aig", aag, "--exact", "--patterns", "50",
+                 "--cycles", "20", "--trace", str(out / "t.bin"),
+                 "--out", str(out / "stats.json"), "--saif", str(out / "s.saif")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: exact statistics carry no traces\n"
+    assert list(out.iterdir()) == []
+
+
 def test_sim_with_workload_file(tmp_path, corpus):
     from seqcircuit import Workload, parse_aiger
 

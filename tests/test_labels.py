@@ -397,8 +397,9 @@ class TestFPairSampling:
     @pytest.mark.parametrize("chunk_words", [7, labels.CHUNK_WORDS])
     def test_matches_listed_enumeration(self, monkeypatch, chunk_words):
         # Gates whose own support exceeds 16 sources are in every circuit
-        # here; a bound of 7 words splits the eligibility test into slices
-        # of a few pairs, and the draw must not depend on it.
+        # here; a bound of 7 words cuts the truth-table chunks of the
+        # distances down to a pair or so, and the labels must not depend
+        # on it.
         monkeypatch.setattr(labels, "CHUNK_WORDS", chunk_words)
         for seed in range(4):
             g = random_aig(seed, n_pi=20, n_ff=4, n_gates=40)

@@ -151,12 +151,14 @@ class TestHeadsAndLoss:
         cfg = mdl.ModelConfig(dim=8)
         rec.prepare(cfg, 0, 0)
         params = mdl.init_params(8, seed=1)
-        st, _ = mdl.forward_tensors(params, rec.emb0, cfg, schedule=rec.schedule)
+        table, _ = mdl.forward_tensors(params, rec.emb0, cfg,
+                                       schedule=rec.schedule)
         gates = rec.graph.gates
         i = gates[0]
         labels = LabelSet(p1=rec.labels.p1, ptr=rec.labels.ptr, rc_pairs=[],
                           f_pairs=[(i, i, 0.0)], ffsim_pairs=[])
-        preds = mdl.predict_heads(rec.graph, st, params, labels)
+        preds = mdl.predict_heads(table, params,
+                                  mdl.task_table(rec.graph, labels))
         assert preds["func"].data[0, 0] == pytest.approx(0.0, abs=1e-6)
 
     def test_opposite_sequential_vectors_give_zero_similarity(self):
@@ -173,27 +175,31 @@ class TestHeadsAndLoss:
         rec = small_record(seed=8)
         sup = mdl.supervised_nodes(rec.graph)
         preds = {"logic": tz.constant(rec.labels.p1[sup].reshape(-1, 1))}
-        losses = mdl.task_losses(rec.graph, preds, rec.labels)
+        losses = mdl.task_losses(preds, mdl.task_table(rec.graph, rec.labels))
         assert losses["logic"].item() == pytest.approx(0.0, abs=1e-7)
 
     def test_perfect_reconvergence_hits_entropy_floor(self):
         rec = small_record(seed=8)
         rc = np.array([l for _, _, _, l in rec.labels.rc_pairs], dtype=float)
         preds = {"recon": tz.constant(rc.reshape(-1, 1))}
-        losses = mdl.task_losses(rec.graph, preds, rec.labels)
+        losses = mdl.task_losses(preds, mdl.task_table(rec.graph, rec.labels))
         # hard labels predicted exactly: cross-entropy collapses to ~0
         assert losses["recon"].item() < 1e-6
 
     def test_label_range_enforced(self):
+        # The record's table is built, and checked, when it is prepared.
         rec = small_record(seed=9)
         sup = mdl.supervised_nodes(rec.graph)
         rec.labels.p1[sup[0]] = 1.5
-        preds = {"logic": tz.constant(np.zeros((len(sup), 1)))}
         with pytest.raises(ValueError):
-            mdl.task_losses(rec.graph, preds, rec.labels)
+            mdl.task_table(rec.graph, rec.labels)
+        with pytest.raises(ValueError):
+            rec.prepare(mdl.ModelConfig(dim=8), 0, 0)
 
     def test_loss_ignores_ffsim_when_weight_zero(self):
         rec = small_record(seed=10)
+        ffs = rec.graph.ffs
+        rec.labels.ffsim_pairs = [(ffs[0], ffs[1], 0.5)]  # none are drawn here
         cfg = mdl.TrainConfig(dim=8, seed=0)
         mcfg = cfg.model_config()
         rec.prepare(mcfg, 0, 0)
@@ -202,14 +208,18 @@ class TestHeadsAndLoss:
         v1 = mdl.weighted_loss(losses1, cfg.weights(phase=1)).item()
         rec.labels.ffsim_pairs = [(f, f2, 0.123) for f, f2, _ in
                                   rec.labels.ffsim_pairs]
+        rec.prepare(mcfg, 0, 0)  # the table follows the new labels
         _, losses2, _ = mdl.run_record(rec, params, mcfg)
         v2 = mdl.weighted_loss(losses2, cfg.weights(phase=1)).item()
+        assert losses1["ff_sim"].item() != losses2["ff_sim"].item()
         assert v1 == v2
 
     @pytest.mark.parametrize("task, what", [
         ("recon", "reconvergence"), ("logic", "logic"), ("trans", "transition"),
         ("func", "distance"), ("ff_sim", "similarity"), ("flip", "flip-rate")])
     def test_out_of_range_target_names_its_task(self, task, what):
+        # The table builder raises, so a record with such a target fails
+        # when it is prepared, before any step.
         rec = small_record(seed=9)
         g, labels = rec.graph, rec.labels
         labels.flip = np.full((g.n, 2), 0.25)
@@ -226,10 +236,11 @@ class TestHeadsAndLoss:
             labels.ffsim_pairs = [(a, b, -0.1)]
         else:
             labels.flip[g.n - 1, 1] = 1.01
-        preds = {task: tz.constant(np.zeros((1, 1)))}
-        for fn in (mdl.task_losses, mdl.prediction_errors):
-            with pytest.raises(ValueError, match=f"^{what} labels outside"):
-                fn(g, preds, labels)
+        with pytest.raises(ValueError, match=f"^{what} labels outside"):
+            mdl.task_table(g, labels)
+        with pytest.raises(ValueError, match=f"^{what} labels outside"):
+            mdl.train([rec], mdl.TrainConfig(dim=4, epochs_phase1=1,
+                                             epochs_phase2=0))
 
     def test_zero_init_heads_output_half(self):
         rec = small_record(seed=11)
@@ -239,8 +250,9 @@ class TestHeadsAndLoss:
         for name in params.names():
             if name.startswith("head."):
                 params[name].data = np.zeros_like(params[name].data)
-        st, _ = mdl.forward_tensors(params, rec.emb0, cfg, schedule=rec.schedule)
-        preds = mdl.predict_heads(rec.graph, st, params, rec.labels)
+        table, _ = mdl.forward_tensors(params, rec.emb0, cfg,
+                                       schedule=rec.schedule)
+        preds = mdl.predict_heads(table, params, rec.tasks)
         assert np.allclose(preds["logic"].data, 0.5)
         assert np.allclose(preds["recon"].data, 0.5)
 
@@ -300,6 +312,19 @@ class TestTraining:
         sources = sorted(rec.graph.pis + rec.graph.ffs)
         assert np.array_equal(emb[sources, :8], rec.emb0[sources, :8])
 
+    def test_task_table_built_once_per_run(self, monkeypatch):
+        # Each record's table is built when train prepares it, not on
+        # every step: 2 records, 4 epochs of 2 steps each.
+        built = []
+        build = mdl.task_table
+        monkeypatch.setattr(mdl, "task_table",
+                            lambda g, labels: built.append(g) or build(g, labels))
+        recs = [small_record(seed=s) for s in (20, 21)]
+        cfg = mdl.TrainConfig(dim=8, epochs_phase1=2, epochs_phase2=2,
+                              lr=1e-3, seed=13, batch_size=1)
+        mdl.train(recs, cfg)
+        assert [id(g) for g in built] == [id(r.graph) for r in recs]
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             mdl.train([], mdl.TrainConfig())
@@ -309,7 +334,7 @@ class TestTraining:
         sup = mdl.supervised_nodes(rec.graph)
         preds = {"logic": tz.constant(rec.labels.p1[sup].reshape(-1, 1)),
                  "trans": tz.constant(np.full((len(sup), 1), 0.5))}
-        pes = mdl.prediction_errors(rec.graph, preds, rec.labels)
+        pes = mdl.prediction_errors(preds, mdl.task_table(rec.graph, rec.labels))
         assert pes["logic"] == pytest.approx(0.0, abs=1e-7)
         expect = np.abs(rec.labels.ptr[sup] - 0.5).mean()
         assert pes["trans"] == pytest.approx(expect, abs=1e-7)
@@ -355,13 +380,13 @@ class TestBatchedSweep:
             cfg = mdl.ModelConfig(**self.CFG)
             recs = feedback_records(cfg)
             params = mdl.init_params(6, seed=1)
-            st, offsets, rep = mdl.forward_records(recs, params, cfg)
+            table, offsets, rep = mdl.forward_records(recs, params, cfg)
             merged_iters = list(rep.region_iters)
             for rec, off in zip(recs, offsets):
                 one, one_rep = mdl.forward_tensors(params, rec.emb0, cfg,
                                                    schedule=rec.schedule)
                 rows = slice(off, off + rec.graph.n)
-                assert np.abs(one.table.data - st.table.data[rows]).max() < 1e-12
+                assert np.abs(one.data - table.data[rows]).max() < 1e-12
                 k = len(one_rep.region_iters)
                 assert merged_iters[:k] == one_rep.region_iters
                 merged_iters = merged_iters[k:]
@@ -404,14 +429,14 @@ class TestBatchedSweep:
         gc.collect()
         gc.disable()
         try:
-            st, _, _ = mdl.forward_records(recs, params, cfg)
-            rows = np.arange(st.table.data.shape[0])
-            hf = st.read(rows, mdl.FUNCTION)
-            loss = tz.add(tensor_sum(tz.mul(hf, hf)),
-                          tensor_sum(st.read(rows, mdl.SEQUENTIAL)))
+            table, _, _ = mdl.forward_records(recs, params, cfg)
+            rows = np.arange(table.data.shape[0])
+            hf = tz.take_rows(table.current, rows, slice(6, 12))
+            loss = tz.add(tensor_sum(tz.mul(hf, hf)), tensor_sum(
+                tz.take_rows(table.current, rows, slice(12, 18))))
             loss.backward()
-            refs = [weakref.ref(st.table.data), weakref.ref(st.table._grad.buf)]
-            del st, hf, loss
+            refs = [weakref.ref(table.data), weakref.ref(table._grad.buf)]
+            del table, hf, loss
             assert [r() for r in refs] == [None] * 2
         finally:
             gc.enable()
@@ -636,7 +661,7 @@ def assert_waves_match_serial(g):
         params = mdl.init_params(6, seed=3)
         got, got_rep = mdl.forward_tensors(params, emb0, cfg, schedule=schedule)
         want, want_rep = mdl.forward_tensors(params, emb0, cfg, schedule=serial)
-        assert np.abs(got.table.data - want.table.data).max() < 1e-12
+        assert np.abs(got.data - want.data).max() < 1e-12
         assert got_rep.region_iters == want_rep.region_iters
         assert np.allclose(got_rep.region_residuals, want_rep.region_residuals,
                            rtol=1e-12, atol=0)
@@ -715,8 +740,8 @@ class TestRegionWaves:
         cfg = mdl.ModelConfig(dim=4)
         schedule = mdl.compile_schedule(g, cfg.reverse_layer)
         calls = []
-        update = mdl._update_group
-        monkeypatch.setattr(mdl, "_update_group",
+        update = tz.space_update
+        monkeypatch.setattr(tz, "space_update",
                             lambda *a: calls.append(1) or update(*a))
         emb0 = mdl.init_embeddings(g, Workload.random(g, 1), 4)
         mdl.forward_tensors(mdl.init_params(4), emb0, cfg, schedule=schedule)
@@ -828,11 +853,16 @@ class TestFlipTask:
         rec = flip_records(cfg)[0]
         g = rec.graph
         labels = replace(LabelSet.empty(), flip=rec.labels.flip)
-        st, _ = mdl.forward_tensors(self.params(), rec.emb0, cfg,
-                                    schedule=rec.schedule)
-        preds = mdl.predict_heads(g, st, self.params(), labels)
+        tasks = mdl.task_table(g, labels)
+        assert list(tasks) == ["flip"]
+        (rows,), target = tasks["flip"]
+        assert np.array_equal(rows, np.arange(g.n))
+        assert np.array_equal(target, rec.labels.flip)
+        table, _ = mdl.forward_tensors(self.params(), rec.emb0, cfg,
+                                       schedule=rec.schedule)
+        preds = mdl.predict_heads(table, self.params(), tasks)
         assert list(preds) == ["flip"] and preds["flip"].shape == (g.n, 2)
-        assert list(mdl.task_losses(g, preds, labels)) == ["flip"]
+        assert list(mdl.task_losses(preds, tasks)) == ["flip"]
 
     def test_evaluate_pools_flip_error_over_rows(self):
         cfg = mdl.ModelConfig(**self.CFG)

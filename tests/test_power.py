@@ -199,9 +199,11 @@ class TestPredictedTransitions:
 
         rec = mdl.CircuitRecord(graph=g, workload=w,
                                 labels=LabelSet.empty()).prepare(mcfg, 2, 0)
-        st, _ = mdl.forward_tensors(params, rec.emb0, mcfg, schedule=rec.schedule)
+        table, _ = mdl.forward_tensors(params, rec.emb0, mcfg,
+                                       schedule=rec.schedule)
         sup = mdl.supervised_nodes(g)
-        taped = tz.mlp3(st.read(sup, mdl.SEQUENTIAL), params, "head.trans")
+        taped = tz.mlp3(tz.take_rows(table.current, sup, slice(16, 24)),
+                        params, "head.trans")
         assert taped.parents and taped.requires
         assert np.unique(taped.data).size > 1
         assert np.array_equal(tr[sup], taped.data.ravel())

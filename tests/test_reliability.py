@@ -10,6 +10,8 @@ from seqcircuit import (CircuitBuilder, FaultConfig, GenSpec, SimConfig,
                         reliability_labels, simulate)
 from seqcircuit import model as mdl
 from seqcircuit import reliability as rel
+from seqcircuit import tensor as tz
+from seqcircuit.labels import LabelSet
 from seqcircuit.simulate import (WORD_BITS, SimulationError, pattern_mask, pi_words,
                                 unpack_patterns)
 from tests.conftest import (WINDOW_RUNS, mixed_circuit, reference_run,
@@ -173,6 +175,27 @@ def test_finetune_head_shape_and_learning():
     pred = rel.predict_flip_rates(tuned, rec2, mdl.ModelConfig(dim=8))
     assert pred.shape == (g.n, 2)
     assert not pred.requires and not pred.parents  # inference keeps no tape
+
+
+def test_flip_rates_equal_flip_head_on_taped_forward():
+    # The tape-free flip rates are those of the taped forward that
+    # fine-tuning differentiates, on the same rows.
+    g = generate(GenSpec(n_pi=4, n_and=20, n_not=8, n_ff=3, seed=31,
+                         feedback_prob=0.3))
+    w = Workload.random(g, 5)
+    cfg = mdl.ModelConfig(dim=8)
+    params = mdl.init_params(8, seed=3)
+    mdl.add_reliability_head(params, 8, seed=4)
+    rec = mdl.CircuitRecord(graph=g, workload=w,
+                            labels=LabelSet.empty()).prepare(cfg, 2, 0)
+    pred = rel.predict_flip_rates(params, rec, cfg)
+    table, _ = mdl.forward_tensors(params, rec.emb0, cfg, schedule=rec.schedule)
+    taped = tz.mlp3(tz.take_rows(table.current, np.arange(g.n)), params,
+                    "head.flip")
+    assert taped.parents and taped.requires
+    assert np.unique(taped.data).size > 1
+    assert pred.shape == (g.n, 2)
+    assert np.array_equal(pred.data, taped.data)
 
 
 def test_zero_labels_start_near_half_and_decrease():
