@@ -9,7 +9,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 
 import numpy as np
 
@@ -60,12 +59,9 @@ def main():
     print(f"trained {len(history)} epochs in {time.time() - t0:.1f}s")
     mdl.write_history(os.path.join(args.out, "history.jsonl"), history)
 
-    from seqcircuit.tensor import save_checkpoint
-
     mcfg = cfg.model_config()
-    extra = asdict(mcfg)
-    save_checkpoint(os.path.join(args.out, "checkpoint.bin"), params,
-                    extra={"dim": extra.pop("dim"), "seed": cfg.seed, **extra})
+    mdl.save_model(os.path.join(args.out, "checkpoint.bin"), params, mcfg,
+                   cfg.seed)
 
     report = mdl.evaluate(params, records, mcfg, seed=cfg.seed)
     print("pooled avg prediction error per task:")

@@ -9,7 +9,7 @@ from .bench import parse_bench
 from .simulate import (SimConfig, SimStats, Workload, exhaustive_stats,
                        markov_params, simulate)
 from .labels import (LabelSet, build_labelset, ff_pair_eligible, ff_similarity,
-                     reconvergence_pairs, sample_f_pairs, truth_table_distance)
+                     reconvergence_pairs, sample_f_pairs)
 from .model import (CircuitRecord, ModelConfig, TrainConfig, evaluate,
                     init_embeddings, init_params, train)
 from .power import PowerConfig, export_saif, power_estimate, read_saif

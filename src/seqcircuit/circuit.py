@@ -113,51 +113,45 @@ class CircuitGraph:
     @cached_property
     def sccs(self) -> tuple[tuple[int, ...], ...]:
         """Strongly connected components of the fanin graph, FF edges
-        included, in the order Tarjan's algorithm closes them: each after
-        the components of its fanins.  Fanins must be in range."""
-        succ = self.fanins
-        index = [-1] * self.n
-        low = [0] * self.n
-        on_stack = [False] * self.n
-        stack: list[int] = []
-        sccs = []
-        counter = 0
+        included, each after the components of its fanins.  Fanins must be
+        in range.
+
+        Two passes (Kosaraju): a depth-first walk over fanouts lists the
+        nodes in the order they finish; then, from the last to finish
+        backwards, each node not yet placed starts a component of the
+        unplaced nodes it reaches over fanins.
+        """
+        fanouts, fanins = self.fanouts, self.fanins
+        seen = [False] * self.n
+        finished = []
         for root in range(self.n):
-            if index[root] != -1:
+            if seen[root]:
                 continue
-            work = [(root, 0)]
-            while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                advanced = False
-                for j in range(pi, len(succ[v])):
-                    w = succ[v][j]
-                    if index[w] == -1:
-                        work[-1] = (v, j + 1)
-                        work.append((w, 0))
-                        advanced = True
+            seen[root] = True
+            stack = [(root, iter(fanouts[root]))]
+            while stack:
+                v, rest = stack[-1]
+                for w in rest:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append((w, iter(fanouts[w])))
                         break
-                    if on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    p = work[-1][0]
-                    low[p] = min(low[p], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    sccs.append(tuple(comp))
+                else:
+                    stack.pop()
+                    finished.append(v)
+        placed = [False] * self.n
+        sccs = []
+        for root in reversed(finished):
+            if placed[root]:
+                continue
+            placed[root] = True
+            comp = [root]
+            for v in comp:  # the list grows while it is walked
+                for u in fanins[v]:
+                    if not placed[u]:
+                        placed[u] = True
+                        comp.append(u)
+            sccs.append(tuple(comp))
         return tuple(sccs)
 
     @cached_property

@@ -34,8 +34,7 @@ from .labels import build_labelset
 from .schedule import plan_document
 from .simulate import (SimConfig, SimulationError, Workload, check_seed,
                        exhaustive_stats, simulate, write_trace_file)
-from .tensor import (CHECKPOINT_VERSION, NumericsError, load_checkpoint,
-                     save_checkpoint)
+from .tensor import CHECKPOINT_VERSION, NumericsError
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -236,9 +235,7 @@ def cmd_label(cfg, log):
     with open(out, "w") as f:
         for i, name in enumerate(files):
             path = os.path.join(corpus, name)
-            with open(path) as cf:
-                g = (parse_bench(cf) if name.endswith(".bench")
-                     else parse_aiger(cf))
+            g = mdl.read_circuit(path)
             w = Workload.random(g, cfg["workload_seed"] + i)
             labels = build_labelset(
                 g, w, replace(sim_cfg, seed=sim_cfg.seed + i),
@@ -263,30 +260,16 @@ def cmd_train(cfg, log):
                                 log_fn=lambda row: log("epoch", **row))
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    _save_model(os.path.join(out_dir, "checkpoint.bin"), params,
-                tcfg.model_config(), tcfg.seed)
+    mdl.save_model(os.path.join(out_dir, "checkpoint.bin"), params,
+                   tcfg.model_config(), tcfg.seed)
     mdl.write_history(os.path.join(out_dir, "history.jsonl"), history)
     write_manifest(out_dir, "train", cfg)
     return 0
 
 
-def _save_model(path, params, mcfg: mdl.ModelConfig, seed: int):
-    # The checkpoint index is not key-sorted: keep "seed" second.
-    extra = asdict(mcfg)
-    save_checkpoint(path, params,
-                    extra={"dim": extra.pop("dim"), "seed": seed, **extra})
-
-
-def _model_config_from_extra(extra) -> tuple[mdl.ModelConfig, int]:
-    known = {f.name for f in fields(mdl.ModelConfig)}
-    cfg = mdl.ModelConfig(**{k: v for k, v in extra.items() if k in known})
-    return cfg, int(extra.get("seed", 0))
-
-
 def cmd_eval(cfg, log):
     records = mdl.load_dataset(cfg["dataset"])
-    params, extra = load_checkpoint(cfg["checkpoint"])
-    mcfg, seed = _model_config_from_extra(extra)
+    params, mcfg, seed = mdl.load_model(cfg["checkpoint"])
     report = mdl.evaluate(params, records, mcfg, seed=seed)
     _emit(cfg, "eval", json.dumps(report, indent=2) + "\n")
     log("eval", **report["pooled"])
@@ -305,8 +288,7 @@ def cmd_power(cfg, log):
     report = {"simulated_power": pw.power_estimate(stats.ptr, pc, mask),
               "masked_nodes": int(mask.sum())}
     if cfg.get("checkpoint"):
-        params, extra = load_checkpoint(cfg["checkpoint"])
-        mcfg, seed = _model_config_from_extra(extra)
+        params, mcfg, seed = mdl.load_model(cfg["checkpoint"])
         tr_hat = pw.predicted_transitions(params, g, w, mcfg, seed=seed)
         report["predicted_power"] = pw.power_estimate(tr_hat, pc, mask)
         report["rel_error"] = (abs(report["predicted_power"]
@@ -332,8 +314,7 @@ def cmd_reliab(cfg, log):
             raise CircuitError("--finetune needs --checkpoint")
         if cfg["epochs"] < 1:
             raise ValueError(f"epochs must be >= 1, got {cfg['epochs']}")
-        params, extra = load_checkpoint(cfg["checkpoint"])
-        mcfg, seed = _model_config_from_extra(extra)
+        params, mcfg, seed = mdl.load_model(cfg["checkpoint"])
         tcfg = mdl.TrainConfig(**asdict(mcfg), lr=cfg["lr"], seed=seed)
     labels = rel.reliability_labels(g, w, fc)
     _emit(cfg, "reliab", labels.to_json_lines(g))
@@ -344,7 +325,7 @@ def cmd_reliab(cfg, log):
                                                   epochs=cfg["epochs"])
         log("reliab_finetune", final_pe=history[-1]["pe_flip"])
         if cfg.get("finetune_out"):
-            _save_model(cfg["finetune_out"], tuned, mcfg, seed)
+            mdl.save_model(cfg["finetune_out"], tuned, mcfg, seed)
     return 0
 
 

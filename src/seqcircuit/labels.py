@@ -42,7 +42,6 @@ class LabelSet:
     rc_pairs: list[tuple[int, int, int, int]]          # (fanin_a, fanin_b, gate, label)
     f_pairs: list[tuple[int, int, float]]              # (node_i, node_j, tt distance)
     ffsim_pairs: list[tuple[int, int, float]]          # (ff_i, ff_j, similarity)
-    skipped_ff_pairs: int = 0
     flip: np.ndarray | None = None                     # (n, 2) fault flip rates p01, p10
 
     @classmethod
@@ -129,27 +128,6 @@ def _cone_walk(g: CircuitGraph, ends, seen: set) -> list[int]:
                     seen.add(u)
                     found.append(u)
     return found
-
-
-def truth_table_distance(g: CircuitGraph, i: int, j: int, sup=None) -> float:
-    """Normalized Hamming distance of two combinational functions.
-
-    Both cones are evaluated over an exhaustive assignment of their joint
-    source support (FF outputs treated as free inputs); the support size is
-    capped at MAX_PAIR_SUPPORT.  ``sup`` takes precomputed support masks;
-    without them each call builds the masks of the whole graph.  Only the
-    rows of the two cones are encoded and swept, as one chunk of
-    ``pair_distances`` would sweep them.
-    """
-    for v in (i, j):
-        if g.kinds[v] not in _GATES:
-            raise LabelError(f"node {v} is not combinational")
-    if sup is None:
-        sup = support_masks(g)
-    level = g.levels  # raises CircuitError on a combinational loop
-    rows = np.array(sorted(_cone_walk(g, (i, j), set())), dtype=np.intp)
-    return _chunk_distances([(i, j)], sup, rows,
-                            gate_table(g, rows, level[rows]))[0]
 
 
 def _bits(mask: int) -> list[int]:
@@ -443,9 +421,8 @@ def build_labelset(g: CircuitGraph, w: Workload, cfg: SimConfig,
     if stats is None:
         stats = simulate(g, w, cfg)
     f_pairs = sample_f_pairs(g, f_target, seed) if f_target != 0 else []
-    ffsim_pairs, skipped = (sample_ffsim_pairs(g, stats, ffsim_target, seed)
-                            if ffsim_target != 0 else ([], 0))
+    ffsim_pairs = (sample_ffsim_pairs(g, stats, ffsim_target, seed)[0]
+                   if ffsim_target != 0 else [])
     return LabelSet(p1=stats.p1.copy(), ptr=stats.ptr.copy(),
                     rc_pairs=reconvergence_pairs(g),
-                    f_pairs=f_pairs, ffsim_pairs=ffsim_pairs,
-                    skipped_ff_pairs=skipped)
+                    f_pairs=f_pairs, ffsim_pairs=ffsim_pairs)

@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+import os
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as tz
+from .aiger import parse_aiger
+from .bench import parse_bench
 from .circuit import CircuitGraph, NodeKind
-from .labels import LabelSet
+from .labels import LabelError, LabelSet
 from .schedule import node_plan
 from .simulate import Workload
 from .tensor import ParamStore, Tensor
@@ -170,6 +173,44 @@ def init_params(dim: int, seed: int = 0, reverse_layer: bool = True) -> ParamSto
 def add_reliability_head(store: ParamStore, dim: int, seed: int = 0):
     rng = np.random.default_rng([int(seed), 0x7265])
     tz.init_mlp3(store, "head.flip", 3 * dim, dim, 2, rng)
+
+
+def save_model(path, params: ParamStore, cfg: ModelConfig, seed: int):
+    """Checkpoint ``params`` with ``cfg`` and the seed in its header."""
+    # The checkpoint index is not key-sorted: keep "seed" second.
+    extra = asdict(cfg)
+    tz.save_checkpoint(path, params,
+                       extra={"dim": extra.pop("dim"), "seed": seed, **extra})
+
+
+def load_model(path) -> tuple[ParamStore, ModelConfig, int]:
+    """The parameters, config and seed of a ``save_model`` checkpoint.
+
+    Header keys that are not ``ModelConfig`` fields are ignored.  Raises
+    ``ValueError`` naming the file unless the header makes a valid config
+    and every parameter that the forward pass and the heads read is
+    present with the shape it calls for; other parameters load as they
+    are.
+    """
+    params, extra = tz.load_checkpoint(path)
+    known = {f.name for f in fields(ModelConfig)}
+    try:
+        cfg = ModelConfig(**{k: v for k, v in extra.items() if k in known})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path} has a bad header: {exc}") from None
+    want = init_params(cfg.dim, reverse_layer=cfg.reverse_layer)
+    if "head.flip.w1" in params:
+        add_reliability_head(want, cfg.dim)
+    header = f"dim {cfg.dim}, reverse_layer {cfg.reverse_layer}"
+    for name in want.names():
+        if name not in params:
+            raise ValueError(f"checkpoint {path} lacks parameter {name!r}, "
+                             f"which its header ({header}) calls for")
+        if params[name].shape != want[name].shape:
+            raise ValueError(f"checkpoint {path} holds {name!r} of shape "
+                             f"{params[name].shape}, its header ({header}) "
+                             f"calls for {want[name].shape}")
+    return params, cfg, int(extra.get("seed", 0))
 
 
 # --- forward pass -------------------------------------------------------------
@@ -427,8 +468,15 @@ def task_table(g: CircuitGraph, labels: LabelSet) -> dict[str, tuple]:
     order.  A task without targets is left out.
 
     This is the one place that lists what a record supervises.  Every
-    target must lie in [0, 1].
+    target must lie in [0, 1], per-node labels must cover the circuit's
+    nodes and pairs must name them; else it raises ``ValueError`` naming
+    the task.
     """
+    for what, arr in (("logic", labels.p1), ("transition", labels.ptr),
+                      ("flip-rate", labels.flip)):
+        if arr is not None and len(arr) != g.n:
+            raise ValueError(f"{what} labels cover {len(arr)} nodes, "
+                             f"the circuit has {g.n}")
     sup = supervised_nodes(g)
     rc = [(min(a, b), max(a, b), l) for a, b, _, l in labels.rc_pairs]
     spec = {
@@ -447,6 +495,9 @@ def task_table(g: CircuitGraph, labels: LabelSet) -> dict[str, tuple]:
         arr = np.asarray(vals, dtype=float)
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError(f"{what} labels outside [0, 1]")
+        ids = np.concatenate(rows)
+        if ids.min() < 0 or ids.max() >= g.n:
+            raise ValueError(f"{what} labels name nodes outside 0..{g.n - 1}")
         out[task] = (rows, arr)
     return out
 
@@ -520,25 +571,37 @@ class CircuitRecord:
         return self
 
 
+def read_circuit(path) -> CircuitGraph:
+    """Parse a netlist file: BENCH for a ``.bench`` name, AIGER otherwise."""
+    with open(path) as f:
+        return parse_bench(f) if path.endswith(".bench") else parse_aiger(f)
+
+
 def load_dataset(path) -> list[CircuitRecord]:
-    """Read a JSON-lines dataset; circuit paths resolve against the file's dir."""
-    import os
+    """Read a JSON-lines dataset; circuit paths resolve against the file's dir.
 
-    from .aiger import parse_aiger
-    from .bench import parse_bench
-
+    Each record is checked against its circuit: the workload drives every
+    input, and the labels are those of ``task_table``.  A record that is
+    not JSON, lacks a field or fails a check raises ``LabelError`` naming
+    ``<dataset>:<line>``.
+    """
     base = os.path.dirname(os.path.abspath(path))
     records = []
     with open(path) as f:
-        for line in f:
+        for ln, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            cpath, wl, _cfg, labels = LabelSet.from_json_record(line)
-            full = os.path.normpath(os.path.join(base, cpath))
-            with open(full) as cf:
-                text = cf.read()
-            g = parse_bench(text) if full.endswith(".bench") else parse_aiger(text)
+            try:
+                cpath, wl, _cfg, labels = LabelSet.from_json_record(line)
+                full = os.path.normpath(os.path.join(base, cpath))
+                g = read_circuit(full)
+                wl.check(g)
+                task_table(g, labels)
+            except KeyError as exc:
+                raise LabelError(f"{path}:{ln}: no field {exc}") from None
+            except (TypeError, ValueError, OSError) as exc:
+                raise LabelError(f"{path}:{ln}: {exc}") from None
             records.append(CircuitRecord(graph=g, workload=wl, labels=labels,
                                          path=full))
     return records

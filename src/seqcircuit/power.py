@@ -121,28 +121,23 @@ def read_saif(text) -> tuple[int, dict[str, tuple[float, float]]]:
 
 # --- workload fine-tuning -----------------------------------------------------
 
-def workload_records(g: CircuitGraph, workloads: list[Workload],
-                     cfg: SimConfig) -> list[mdl.CircuitRecord]:
-    """Probability-only supervision records, one per workload."""
-    from .labels import build_labelset
-
-    records = []
-    for i, w in enumerate(workloads):
-        labels = build_labelset(g, w, replace(cfg, seed=cfg.seed + i),
-                                f_target=0, ffsim_target=0)
-        records.append(mdl.CircuitRecord(graph=g, workload=w, labels=labels))
-    return records
-
-
 def finetune_workloads(params: tz.ParamStore, g: CircuitGraph,
                        train_workloads: list[Workload], cfg: mdl.TrainConfig,
                        sim_cfg: SimConfig = SimConfig()) -> tuple[tz.ParamStore, list[dict]]:
     """Continue training on one circuit under many workloads.
 
     Only the probability tasks supervise (the pair tasks carry no new
-    information across workloads of a fixed netlist).
+    information across workloads of a fixed netlist): workload i's record
+    holds the p1 and ptr that ``simulate`` gives at seed
+    ``sim_cfg.seed + i``.  Every record shares one compiled schedule.
     """
-    records = workload_records(g, train_workloads, sim_cfg)
+    schedule = mdl.compile_schedule(g, cfg.reverse_layer)
+    records = []
+    for i, w in enumerate(train_workloads):
+        stats = simulate(g, w, replace(sim_cfg, seed=sim_cfg.seed + i))
+        labels = replace(LabelSet.empty(), p1=stats.p1, ptr=stats.ptr)
+        records.append(mdl.CircuitRecord(graph=g, workload=w, labels=labels,
+                                         schedule=schedule))
     weights = {"logic": cfg.w_logic, "trans": cfg.w_trans}
     return mdl.train(records, cfg, params=params, weights=weights)
 
@@ -151,8 +146,16 @@ def predicted_transitions(params: tz.ParamStore, g: CircuitGraph, w: Workload,
                           cfg: mdl.ModelConfig, seed=0) -> np.ndarray:
     """Per-node transition probabilities: model output for gates and FFs,
     workload values for PIs (inputs are given, not predicted)."""
-    rec = mdl.CircuitRecord(graph=g, workload=w,
-                            labels=LabelSet.empty()).prepare(cfg, seed, 0)
+    return _transitions(params, g, w, cfg, seed, schedule=None)
+
+
+def _transitions(params: tz.ParamStore, g: CircuitGraph, w: Workload,
+                 cfg: mdl.ModelConfig, seed, schedule: dict | None
+                 ) -> np.ndarray:
+    """``predicted_transitions`` over ``schedule``, a ``compile_schedule``
+    of ``g`` (None compiles one)."""
+    rec = mdl.CircuitRecord(graph=g, workload=w, labels=LabelSet.empty(),
+                            schedule=schedule).prepare(cfg, seed, 0)
     sup = mdl.supervised_nodes(g)
     with tz.no_grad():
         table, _, _ = mdl.forward_records([rec], params, cfg)
@@ -172,15 +175,17 @@ def power_error_report(params: tz.ParamStore, g: CircuitGraph,
 
     Each entry is a pure function of (params, workload): ground truth uses a
     seed offset disjoint from label generation, and the prediction reuses one
-    embedding-init stream, so identical workloads score identically.
+    embedding-init stream, so identical workloads score identically.  The
+    schedule is compiled once for every workload.
     """
     mask = gate_output_mask(g)
     gt_cfg = replace(sim_cfg, seed=sim_cfg.seed + 0x6774)
+    schedule = mdl.compile_schedule(g, mcfg.reverse_layer)
     out = []
     for w in workloads:
         stats = simulate(g, w, gt_cfg)
         gt = power_estimate(stats.ptr, pc, mask)
-        tr_hat = predicted_transitions(params, g, w, mcfg, seed=seed)
+        tr_hat = _transitions(params, g, w, mcfg, seed, schedule)
         est = power_estimate(tr_hat, pc, mask)
         rel = abs(est - gt) / max(gt, 1e-12)
         out.append({"gt_power": gt, "est_power": est, "rel_error": rel})

@@ -640,20 +640,41 @@ def save_checkpoint(path, store: ParamStore, extra: dict | None = None):
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
+    """The parameters and the header's ``extra`` of a ``save_checkpoint``
+    file.
+
+    Raises ``ValueError`` naming the file unless its index reads and the
+    file holds exactly the bytes the index calls for.
+    """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        version, size = struct.unpack("<II", f.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        index = json.loads(f.read(size).decode())
-        blob = f.read()
+        data = f.read()
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"bad checkpoint magic {data[:4]!r} in {path}")
+    if len(data) < 12:
+        raise ValueError(f"checkpoint {path} has {len(data)} bytes, "
+                         "expected at least 12 for its header")
+    version, size = struct.unpack_from("<II", data, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version} in {path}")
+    blob = 12 + size  # where the parameter bytes start
+    if len(data) < blob:
+        raise ValueError(f"checkpoint {path} has {len(data)} bytes, expected "
+                         f"at least {blob} for its header and index")
+    try:
+        index = json.loads(data[12:blob].decode())
+        entries = [(e["name"], tuple(e["shape"]), e["offset"])
+                   for e in index["entries"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path} has an unreadable index: "
+                         f"{exc!r}") from None
+    want = blob + max((off + 4 * int(np.prod(shape))
+                       for _, shape, off in entries), default=0)
+    if len(data) != want:
+        raise ValueError(f"checkpoint {path} has {len(data)} bytes, "
+                         f"expected {want}")
     store = ParamStore()
-    for e in index["entries"]:
-        shape = tuple(e["shape"])
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=count,
-                            offset=e["offset"]).reshape(shape).copy()
-        store.create(e["name"], arr)
+    for name, shape, off in entries:
+        arr = np.frombuffer(data, dtype="<f4", count=int(np.prod(shape)),
+                            offset=blob + off).reshape(shape).copy()
+        store.create(name, arr)
     return store, index.get("extra", {})

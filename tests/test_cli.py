@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from seqcircuit import model as mdl
-from seqcircuit.cli import (COMMANDS, _model_config_from_extra, boolean,
-                            build_parser, load_config_file, main,
-                            resolve_config)
+from seqcircuit.cli import (COMMANDS, boolean, build_parser,
+                            load_config_file, main, resolve_config)
 from seqcircuit.power import read_saif
 from seqcircuit.tensor import load_checkpoint, save_checkpoint
 
@@ -498,7 +497,7 @@ def test_checkpoint_with_cycle_tol_loads(tmp_path, corpus):
     save_checkpoint(ckpt, mdl.init_params(8, seed=1),
                     extra={"dim": 8, "seed": 1, "reverse_layer": True,
                            "cycle_tol": 1e-3, "cycle_max_iters": 2})
-    mcfg, seed = _model_config_from_extra(load_checkpoint(ckpt)[1])
+    _, mcfg, seed = mdl.load_model(ckpt)
     assert (mcfg, seed) == (mdl.ModelConfig(dim=8, cycle_max_iters=2), 1)
     report = str(tmp_path / "report.json")
     assert run_cli(["eval", "--dataset", dataset, "--checkpoint", ckpt,
@@ -536,3 +535,100 @@ def test_flag_and_config_key_agree(tmp_path, command):
         assert by_flag[key] != default, name
         assert {k: v for k, v in by_flag.items() if k != key} == \
             {k: v for k, v in defaults.items() if k != key}, name
+
+
+def _biggest(docs):
+    return max(docs, key=lambda d: len(d["p1"]))
+
+
+# Each spoils the third record of a labelled dataset.
+SPOILED_RECORDS = {
+    "not-json": lambda docs: json.dumps(docs[2])[:35],
+    "no-ptr": lambda docs: json.dumps(
+        {k: v for k, v in docs[2].items() if k != "ptr"}),
+    "bigger-circuit": lambda docs: json.dumps(
+        {**docs[2], "circuit_path": _biggest(docs)["circuit_path"],
+         "workload": _biggest(docs)["workload"]}),
+    "far-pair": lambda docs: json.dumps(
+        {**docs[2], "f": [[docs[2]["f"][0][0], 1_000_000, 0.5]]}),
+    "missing-pi": lambda docs: json.dumps(
+        {**docs[2], "workload": dict(list(docs[2]["workload"].items())[1:])}),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("spoil, message", [
+    ("not-json", ""), ("no-ptr", "no field 'ptr'"),
+    ("bigger-circuit", "logic labels cover"),
+    ("far-pair", "distance labels name nodes outside"),
+    ("missing-pi", "workload missing PIs")])
+def test_bad_dataset_record_names_file_and_line(tmp_path, corpus, capsys,
+                                                command, spoil, message):
+    # The error names the dataset and the line and exits 2, with no
+    # traceback.
+    dataset = str(tmp_path / "data.jsonl")
+    assert run_cli(["label", "--corpus", corpus, "--out", dataset,
+                    "--patterns", "30", "--cycles", "10", "--f-pairs", "4",
+                    "--ffsim-pairs", "2"]) == 0
+    with open(dataset) as f:
+        lines = f.read().splitlines()
+    docs = [json.loads(l) for l in lines]
+    assert docs[2] != _biggest(docs)
+    lines[2] = SPOILED_RECORDS[spoil](docs)
+    with open(dataset, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    ckpt = str(tmp_path / "m.bin")
+    save_checkpoint(ckpt, mdl.init_params(8, seed=1),
+                    extra={"dim": 8, "seed": 1})
+    argv = (["train", "--out-dir", str(tmp_path / "run"), "--dim", "8",
+             "--epochs-phase1", "1", "--epochs-phase2", "0"]
+            if command == "train" else ["eval", "--checkpoint", ckpt])
+    capsys.readouterr()
+    assert main(argv + ["--dataset", dataset]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dataset}:3: ")
+    assert message in err
+
+
+def _trained_checkpoint(tmp_path, corpus, reverse_layer="true"):
+    dataset = str(tmp_path / "data.jsonl")
+    assert run_cli(["label", "--corpus", corpus, "--out", dataset,
+                    "--patterns", "30", "--cycles", "10", "--f-pairs", "4",
+                    "--ffsim-pairs", "2"]) == 0
+    run_dir = str(tmp_path / "run")
+    assert run_cli(["train", "--dataset", dataset, "--out-dir", run_dir,
+                    "--dim", "8", "--epochs-phase1", "1",
+                    "--epochs-phase2", "0",
+                    "--reverse-layer", reverse_layer]) == 0
+    return dataset, os.path.join(run_dir, "checkpoint.bin")
+
+
+@pytest.mark.parametrize("keep", [-100, 20])
+def test_cut_checkpoint_names_file(tmp_path, corpus, capsys, keep):
+    dataset, ckpt = _trained_checkpoint(tmp_path, corpus)
+    with open(ckpt, "rb") as f:
+        data = f.read()
+    with open(ckpt, "wb") as f:
+        f.write(data[:keep])
+    capsys.readouterr()
+    assert main(["eval", "--dataset", dataset, "--checkpoint", ckpt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt} has {len(data[:keep])} "
+                          "bytes, expected ")
+
+
+@pytest.mark.parametrize("trained, header, message", [
+    pytest.param("false", {"reverse_layer": True},
+                 "lacks parameter 'rev.", id="reverse-layer"),
+    pytest.param("true", {"dim": 16}, "of shape (16, 1)", id="dim"),
+    pytest.param("true", {"dim": "8"}, "has a bad header", id="dim-text")])
+def test_checkpoint_header_must_fit_parameters(tmp_path, corpus, capsys,
+                                               trained, header, message):
+    dataset, ckpt = _trained_checkpoint(tmp_path, corpus, trained)
+    params, extra = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, params, extra={**extra, **header})
+    capsys.readouterr()
+    assert main(["eval", "--dataset", dataset, "--checkpoint", ckpt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt} ")
+    assert message in err

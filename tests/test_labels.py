@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from seqcircuit import (CircuitBuilder, CircuitError, CircuitGraph, GenSpec,
                         NodeKind, SimConfig, Workload, build_labelset,
                         ff_pair_eligible, ff_similarity, generate, parse_aiger,
-                        reconvergence_pairs, sample_f_pairs,
-                        truth_table_distance)
+                        reconvergence_pairs, sample_f_pairs)
 from seqcircuit import labels
 from seqcircuit.labels import (LabelError, LabelSet, pair_distances,
                                sample_ffsim_pairs, sequential_depths,
@@ -179,7 +178,7 @@ class TestTruthTableDistance:
         g1 = b.add_and(a, c)
         g2 = b.add_and(a, c)
         g = b.build(check=False)
-        assert truth_table_distance(g, g1, g2) == 0.0
+        assert pair_distances(g, [(g1, g2)], support_masks(g)) == [0.0]
 
     def test_complement_distance_one(self):
         b = CircuitBuilder()
@@ -188,7 +187,7 @@ class TestTruthTableDistance:
         g1 = b.add_and(a, c)
         g2 = b.add_not(g1)
         g = b.build(check=False)
-        assert truth_table_distance(g, g1, g2) == 1.0
+        assert pair_distances(g, [(g1, g2)], support_masks(g)) == [1.0]
 
     def test_and_vs_or_half(self):
         # Four-row enumeration: AND column 0001 vs OR column 0111 differ in
@@ -202,7 +201,7 @@ class TestTruthTableDistance:
         inner = b.add_and(na, nc)
         g_or = b.make_not(inner)
         g = b.build(check=False)
-        assert truth_table_distance(g, g_and, g_or) == 0.5
+        assert pair_distances(g, [(g_and, g_or)], support_masks(g)) == [0.5]
 
     def test_support_cap(self):
         b = CircuitBuilder()
@@ -213,7 +212,7 @@ class TestTruthTableDistance:
         other = b.add_not(pis[0])
         g = b.build(check=False)
         with pytest.raises(LabelError):
-            truth_table_distance(g, acc, other)
+            pair_distances(g, [(acc, other)], support_masks(g))
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
@@ -231,26 +230,28 @@ class TestTruthTableDistance:
                     ev = eval_graph(g, env, env)
                     diff += ev(int(i)) != ev(int(j))
                 expect = diff / (2 ** len(sources)) if sources else 0.0
-                assert truth_table_distance(g, int(i), int(j)) \
+                assert pair_distances(g, [(int(i), int(j))], sup)[0] \
                     == pytest.approx(expect, abs=1e-12)
 
     def test_symmetry_and_triangle(self):
         g = generate(GenSpec(n_pi=4, n_and=12, n_not=5, n_ff=1, seed=9))
         gates = g.gates[:6]
+        sup = support_masks(g)
+
+        def dist(i, j):
+            return pair_distances(g, [(i, j)], sup)[0]
         for i, j in itertools.combinations(gates, 2):
-            assert truth_table_distance(g, i, j) \
-                == truth_table_distance(g, j, i)
+            assert dist(i, j) == dist(j, i)
         for i, j, k in itertools.combinations(gates, 3):
-            dij = truth_table_distance(g, i, j)
-            djk = truth_table_distance(g, j, k)
-            dik = truth_table_distance(g, i, k)
+            dij = dist(i, j)
+            djk = dist(j, k)
+            dik = dist(i, k)
             assert dik <= dij + djk + 1e-12
 
     def _check_batched(self, g, pairs):
         sup = support_masks(g)
         want = [truth_table_reference(g, i, j, sup) for i, j in pairs]
         assert pair_distances(g, pairs, sup) == want
-        assert [truth_table_distance(g, i, j) for i, j in pairs] == want
 
     def test_batched_matches_cone_walk_small_supports(self):
         # k < 6: one word per pair, with the bits past 2^k masked; the
@@ -355,8 +356,6 @@ class TestTruthTableDistance:
         b.fanins[g1] = (a, g2)  # two-gate loop with no FF
         g = b.build(check=False)
         sup = support_masks(g)
-        with pytest.raises(CircuitError, match="combinational loop"):
-            truth_table_distance(g, g3, g4, sup)
         with pytest.raises(CircuitError, match="combinational loop"):
             pair_distances(g, [(g3, g4)], sup)
 

@@ -242,6 +242,32 @@ class TestHeadsAndLoss:
             mdl.train([rec], mdl.TrainConfig(dim=4, epochs_phase1=1,
                                              epochs_phase2=0))
 
+    @pytest.mark.parametrize("task, what", [
+        ("recon", "reconvergence"), ("logic", "logic"), ("trans", "transition"),
+        ("func", "distance"), ("ff_sim", "similarity"), ("flip", "flip-rate")])
+    def test_labels_off_the_circuit_name_their_task(self, task, what):
+        # A pair id outside the circuit (a negative one would wrap) or a
+        # per-node array of another length raises ValueError, not
+        # IndexError, and no label is read from a wrong row.
+        rec = small_record(seed=9)
+        g, labels = rec.graph, rec.labels
+        labels.flip = np.full((g.n, 2), 0.25)
+        a = g.ffs[0]
+        if task == "recon":
+            labels.rc_pairs = [(a, g.n, g.gates[0], 1)]
+        elif task == "logic":
+            labels.p1 = labels.p1[:-1]
+        elif task == "trans":
+            labels.ptr = np.append(labels.ptr, 0.5)
+        elif task == "func":
+            labels.f_pairs = [(a, 1_000_000, 0.5)]
+        elif task == "ff_sim":
+            labels.ffsim_pairs = [(-1, a, 0.5)]
+        else:
+            labels.flip = labels.flip[:-1]
+        with pytest.raises(ValueError, match=f"^{what} labels (name|cover)"):
+            mdl.task_table(g, labels)
+
     def test_zero_init_heads_output_half(self):
         rec = small_record(seed=11)
         cfg = mdl.ModelConfig(dim=8)
@@ -785,6 +811,29 @@ class TestParameters:
         mdl.weighted_loss(losses, {t: 1.0 for t in mdl.TASKS}).backward()
         assert all(loaded[n].grad is None for n in extra)
         assert loaded["fwd.func.and.attn.w2"].grad is not None
+
+    def test_model_round_trip_keeps_extra_parameters(self, tmp_path):
+        # The header lists dim and the seed first; a legacy query weight
+        # and a flip head load as they are, a flip head of another width
+        # does not.
+        cfg = mdl.ModelConfig(dim=8, reverse_layer=False, cycle_max_iters=2)
+        params = mdl.init_params(8, seed=3, reverse_layer=False)
+        mdl.add_reliability_head(params, 8)
+        params.create("fwd.func.and.attn.w1", np.zeros((16, 1)))
+        path = tmp_path / "m.bin"
+        mdl.save_model(path, params, cfg, 5)
+        assert list(tz.load_checkpoint(path)[1]) == [
+            "dim", "seed", "reverse_layer", "cycle_max_iters"]
+        loaded, got, seed = mdl.load_model(path)
+        assert (got, seed) == (cfg, 5)
+        assert loaded.names() == params.names()
+        assert all(np.array_equal(loaded[n].data, params[n].data.astype("<f4"))
+                   for n in params.names())
+        del params.params["head.flip.w3"]
+        params.create("head.flip.w3", np.zeros((8, 3)))
+        mdl.save_model(path, params, cfg, 5)
+        with pytest.raises(ValueError, match="'head.flip.w3' of shape"):
+            mdl.load_model(path)
 
 
 def flip_records(cfg):

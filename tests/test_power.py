@@ -180,6 +180,32 @@ class TestWorkloadFinetune:
         assert rep_again[0]["rel_error"] \
             == pytest.approx(rep_train[1]["rel_error"], abs=1e-12)
 
+    def test_one_schedule_per_call(self, monkeypatch):
+        # Fine-tuning and the report compile the circuit's schedule once,
+        # however many workloads they run.
+        from seqcircuit import model as mdl
+        from seqcircuit import power as pw
+
+        g = generate(GenSpec(n_pi=4, n_and=20, n_not=8, n_ff=3, seed=31,
+                             feedback_prob=0.3))
+        sim_cfg = SimConfig(100, 30, 2)
+        wls = [Workload.random(g, 50 + i) for i in range(3)]
+        calls = []
+        compile_schedule = mdl.compile_schedule
+
+        def spy(*args):
+            calls.append(args)
+            return compile_schedule(*args)
+        monkeypatch.setattr(mdl, "compile_schedule", spy)
+        tcfg = mdl.TrainConfig(dim=8, epochs_phase1=2, epochs_phase2=0,
+                               lr=1e-3, seed=2, batch_size=3)
+        tuned, _ = pw.finetune_workloads(mdl.init_params(8, seed=1), g, wls,
+                                         tcfg, sim_cfg)
+        assert len(calls) == 1
+        pw.power_error_report(tuned, g, wls, tcfg.model_config(),
+                              PowerConfig(), sim_cfg, seed=0)
+        assert len(calls) == 2
+
 
 class TestPredictedTransitions:
     def test_equals_trans_head_on_taped_forward(self):

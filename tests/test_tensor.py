@@ -663,6 +663,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             tz.load_checkpoint(path)
 
+    @pytest.mark.parametrize("old, new", [(b'{"format', b'x"format'),
+                                          (b'"shape"', b'"shapf"')])
+    def test_unreadable_index_names_file(self, tmp_path, old, new):
+        path = os.path.join(tmp_path, "w.bin")
+        store = tz.ParamStore()
+        tz.init_gru(store, "cell", 4, 6, np.random.default_rng(3))
+        tz.save_checkpoint(path, store, extra={"dim": 6})
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(data.replace(old, new, 1))
+        with pytest.raises(ValueError, match=f"^checkpoint {path} has an "
+                                             "unreadable index"):
+            tz.load_checkpoint(path)
+
     def test_float32_mode_op_gradients(self):
         # Spec-level float32 check at h = 1e-3 on a small op graph.
         with tz.precision("float32"):
